@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     MaxIterationsError,
+    ModelConsistencyError,
     NotPositiveDefiniteError,
     SubspaceExhaustedError,
     SurrogateOutOfRangeError,
@@ -59,6 +60,7 @@ from .reduced import (
 from .sparse import (
     CholeskyFactor,
     SparseSymMatrix,
+    SymmetricPattern,
     cholesky_factorize,
     read_matrix_market,
     write_matrix_market,
@@ -87,6 +89,7 @@ __all__ = [
     "Material",
     "MaxIterationsError",
     "Mesh",
+    "ModelConsistencyError",
     "NotPositiveDefiniteError",
     "OuterRecord",
     "ParametricPencil",
@@ -95,6 +98,7 @@ __all__ = [
     "SolveResult",
     "SparseSymMatrix",
     "SubspaceExhaustedError",
+    "SymmetricPattern",
     "SurrogateOutOfRangeError",
     "TrustRegionConfig",
     "UpdatingProblem",

@@ -46,6 +46,10 @@ class SurrogateOutOfRangeError(RuntimeError):
     """Reduced model evaluated too far from its expansion point."""
 
 
+class ModelConsistencyError(RuntimeError):
+    """Reduced model disagrees with the full objective at its expansion point."""
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
 from .pencil import FeasibleBox, ParametricPencil
-from .sparse import SparseSymMatrix
+from .sparse import SparseSymMatrix, SymmetricPattern
 
 MPA = 1.0e6  # Young modulus unit, Pa per MPa
 
@@ -275,7 +274,7 @@ def _shape_gradients(xi, dim):
 
 def _batched_jacobians(coords, dndxi):
     """Jacobians, determinants and physical gradients for all elements."""
-    jac = np.einsum("ena,nb->eab", coords, dndxi)
+    jac = coords.transpose(0, 2, 1) @ dndxi
     det = np.linalg.det(jac)
     if np.any(det <= 0.0):
         raise ValueError(
@@ -283,7 +282,7 @@ def _batched_jacobians(coords, dndxi):
             % int(np.flatnonzero(det <= 0.0)[0])
         )
     inv = np.linalg.inv(jac)
-    dndx = np.einsum("nb,eba->ena", dndxi, inv)
+    dndx = dndxi @ inv
     return det, dndx
 
 
@@ -334,7 +333,7 @@ def element_stiffness(coords, young, poisson):
     for xi, w in zip(points, weights):
         det, dndx = _batched_jacobians(coords, _shape_gradients(xi, dim))
         b = _strain_matrix(dndx, dim)
-        ke += np.einsum("esa,st,etb->eab", b, d, b) * (w * det)[:, None, None]
+        ke += b.transpose(0, 2, 1) @ (d @ b) * (w * det)[:, None, None]
     return (ke + ke.transpose(0, 2, 1)) * 0.5
 
 
@@ -355,18 +354,60 @@ def element_mass(coords, density):
     return (me + me.transpose(0, 2, 1)) * 0.5
 
 
-def _scatter(mesh, which, element_matrices):
-    """Assemble batched element matrices into a full-size CSR matrix."""
-    dim = mesh.dim
-    conn = mesh.elements[which]
-    dofs = (conn[:, :, None] * dim + np.arange(dim)).reshape(conn.shape[0], -1)
-    nd = dofs.shape[1]
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    full = sp.coo_array(
-        (element_matrices.ravel(), (rows, cols)), shape=(mesh.n_dofs, mesh.n_dofs)
-    )
-    return full.tocsr()
+class _Scatter:
+    """Where every element matrix entry lands in the assembled operators.
+
+    The pattern is the free-dof graph of all elements: entry (i, j) is
+    present when some element couples free dofs i and j. ``slots`` holds,
+    per element, the position of each of its (nd * nd) matrix entries
+    among the pattern's, or -1 where a constrained dof is involved.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        free = mesh.free_dofs()
+        n = free.size
+        index = np.full(mesh.n_dofs, -1, dtype=np.int64)
+        index[free] = np.arange(n)
+        conn = mesh.elements
+        dofs = index[conn[:, :, None] * mesh.dim + np.arange(mesh.dim)].reshape(conn.shape[0], -1)
+        nd = dofs.shape[1]
+        rows = np.repeat(dofs, nd, axis=1)
+        cols = np.tile(dofs, (1, nd))
+        keep = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        self.pattern = SymmetricPattern(
+            n, np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+        )
+        self.slots = np.full(rows.shape, -1, dtype=np.int64)
+        self.slots[keep] = slot
+
+    def assemble(self, which, element_matrices):
+        """Values on the pattern of the sum of the given elements' matrices."""
+        slots = self.slots[which]
+        keep = slots >= 0
+        return np.bincount(
+            slots[keep],
+            weights=element_matrices.reshape(slots.shape)[keep],
+            minlength=self.pattern.nnz,
+        )
+
+    def matrix(self, values):
+        """The matrix with these values, on the entries where they are nonzero."""
+        nonzero = values != 0.0
+        return SparseSymMatrix.on_pattern(self.pattern.restrict(nonzero), values[nonzero])
+
+    def region_values(self, region_id, poisson):
+        """Unit-parameter stiffness and mass values of one region."""
+        mesh = self.mesh
+        which = np.flatnonzero(mesh.regions == region_id)
+        if which.size == 0:
+            raise ValueError("region %d has no elements" % region_id)
+        coords = mesh.coords[mesh.elements[which]]
+        return (
+            self.assemble(which, element_stiffness(coords, 1.0, poisson)),
+            self.assemble(which, element_mass(coords, 1.0)),
+        )
 
 
 def region_operators(mesh, region_id, poisson):
@@ -377,21 +418,9 @@ def region_operators(mesh, region_id, poisson):
     region's physical contribution is ``young * K_r`` and
     ``density * M_r``.
     """
-    which = np.flatnonzero(mesh.regions == region_id)
-    if which.size == 0:
-        raise ValueError("region %d has no elements" % region_id)
-    coords = mesh.coords[mesh.elements[which]]
-    ke = element_stiffness(coords, 1.0, poisson)
-    me = element_mass(coords, 1.0)
-    free = mesh.free_dofs()
-    k_full = _scatter(mesh, which, ke)
-    m_full = _scatter(mesh, which, me)
-    k_free = k_full[np.ix_(free, free)]
-    m_free = m_full[np.ix_(free, free)]
-    return (
-        SparseSymMatrix.from_full(k_free, sym_tol=1e-9),
-        SparseSymMatrix.from_full(m_free, sym_tol=1e-9),
-    )
+    scatter = _Scatter(mesh)
+    k_r, m_r = scatter.region_values(region_id, poisson)
+    return scatter.matrix(k_r), scatter.matrix(m_r)
 
 
 def assemble_parametric(mesh, materials):
@@ -423,42 +452,33 @@ def assemble_parametric(mesh, materials):
         )
     if mesh.fixed_dofs.size == 0:
         raise ValueError("mesh has no constrained dofs; rigid modes present")
-    n = mesh.free_dofs().size
-    empty = SparseSymMatrix(sp.csc_array((n, n)))
-    k0_parts, m0_parts = [], []
+    scatter = _Scatter(mesh)
+    empty = scatter.matrix(np.zeros(scatter.pattern.nnz))
+    k0 = np.zeros(scatter.pattern.nnz)
+    m0 = np.zeros(scatter.pattern.nnz)
     k_inc, m_inc, names, start, lo, hi = [], [], [], [], [], []
     for rid, mat in enumerate(materials, start=1):
-        k_r, m_r = region_operators(mesh, rid, mat.poisson)
+        k_r, m_r = scatter.region_values(rid, mat.poisson)
         if mat.free_young:
-            k_inc.append(k_r)
+            k_inc.append(scatter.matrix(k_r))
             m_inc.append(empty)
             names.append("young:%s" % mat.name)
             start.append(float(mat.young))
             lo.append(float(mat.young_bounds[0]))
             hi.append(float(mat.young_bounds[1]))
         else:
-            k0_parts.append((k_r, float(mat.young)))
+            k0 += float(mat.young) * k_r
         if mat.free_density:
             k_inc.append(empty)
-            m_inc.append(m_r)
+            m_inc.append(scatter.matrix(m_r))
             names.append("density:%s" % mat.name)
             start.append(float(mat.density))
             lo.append(float(mat.density_bounds[0]))
             hi.append(float(mat.density_bounds[1]))
         else:
-            m0_parts.append((m_r, float(mat.density)))
-    k0 = _accumulate(n, k0_parts)
-    m0 = _accumulate(n, m0_parts)
+            m0 += float(mat.density) * m_r
+    k0 = scatter.matrix(k0)
+    m0 = scatter.matrix(m0)
     pencil = ParametricPencil(k0, m0, k_inc, m_inc, names)
     box = FeasibleBox(np.asarray(lo), np.asarray(hi))
     return pencil, box, np.asarray(start, dtype=np.float64)
-
-
-def _accumulate(n, parts):
-    if not parts:
-        return SparseSymMatrix(sp.csc_array((n, n)))
-    acc = None
-    for mat, coeff in parts:
-        term = mat.lower * coeff
-        acc = term if acc is None else acc + term
-    return SparseSymMatrix(acc)

@@ -124,15 +124,24 @@ class EvalCounter:
 
 @dataclass
 class FullEvaluation:
-    """Objective value, frequencies, and eigendata at one point."""
+    """Objective value, frequencies, and eigendata at one point.
+
+    Also carries the point x and the matrices K(x), M(x) the eigendata
+    were computed from, so gradients and surrogates built at x reuse
+    them instead of assembling again.
+    """
 
     value: float
     frequencies: np.ndarray
     lanczos: object
+    x: np.ndarray
+    k: object
+    m: object
 
 
 def evaluate_full(problem, x, counter=None):
     """Evaluate phi(x) through a fresh factorization and Lanczos run."""
+    x = np.array(x, dtype=np.float64)
     k, m = problem.pencil.evaluate(x)
     if counter is not None:
         counter.factorizations += 1
@@ -145,16 +154,19 @@ def evaluate_full(problem, x, counter=None):
         value=weighted_mismatch(f, problem.measured, problem.weights),
         frequencies=f,
         lanczos=res,
+        x=x,
+        k=k,
+        m=m,
     )
 
 
-def eigenvalue_derivatives(pencil, x, eigenvalues, vectors):
-    """d lambda_i / d x_j for the pencil at x, given eigenpairs.
+def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
+    """d lambda_i / d x_j for the pencil, given eigenpairs at a point.
 
-    Uses the standard first-order formula for simple eigenvalues:
+    ``m`` is the mass matrix M(x) at that point. Uses the standard
+    first-order formula for simple eigenvalues:
     v_i^T (dK_j - lambda_i dM_j) v_i / (v_i^T M v_i).
     """
-    _, m = pencil.evaluate(x)
     mv = m.matvec(vectors)
     vmv = np.einsum("ni,ni->i", vectors, mv)
     out = np.empty((len(eigenvalues), pencil.n_parameters))
@@ -175,9 +187,10 @@ def mismatch_gradient(frequencies, eigenvalues, dlam, measured, weights):
     return coef @ dlam
 
 
-def full_gradient(problem, x, lanczos_result):
-    """Gradient of phi at x from a converged Lanczos evaluation."""
-    lam = lanczos_result.eigenvalues
-    dlam = eigenvalue_derivatives(problem.pencil, x, lam, lanczos_result.vectors)
-    f = frequencies_from_eigenvalues(lam)
-    return mismatch_gradient(f, lam, dlam, problem.measured, problem.weights)
+def full_gradient(problem, evaluation):
+    """Gradient of phi at the point of a converged full evaluation."""
+    lam, vectors = evaluation.lanczos.eigenvalues, evaluation.lanczos.vectors
+    dlam = eigenvalue_derivatives(problem.pencil, evaluation.m, lam, vectors)
+    return mismatch_gradient(
+        evaluation.frequencies, lam, dlam, problem.measured, problem.weights
+    )

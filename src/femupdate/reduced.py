@@ -29,7 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ClusteredEigenvaluesError, SurrogateOutOfRangeError
+from .errors import (
+    ClusteredEigenvaluesError,
+    ModelConsistencyError,
+    SurrogateOutOfRangeError,
+)
 from .objective import (
     frequencies_from_eigenvalues,
     full_gradient,
@@ -55,6 +59,7 @@ class ReducedModel:
     weights: np.ndarray
     s: int
     value_at_x0: float
+    gradient: np.ndarray = None  # full objective gradient at x0
     gap_tol: float = GAP_TOL
     z_floor: float = Z_FLOOR
 
@@ -78,18 +83,22 @@ def _sym(a):
     return (a + a.T) * 0.5
 
 
-def build_reduced_model(problem, x0, lanczos_result):
-    """Assemble the surrogate at x0 from a converged Lanczos run there.
+def build_reduced_model(problem, evaluation):
+    """Assemble the surrogate at a point from its converged full evaluation.
 
     Cost: m back-substitutions with the existing factorization plus
     sparse products with the parameter increments; no new
-    factorization.
+    factorization and no new assembly. The full gradient at the point,
+    needed for the correction term, is kept as ``model.gradient``.
+
+    Raises ModelConsistencyError if the surrogate value at the point
+    differs from the evaluation's value in any bit.
     """
     pencil = problem.pencil
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = evaluation.x
+    lanczos_result = evaluation.lanczos
     basis = lanczos_result.basis
-    _, m_mat = pencil.evaluate(x0)
-    mu_basis = m_mat.matvec(basis)
+    mu_basis = evaluation.m.matvec(basis)
     y = lanczos_result.factor.solve(mu_basis)
 
     s_hats, g_hats = [], []
@@ -101,10 +110,7 @@ def build_reduced_model(problem, x0, lanczos_result):
         c = y.T @ (dk.matvec(y))
         g_hats.append(b + b.T - _sym(c))
 
-    lam = lanczos_result.eigenvalues
-    f0 = frequencies_from_eigenvalues(lam)
-    phi0 = weighted_mismatch(f0, problem.measured, problem.weights)
-
+    phi0 = evaluation.value
     model = ReducedModel(
         x0=x0.copy(),
         tridiagonal=lanczos_result.tridiagonal.copy(),
@@ -118,13 +124,16 @@ def build_reduced_model(problem, x0, lanczos_result):
     )
 
     # gradient correction: surrogate gradient must equal the full one at x0
-    grad_full = full_gradient(problem, x0, lanczos_result)
-    grad_surrogate = reduced_gradient(model, x0)
-    model.g_corr = grad_full - grad_surrogate
+    model.gradient = full_gradient(problem, evaluation)
+    model.g_corr = model.gradient - reduced_gradient(model, x0)
 
     # the surrogate value needs no offset at x0: F(x0) is T itself
     value0, _ = evaluate_reduced(model, x0)
-    assert value0 == phi0, "surrogate value drifted at its own expansion point"
+    if value0 != phi0:
+        raise ModelConsistencyError(
+            "surrogate value %r differs from the full value %r at its own "
+            "expansion point" % (value0, phi0)
+        )
     return model
 
 

@@ -1,14 +1,20 @@
 """Symmetric sparse matrices and their Cholesky factorization.
 
-Matrices are stored as the lower triangle in compressed sparse column
-form; the full operator is materialized lazily for products. The
-factorization is an unpivoted sparse Cholesky P A Pᵀ = L Lᵀ with a
-fill-reducing minimum-degree ordering P, performed through SuperLU in
-symmetric mode (no numerical pivoting), which for a symmetric positive
-definite input yields U = diag(d) Lᵀ with d > 0.
+Matrices are stored in full compressed sparse row form on a shared
+``SymmetricPattern``: matrices on one pattern share its index arrays and
+differ only in their values. The factorization is an unpivoted sparse
+Cholesky P A Pᵀ = L Lᵀ with a fill-reducing minimum-degree ordering P,
+performed through SuperLU in symmetric mode (no numerical pivoting),
+which for a symmetric positive definite input yields U = diag(d) Lᵀ
+with d > 0. The ordering depends on the pattern alone, so it is
+computed once per pattern and every factorization on that pattern
+reuses it.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add
 
 import numpy as np
 import scipy.io
@@ -18,8 +24,86 @@ from scipy.sparse.linalg import splu
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 
+class SymmetricPattern:
+    """Structurally symmetric sparsity pattern of an n-by-n matrix.
+
+    Full CSR layout: ``indices[indptr[i]:indptr[i + 1]]`` are the sorted
+    columns of row i. The pattern caches its fill-reducing ordering.
+    """
+
+    def __init__(self, n, indptr, indices):
+        self.n = int(n)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self._ordering = None
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+    def restrict(self, mask):
+        """The sub-pattern of the entries where ``mask`` (length nnz) holds."""
+        kept = np.concatenate(([0], np.cumsum(mask)))
+        return SymmetricPattern(self.n, kept[self.indptr], self.indices[mask])
+
+    def keys(self):
+        """Entry keys row * n + col, ascending in storage order."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return rows * self.n + self.indices
+
+    def ordering(self):
+        """(perm, gather, indptr, indices) of the permuted pattern P A Pᵀ.
+
+        ``perm`` is the minimum-degree ordering; ``gather`` maps the
+        values of a matrix on this pattern to the values of its
+        symmetric permutation stored column-wise on (indptr, indices).
+        Computed on first use by factoring a diagonally dominant matrix
+        on the pattern: the ordering only sees the structure.
+        """
+        if self._ordering is None:
+            ones = sp.csc_array(
+                (np.ones(self.nnz), self.indices, self.indptr), shape=(self.n, self.n)
+            )
+            dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
+            lu = _splu(dominant.tocsc(), "MMD_AT_PLUS_A")
+            perm = np.argsort(lu.perm_c)
+            slots = sp.csr_array(
+                (np.arange(1.0, self.nnz + 1.0), self.indices, self.indptr),
+                shape=(self.n, self.n),
+            )[perm][:, perm]
+            slots.sort_indices()
+            # P A Pᵀ is symmetric, so its CSR arrays are also its CSC arrays
+            gather = slots.data.astype(np.int64) - 1
+            self._ordering = (
+                perm,
+                gather,
+                slots.indptr.astype(np.int32),
+                slots.indices.astype(np.int32),
+            )
+        return self._ordering
+
+
+def union_pattern(patterns):
+    """Smallest pattern holding all given ones, and where each one sits in it.
+
+    Returns the union and, per input pattern, the positions of its
+    entries among the union's.
+    """
+    distinct = list({id(p): p for p in patterns}.values())
+    n = distinct[0].n
+    total = reduce(add, [
+        sp.csr_array((np.ones(p.nnz), p.indices, p.indptr), shape=(n, n))
+        for p in distinct
+    ])
+    total.sum_duplicates()
+    union = SymmetricPattern(n, total.indptr, total.indices)
+    keys = union.keys()
+    where = {id(p): np.searchsorted(keys, p.keys()) for p in distinct}
+    return union, [where[id(p)] for p in patterns]
+
+
 class SparseSymMatrix:
-    """Square symmetric matrix storing only the lower triangle.
+    """Square symmetric matrix stored in full CSR form on a pattern.
 
     Parameters
     ----------
@@ -37,9 +121,26 @@ class SparseSymMatrix:
         coo = sp.coo_array(lower)
         if np.any(coo.row < coo.col):
             raise ValueError("entries above the diagonal are not allowed")
-        lower.sort_indices()
-        self._lower = lower
-        self._full = None
+        diag = sp.dia_array((lower.diagonal()[None, :], [0]), shape=lower.shape)
+        full = (lower + lower.T - diag).tocsr()
+        full.sum_duplicates()
+        self._set(SymmetricPattern(full.shape[0], full.indptr, full.indices), full.data)
+
+    @classmethod
+    def on_pattern(cls, pattern, data):
+        """Matrix with the given values on a pattern; no copy, no checks.
+
+        ``data`` must be symmetric: the value at (i, j) equals the one
+        at (j, i).
+        """
+        self = cls.__new__(cls)
+        self._set(pattern, data)
+        return self
+
+    def _set(self, pattern, data):
+        self.pattern = pattern
+        self.data = data
+        self._csr = None
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -57,7 +158,7 @@ class SparseSymMatrix:
         """Build from a full symmetric matrix (dense or scipy sparse).
 
         The input must be symmetric to ``sym_tol`` relative to its largest
-        entry; the stored matrix is the symmetrized lower triangle.
+        entry; the stored matrix is its symmetric part (a + aᵀ) / 2.
         """
         a = sp.csc_array(a) if sp.issparse(a) else sp.csc_array(np.asarray(a))
         gap = abs(a - a.T)
@@ -69,29 +170,28 @@ class SparseSymMatrix:
 
     @property
     def n(self):
-        return self._lower.shape[0]
+        return self.pattern.n
 
     @property
     def shape(self):
-        return self._lower.shape
+        return (self.n, self.n)
 
     @property
     def nnz_lower(self):
-        return self._lower.nnz
+        return self.lower.nnz
 
     @property
     def lower(self):
-        """Lower triangle as CSC (shared, do not mutate)."""
-        return self._lower
+        """Lower triangle as CSC (a new matrix)."""
+        return sp.tril(self.to_scipy(), format="csc")
 
     def to_scipy(self):
-        """Full symmetric matrix as CSR (cached)."""
-        if self._full is None:
-            low = self._lower
-            diag = sp.dia_array((low.diagonal()[None, :], [0]), shape=low.shape)
-            self._full = (low + low.T - diag).tocsr()
-            self._full.sort_indices()
-        return self._full
+        """Full symmetric matrix as CSR (shares this matrix's arrays)."""
+        if self._csr is None:
+            self._csr = sp.csr_array(
+                (self.data, self.pattern.indices, self.pattern.indptr), shape=self.shape
+            )
+        return self._csr
 
     def to_dense(self):
         return self.to_scipy().toarray()
@@ -109,53 +209,42 @@ class SparseSymMatrix:
         return self.matvec(x)
 
     def scaled(self, c):
-        """New matrix c * A."""
-        return SparseSymMatrix(self._lower * float(c))
+        """New matrix c * A on the same pattern."""
+        return SparseSymMatrix.on_pattern(self.pattern, self.data * float(c))
 
-    @staticmethod
-    def linear_combination(matrices, coefficients):
-        """Sum of cᵢ Aᵢ over matrices of identical dimension."""
-        if len(matrices) != len(coefficients) or not matrices:
-            raise DimensionMismatchError("need equally many matrices and coefficients")
-        n = matrices[0].n
-        acc = None
-        for a, c in zip(matrices, coefficients):
-            if a.n != n:
-                raise DimensionMismatchError(
-                    "matrix dimensions disagree: %d vs %d" % (a.n, n)
-                )
-            term = a.lower * float(c)
-            acc = term if acc is None else acc + term
-        return SparseSymMatrix(acc)
+
+def _splu(a, permc_spec):
+    """SuperLU in symmetric mode without pivoting; singular -> not SPD."""
+    try:
+        return splu(
+            a,
+            diag_pivot_thresh=0.0,
+            permc_spec=permc_spec,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as exc:
+        if "singular" in str(exc).lower():
+            raise NotPositiveDefiniteError(0) from exc
+        raise
 
 
 class CholeskyFactor:
     """Sparse Cholesky factorization P A Pᵀ = L Lᵀ of an SPD matrix.
 
     ``perm`` is the fill-reducing permutation P as an index vector:
-    (P A Pᵀ)[i, j] == A[perm[i], perm[j]].
+    (P A Pᵀ)[i, j] == A[perm[i], perm[j]]. It belongs to the matrix's
+    pattern, so factorizations on one pattern share it; the permuted
+    matrix is factored in its natural order.
     """
 
     def __init__(self, matrix):
         if not isinstance(matrix, SparseSymMatrix):
             matrix = SparseSymMatrix.from_full(matrix)
-        a = sp.csc_matrix(matrix.to_scipy())
-        try:
-            lu = splu(
-                a,
-                diag_pivot_thresh=0.0,
-                permc_spec="MMD_AT_PLUS_A",
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            if "singular" in str(exc).lower():
-                raise NotPositiveDefiniteError(0) from exc
-            raise
+        perm, gather, indptr, indices = matrix.pattern.ordering()
+        permuted = sp.csc_array((matrix.data[gather], indices, indptr), shape=matrix.shape)
+        lu = _splu(permuted, "NATURAL")
         d = lu.U.diagonal()
         bad = np.flatnonzero(d <= 0.0)
-        # perm maps factor ordering back to original indices.
-        perm = np.empty(matrix.n, dtype=np.int64)
-        perm[lu.perm_c] = np.arange(matrix.n)
         if bad.size:
             raise NotPositiveDefiniteError(perm[bad[0]])
         self.n = matrix.n
@@ -176,7 +265,9 @@ class CholeskyFactor:
                 "right-hand side has leading dimension %d, expected %d"
                 % (b.shape[0], self.n)
             )
-        return self._lu.solve(b)
+        x = np.empty_like(b)
+        x[self.perm] = self._lu.solve(b[self.perm])
+        return x
 
 
 def cholesky_factorize(matrix):

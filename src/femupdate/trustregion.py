@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxmin import minimize_box
-from .errors import SurrogateOutOfRangeError
-from .objective import EvalCounter, evaluate_full, full_gradient
+from .errors import ClusteredEigenvaluesError, SurrogateOutOfRangeError
+from .objective import EvalCounter, evaluate_full
 from .reduced import (
     build_reduced_model,
     evaluate_reduced,
@@ -114,13 +114,12 @@ def _model_gaps(problem, model, evaluation, gradient, x):
     )
 
 
-def start_state(problem, x0, config, counter, model_factory=None, keep_models=False):
+def start_state(problem, x0, config, counter, keep_models=False):
     """Evaluate the starting point and build the first surrogate."""
-    factory = model_factory or build_reduced_model
     x0 = np.asarray(x0, dtype=np.float64)
     ev = evaluate_full(problem, x0, counter)
-    grad = full_gradient(problem, x0, ev.lanczos)
-    model = factory(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
+    grad = model.gradient
     state = TrustRegionState(
         x=x0.copy(),
         delta=config.delta0,
@@ -150,9 +149,13 @@ def start_state(problem, x0, config, counter, model_factory=None, keep_models=Fa
     return state
 
 
-def outer_iterate(state, problem, config, counter, model_factory=None, wall_s=0.0):
-    """Run one outer trust-region iteration, mutating the state."""
-    factory = model_factory or build_reduced_model
+def outer_iterate(state, problem, config, counter, wall_s=0.0):
+    """Run one outer trust-region iteration, mutating the state.
+
+    A trial point where the surrogate is out of range or its leading
+    eigenvalues cluster is rejected by the inner solver, which then
+    shortens its step.
+    """
     model = state.model
     lo = np.maximum(problem.box.lower, state.x - state.delta)
     hi = np.minimum(problem.box.upper, state.x + state.delta)
@@ -181,7 +184,7 @@ def outer_iterate(state, problem, config, counter, model_factory=None, wall_s=0.
         hi,
         tol=config.inner_tol,
         max_iter=config.inner_max_iter,
-        reject=(SurrogateOutOfRangeError,),
+        reject=(SurrogateOutOfRangeError, ClusteredEigenvaluesError),
     )
     step = inner.x - state.x
     step_norm = float(np.max(np.abs(step))) if step.size else 0.0
@@ -221,9 +224,9 @@ def outer_iterate(state, problem, config, counter, model_factory=None, wall_s=0.
     if accepted:
         state.x = inner.x.copy()
         state.evaluation = trial
-        state.gradient = full_gradient(problem, state.x, trial.lanczos)
+        state.model = build_reduced_model(problem, trial)
+        state.gradient = state.model.gradient
         state.chi = criticality(problem.box, state.x, state.gradient)
-        state.model = factory(problem, state.x, trial.lanczos)
         if state.models is not None:
             state.models.append(state.model)
         vgap, ggap = _model_gaps(
@@ -251,7 +254,7 @@ def outer_iterate(state, problem, config, counter, model_factory=None, wall_s=0.
     return state
 
 
-def solve(problem, x0=None, config=None, counter=None, model_factory=None, keep_models=False):
+def solve(problem, x0=None, config=None, counter=None, keep_models=False):
     """Minimize the updating objective from x0 (physical units).
 
     The problem is rescaled so x0 maps to the all-ones vector; radii,
@@ -275,7 +278,6 @@ def solve(problem, x0=None, config=None, counter=None, model_factory=None, keep_
         np.ones(len(reference)),
         config,
         counter,
-        model_factory,
         keep_models=keep_models,
     )
     n_models = 1
@@ -286,7 +288,6 @@ def solve(problem, x0=None, config=None, counter=None, model_factory=None, keep_
             scaled,
             config,
             counter,
-            model_factory,
             wall_s=time.perf_counter() - t0,
         )
         if state.model is not before:

@@ -119,3 +119,59 @@ def test_pencil_evaluate_wrong_parameter_count():
     pencil = _toy_pencil(rng)
     with pytest.raises(ValueError):
         pencil.evaluate(np.ones(3))
+
+
+def _block(n, lo, hi, rng):
+    """Random symmetric matrix whose entries all lie in rows/cols lo..hi-1."""
+    dense = np.zeros((n, n))
+    block = rng.uniform(-1.0, 1.0, (hi - lo, hi - lo))
+    dense[lo:hi, lo:hi] = block + block.T
+    return SparseSymMatrix.from_full(dense)
+
+
+def test_pencil_evaluate_matches_dense_reference_with_disjoint_increments():
+    rng = np.random.default_rng(28)
+    n = 16
+    empty = SparseSymMatrix.from_triplets(n, [], [], [])
+    k0 = random_banded_spd(n, rng, bandwidth=1)
+    m0 = random_banded_spd(n, rng, bandwidth=1)
+    # increments on disjoint index blocks, plus the all-zero increments
+    # assemble_parametric gives a young parameter's mass and vice versa
+    dk = [_block(n, 0, 5, rng), empty, _block(n, 11, 16, rng)]
+    dm = [empty, _block(n, 5, 11, rng), _block(n, 12, 14, rng)]
+    pencil = ParametricPencil(k0, m0, dk, dm)
+    assert pencil.k_increments[1].pattern.nnz == 0
+    x = np.array([2.0, -0.5, 1.25])
+
+    def reference(y):
+        k = k0.to_dense() + sum(c * a.to_dense() for c, a in zip(y, dk))
+        m = m0.to_dense() + sum(c * a.to_dense() for c, a in zip(y, dm))
+        return k, m
+
+    k, m = pencil.evaluate(x)
+    k_ref, m_ref = reference(x)
+    assert np.allclose(k.to_dense(), k_ref, rtol=0, atol=1e-14)
+    assert np.allclose(m.to_dense(), m_ref, rtol=0, atol=1e-14)
+
+    ref = np.array([3.0, 0.5, 2.0])
+    scaled = pencil.scaled_by(ref)
+    k, m = scaled.evaluate(x)
+    k_ref, m_ref = reference(x * ref)
+    assert np.allclose(k.to_dense(), k_ref, rtol=0, atol=1e-13)
+    assert np.allclose(m.to_dense(), m_ref, rtol=0, atol=1e-13)
+    for j in range(3):
+        dk_s, dm_s = scaled.derivative(j)
+        assert np.array_equal(dk_s.to_dense(), ref[j] * dk[j].to_dense())
+        assert np.array_equal(dm_s.to_dense(), ref[j] * dm[j].to_dense())
+        assert dk_s.pattern is pencil.derivative(j)[0].pattern
+
+
+def test_pencil_matrices_share_one_pattern():
+    rng = np.random.default_rng(29)
+    pencil = _toy_pencil(rng)
+    scaled = pencil.scaled_by(np.array([2.0, 0.5]))
+    k1, m1 = pencil.evaluate(np.array([0.5, 1.5]))
+    k2, m2 = scaled.evaluate(np.array([1.0, 2.0]))
+    assert k1.pattern is k2.pattern is pencil.pattern is scaled.pattern
+    assert m1.pattern is m2.pattern
+    assert pencil.k0.pattern is pencil.pattern

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from femupdate import (
     ClusteredEigenvaluesError,
     FeasibleBox,
+    ModelConsistencyError,
     ParametricPencil,
     ReducedModel,
     SurrogateOutOfRangeError,
@@ -42,7 +43,7 @@ def test_value_at_expansion_point_is_exact():
     problem = make_problem(rng)
     x0 = np.ones(2)
     ev = evaluate_full(problem, x0)
-    model = build_reduced_model(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
     value, freqs = evaluate_reduced(model, x0)
     assert value == ev.value  # bitwise: same eigensolve path at delta = 0
     assert np.array_equal(freqs, ev.frequencies)
@@ -53,8 +54,8 @@ def test_gradient_at_expansion_point_matches_full():
     problem = make_problem(rng)
     x0 = np.ones(2)
     ev = evaluate_full(problem, x0)
-    model = build_reduced_model(problem, x0, ev.lanczos)
-    g_full = full_gradient(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
+    g_full = full_gradient(problem, ev)
     g_red = reduced_gradient(model, x0)
     scale = max(1.0, np.linalg.norm(g_full))
     assert np.linalg.norm(g_red - g_full) <= 1e-12 * scale
@@ -65,7 +66,7 @@ def test_remainder_is_second_order():
     problem = make_problem(rng, lanczos_tol=1e-11)
     x0 = np.ones(2)
     ev = evaluate_full(problem, x0)
-    model = build_reduced_model(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
 
     def phi_dense(x):
         k, m = problem.pencil.evaluate(x)
@@ -91,7 +92,7 @@ def test_reduced_gradient_matches_finite_differences():
     problem = make_problem(rng)
     x0 = np.ones(2)
     ev = evaluate_full(problem, x0)
-    model = build_reduced_model(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
     x = x0 + np.array([0.02, -0.015])
     value, freqs, grad = evaluate_reduced_with_gradient(model, x)
     assert value == evaluate_reduced(model, x)[0]
@@ -109,7 +110,7 @@ def test_out_of_range_when_metric_degenerates():
     problem = make_problem(rng)
     x0 = np.ones(2)
     ev = evaluate_full(problem, x0)
-    model = build_reduced_model(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
     # drive Z = I + sum delta_j S_j far toward indefiniteness
     far = x0 - 400.0 * np.ones(2)
     with pytest.raises(SurrogateOutOfRangeError):
@@ -161,9 +162,35 @@ def test_dump_writes_matrix_market(tmp_path):
     problem = make_problem(rng)
     x0 = np.ones(2)
     ev = evaluate_full(problem, x0)
-    model = build_reduced_model(problem, x0, ev.lanczos)
+    model = build_reduced_model(problem, ev)
     prefix = tmp_path / "model"
     model.dump(str(prefix))
     assert (tmp_path / "model_T.mtx").exists()
     assert (tmp_path / "model_S0.mtx").exists()
     assert (tmp_path / "model_G1.mtx").exists()
+
+
+def test_value_mismatch_at_expansion_point_raises(monkeypatch):
+    import femupdate.reduced as reduced
+
+    rng = np.random.default_rng(57)
+    problem = make_problem(rng)
+    ev = evaluate_full(problem, np.ones(2))
+    exact = reduced.evaluate_reduced
+
+    def drifted(model, x):
+        value, freqs = exact(model, x)
+        return np.nextafter(value, np.inf), freqs
+
+    monkeypatch.setattr(reduced, "evaluate_reduced", drifted)
+    with pytest.raises(ModelConsistencyError):
+        build_reduced_model(problem, ev)
+
+
+def test_model_keeps_the_full_gradient_at_its_expansion_point():
+    rng = np.random.default_rng(58)
+    problem = make_problem(rng)
+    ev = evaluate_full(problem, np.ones(2))
+    model = build_reduced_model(problem, ev)
+    assert np.array_equal(model.gradient, full_gradient(problem, ev))
+    assert np.array_equal(model.x0, ev.x)

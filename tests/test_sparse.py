@@ -56,15 +56,6 @@ def test_to_scipy_round_trip():
     assert np.allclose(m.to_scipy().toarray(), m.to_dense(), atol=0)
 
 
-def test_linear_combination_matches_dense():
-    rng = np.random.default_rng(7)
-    mats = [random_banded_spd(15, rng) for _ in range(3)]
-    coeffs = [2.0, -0.5, 1.25]
-    combo = SparseSymMatrix.linear_combination(mats, coeffs)
-    expected = sum(c * m.to_dense() for c, m in zip(coeffs, mats))
-    assert np.allclose(combo.to_dense(), expected, atol=1e-14)
-
-
 def test_scaled():
     rng = np.random.default_rng(8)
     m = random_banded_spd(10, rng)
@@ -131,3 +122,36 @@ def test_matrix_market_round_trip_dense_array(tmp_path):
     write_matrix_market(path, a)
     back = read_matrix_market(path)
     assert np.allclose(back, a, atol=1e-15)
+
+
+def _diagonal_slots(pattern):
+    rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+    return np.flatnonzero(pattern.indices == rows)
+
+
+def test_factorizations_on_one_pattern_share_the_ordering():
+    rng = np.random.default_rng(13)
+    a = random_banded_spd(40, rng)
+    data = a.data.copy()
+    data[_diagonal_slots(a.pattern)] += rng.uniform(0.5, 2.0, 40)
+    b = SparseSymMatrix.on_pattern(a.pattern, data)
+    first, second = CholeskyFactor(a), CholeskyFactor(b)
+    assert second.perm is first.perm
+    assert not np.array_equal(first.perm, np.arange(40))
+    for matrix, factor in ((a, first), (b, second)):
+        dense = matrix.to_dense()
+        ell = factor.L.toarray()
+        p = factor.perm
+        assert np.linalg.norm(ell @ ell.T - dense[np.ix_(p, p)]) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_reused_ordering_reports_pivot_in_original_numbering():
+    rng = np.random.default_rng(14)
+    a = random_banded_spd(30, rng)
+    perm = CholeskyFactor(a).perm  # computes the pattern's ordering
+    k = next(i for i in range(30) if perm[i] != i)  # dof k is not pivot k
+    data = a.data.copy()
+    data[_diagonal_slots(a.pattern)[k]] = -100.0
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        cholesky_factorize(SparseSymMatrix.on_pattern(a.pattern, data))
+    assert err.value.pivot == k

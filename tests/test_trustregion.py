@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from femupdate import (
+    ClusteredEigenvaluesError,
     EvalCounter,
     TrustRegionConfig,
     UpdatingProblem,
@@ -124,3 +125,22 @@ def test_wall_time_recorded_in_history(arch_problem):
     assert result.history[0].wall_s == 0.0
     assert all(rec.wall_s >= 0.0 for rec in result.history)
     assert result.history[-1].wall_s > 0.0
+
+
+def test_clustered_trial_point_shortens_the_inner_step(arch_problem, monkeypatch):
+    import femupdate.trustregion as trustregion
+
+    exact = trustregion.evaluate_reduced_with_gradient
+    trials = []
+
+    def sometimes_clustered(model, x):
+        if not np.array_equal(x, model.x0):
+            trials.append(x)
+            if len(trials) % 3 == 1:
+                raise ClusteredEigenvaluesError("leading reduced eigenvalues coincide")
+        return exact(model, x)
+
+    monkeypatch.setattr(trustregion, "evaluate_reduced_with_gradient", sometimes_clustered)
+    result = solve(arch_problem)
+    assert len(trials) > 3
+    assert result.converged
