@@ -9,7 +9,9 @@ Subcommands::
     femupdate mesh <arch|vault> <path>  export a built-in benchmark mesh
 
 Exit codes: 0 on success, 1 when an update fails to converge, 2 on a
-configuration or usage error.
+configuration or usage error, 3 on a numerical failure (clustered
+eigenvalues, surrogate out of range, inconsistent model, Lanczos cap or
+exhausted subspace).
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import sys
 
 from . import benchmarks
 from .config import load_config
-from .errors import ConfigError
+from .errors import (
+    ClusteredEigenvaluesError,
+    ConfigError,
+    MaxIterationsError,
+    ModelConsistencyError,
+    SubspaceExhaustedError,
+    SurrogateOutOfRangeError,
+)
 from .studies import eigenreport, run_noise_study, run_strategy_comparison, run_update
 
 
@@ -122,6 +131,15 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (
+        ClusteredEigenvaluesError,
+        SurrogateOutOfRangeError,
+        ModelConsistencyError,
+        MaxIterationsError,
+        SubspaceExhaustedError,
+    ) as exc:
+        print("numerical error: %s" % exc, file=sys.stderr)
+        return 3
 
     parser.error("unknown command %r" % args.command)
 

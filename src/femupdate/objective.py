@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ClusteredEigenvaluesError, DimensionMismatchError
 from .lanczos import lanczos_smallest
 
 TWO_PI = 2.0 * np.pi
+GAP_TOL = 1e-8  # smallest relative gap between differentiated eigenvalues
 
 
 def frequencies_from_eigenvalues(eigenvalues):
@@ -166,7 +167,18 @@ def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
     ``m`` is the mass matrix M(x) at that point. Uses the standard
     first-order formula for simple eigenvalues:
     v_i^T (dK_j - lambda_i dM_j) v_i / (v_i^T M v_i).
+
+    Raises ClusteredEigenvaluesError when two consecutive eigenvalues
+    are closer than GAP_TOL relative to the smaller one: a repeated
+    eigenvalue has no derivative, only directional ones.
     """
+    lam = np.asarray(eigenvalues)
+    rel_gaps = np.abs(np.diff(lam)) / np.abs(lam[:-1])
+    if np.any(rel_gaps < GAP_TOL):
+        raise ClusteredEigenvaluesError(
+            "eigenvalues to differentiate nearly coincide (relative gap %g)"
+            % float(rel_gaps.min())
+        )
     mv = m.matvec(vectors)
     vmv = np.einsum("ni,ni->i", vectors, mv)
     out = np.empty((len(eigenvalues), pencil.n_parameters))

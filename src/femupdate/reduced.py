@@ -3,10 +3,11 @@
 A converged Lanczos run at an expansion point x0 leaves an
 M(x0)-orthonormal basis U of dimension m and the projected tridiagonal
 T = U^T M K^{-1} M U. For nearby parameters x = x0 + delta the
-projected operator is modeled to first order in delta by
+projected operator is modeled to first order in delta by the small
+symmetric-definite pencil
 
-    F(x) = Z(x)^{-1/2} (T + sum_j delta_j G_j) Z(x)^{-1/2},
-    Z(x) = I + sum_j delta_j S_j,
+    C(x) u = mu Z(x) u,   C(x) = T + sum_j delta_j G_j,
+                          Z(x) = I + sum_j delta_j S_j,
 
 where S_j = U^T dM_j U accounts for the drift of the M-inner product
 and G_j is the projected derivative of M K^{-1} M, computable from the
@@ -15,11 +16,19 @@ column:
 
     G_j = U^T dM_j Y + (U^T dM_j Y)^T - Y^T dK_j Y,   Y = K^{-1} M U.
 
-The s largest eigenvalues mu_i of F approximate the reciprocals of the
-s smallest pencil eigenvalues; the surrogate objective adds a linear
-correction g_corr^T delta that makes its gradient match the full
-gradient exactly at x0 (the value already matches there since F(x0) is
-T itself).
+S_j and G_j are stored stacked as (p, m, m) arrays. One evaluation
+factors Z = L L^T, reduces the pencil to the standard symmetric problem
+L^{-1} C L^{-T} v = mu v (LAPACK sygst), and solves that with
+``lanczos.descending_eigh``, the eigensolver Lanczos uses for T. The
+eigenvectors u = L^{-T} v are Z-orthonormal, so the sensitivities are
+d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i for all i, j at once.
+
+The s largest mu approximate the reciprocals of the s smallest pencil
+eigenvalues; the surrogate objective adds a linear correction
+g_corr^T delta that makes its gradient match the full gradient exactly
+at x0. The value already matches there bit for bit: at delta = 0, L = I
+and the reduction returns T itself, which goes through the same
+eigensolver as the Lanczos run.
 """
 
 from __future__ import annotations
@@ -27,14 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (
     ClusteredEigenvaluesError,
     ModelConsistencyError,
     SurrogateOutOfRangeError,
 )
+from .lanczos import descending_eigh
 from .objective import (
+    GAP_TOL,
     frequencies_from_eigenvalues,
     full_gradient,
     mismatch_gradient,
@@ -42,18 +53,21 @@ from .objective import (
 )
 from .sparse import write_matrix_market
 
-GAP_TOL = 1e-8
 Z_FLOOR = 1e-8
 
 
 @dataclass
 class ReducedModel:
-    """First-order surrogate of the updating objective around x0."""
+    """First-order surrogate of the updating objective around x0.
+
+    s_hats and g_hats are the stacked increments S_j and G_j, each an
+    array of shape (p, m, m).
+    """
 
     x0: np.ndarray
     tridiagonal: np.ndarray
-    s_hats: list
-    g_hats: list
+    s_hats: np.ndarray
+    g_hats: np.ndarray
     g_corr: np.ndarray
     measured: np.ndarray
     weights: np.ndarray
@@ -69,7 +83,7 @@ class ReducedModel:
 
     @property
     def n_parameters(self):
-        return len(self.s_hats)
+        return self.s_hats.shape[0]
 
     def dump(self, prefix):
         """Write T, S_j, G_j to Matrix Market files for inspection."""
@@ -114,8 +128,8 @@ def build_reduced_model(problem, evaluation):
     model = ReducedModel(
         x0=x0.copy(),
         tridiagonal=lanczos_result.tridiagonal.copy(),
-        s_hats=s_hats,
-        g_hats=g_hats,
+        s_hats=np.stack(s_hats),
+        g_hats=np.stack(g_hats),
         g_corr=np.zeros(pencil.n_parameters),
         measured=problem.measured.copy(),
         weights=problem.weights.copy(),
@@ -123,119 +137,104 @@ def build_reduced_model(problem, evaluation):
         value_at_x0=phi0,
     )
 
-    # gradient correction: surrogate gradient must equal the full one at x0
-    model.gradient = full_gradient(problem, evaluation)
-    model.g_corr = model.gradient - reduced_gradient(model, x0)
-
-    # the surrogate value needs no offset at x0: F(x0) is T itself
-    value0, _ = evaluate_reduced(model, x0)
+    # at x0 the term g_corr^T delta is zero, so one evaluation with
+    # g_corr = 0 gives both the value check and the correction
+    value0, _, grad0 = evaluate_reduced_with_gradient(model, x0)
     if value0 != phi0:
         raise ModelConsistencyError(
             "surrogate value %r differs from the full value %r at its own "
             "expansion point" % (value0, phi0)
         )
+    model.gradient = full_gradient(problem, evaluation)
+    model.g_corr = model.gradient - grad0
     return model
 
 
-def _reduced_eigensystem(model, x):
-    """Eigen-decomposition of F(x); returns (delta, mu, y, z, zmh)."""
+def _eigensystem(model, x):
+    """(delta, mu, l, v) at x: all eigenvalues mu of (C, Z), descending,
+    the Cholesky factor l of Z and the eigenvectors v of L^{-1} C L^{-T}.
+
+    Raises SurrogateOutOfRangeError when x is too far from the expansion
+    point for the linearization to make sense: the metric Z has an
+    eigenvalue at or below z_floor, or one of the s leading values, which
+    approximate reciprocals of positive pencil eigenvalues, is nonpositive.
+    """
     x = np.asarray(x, dtype=np.float64)
     delta = x - model.x0
     if delta.shape != (model.n_parameters,):
         raise ValueError("parameter vector has wrong length")
-    z = np.eye(model.m)
-    c = model.tridiagonal.copy()
-    for dj, s_hat, g_hat in zip(delta, model.s_hats, model.g_hats):
-        z += dj * s_hat
-        c += dj * g_hat
-    zvals, zvecs = sla.eigh(z)
-    if zvals[0] <= model.z_floor:
+    p, m = model.n_parameters, model.m
+    eye = np.eye(m)
+    z = eye + (delta @ model.s_hats.reshape(p, m * m)).reshape(m, m)
+    c = model.tridiagonal + (delta @ model.g_hats.reshape(p, m * m)).reshape(m, m)
+    # lambda_min(Z) > z_floor exactly when Z - z_floor I has a Cholesky factor
+    if lapack.dpotrf(z - model.z_floor * eye, lower=1, clean=0)[1] != 0:
         raise SurrogateOutOfRangeError(
-            "metric eigenvalue %g at distance %g: point too far from the "
-            "expansion point" % (float(zvals[0]), float(np.max(np.abs(delta))))
+            "metric Z lost definiteness (floor %g) at distance %g: point too "
+            "far from the expansion point"
+            % (model.z_floor, float(np.max(np.abs(delta))))
         )
-    zmh = (zvecs * zvals**-0.5) @ zvecs.T
-    f = zmh @ c @ zmh
-    mu, vec = sla.eigh(f)
-    return delta, mu, vec, z, zmh
-
-
-def _leading(model, mu):
-    """Indices of the s largest Ritz values, checked for positivity.
-
-    The surrogate approximates the smallest pencil eigenvalues by the
-    largest eigenvalues of the reduced operator, which are positive as
-    long as the linearization is trustworthy. A nonpositive value means
-    x is too far from the expansion point for the model to make sense.
-    """
-    order = np.argsort(mu)[::-1][: model.s]
-    if mu[order[-1]] <= 0.0:
+    l, _ = lapack.dpotrf(z, lower=1, clean=0)
+    a, _ = lapack.dsygst(c, l, itype=1, lower=1)
+    mu, v = descending_eigh(a)
+    if mu[model.s - 1] <= 0.0:
         raise SurrogateOutOfRangeError(
             "reduced operator lost positive definiteness (Ritz value %g)"
-            % float(mu[order[-1]])
+            % float(mu[model.s - 1])
         )
-    return order
+    return delta, mu, l, v
 
 
-def evaluate_reduced(model, x):
-    """Surrogate objective value and frequencies at x.
-
-    Raises SurrogateOutOfRangeError when the metric Z(x) loses positive
-    definiteness, i.e. x is outside the model's trust neighborhood.
-    """
-    delta, mu, _, _, _ = _reduced_eigensystem(model, x)
-    order = _leading(model, mu)
-    lam_hat = 1.0 / mu[order]  # descending mu -> ascending lambda
-    f_hat = frequencies_from_eigenvalues(lam_hat)
+def _value(model, delta, mu):
+    f_hat = frequencies_from_eigenvalues(1.0 / mu[: model.s])  # ascending lambda
     value = weighted_mismatch(f_hat, model.measured, model.weights) + float(
         model.g_corr @ delta
     )
     return value, f_hat
 
 
+def evaluate_reduced(model, x):
+    """Surrogate objective value and frequencies at x.
+
+    Raises SurrogateOutOfRangeError when x is outside the model's trust
+    neighborhood.
+    """
+    delta, mu, _, _ = _eigensystem(model, x)
+    return _value(model, delta, mu)
+
+
 def reduced_gradient(model, x):
     """Gradient of the surrogate objective at x."""
-    return _evaluate_core(model, x, need_value=False)[2]
+    return evaluate_reduced_with_gradient(model, x)[2]
 
 
 def evaluate_reduced_with_gradient(model, x):
-    """Surrogate value, frequencies, and gradient in one pass."""
-    value, f_hat, grad = _evaluate_core(model, x, need_value=True)
-    return value, f_hat, grad
+    """Surrogate value, frequencies, and gradient in one pass.
 
-
-def _evaluate_core(model, x, need_value):
-    delta, mu, vec, z, zmh = _reduced_eigensystem(model, x)
-    descending = np.argsort(mu)[::-1]
-    order = _leading(model, mu)
-    mu_lead = mu[order]
-
-    # sensitivity formula needs simple leading eigenvalues
-    check = mu[descending[: min(model.s + 1, model.m)]]
-    rel_gaps = np.abs(np.diff(check)) / np.abs(check[:-1])
+    Raises ClusteredEigenvaluesError when two of the s + 1 leading
+    reduced eigenvalues nearly coincide: the sensitivity formula needs
+    simple eigenvalues.
+    """
+    delta, mu, l, v = _eigensystem(model, x)
+    s, p, m = model.s, model.n_parameters, model.m
+    check = mu[: s + 1]  # the first s are positive
+    rel_gaps = (check[:-1] - check[1:]) / check[:-1]
     if np.any(rel_gaps < model.gap_tol):
         raise ClusteredEigenvaluesError(
             "leading reduced eigenvalues nearly coincide (relative gap %g)"
             % float(rel_gaps.min())
         )
+    value, f_hat = _value(model, delta, mu)
 
-    lam_hat = 1.0 / mu_lead  # descending mu -> ascending lambda
-    f_hat = frequencies_from_eigenvalues(lam_hat)
+    # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i
+    lead = mu[:s]
+    u, _ = lapack.dtrtrs(l, v[:, :s], lower=1, trans=1)
+    gu = (model.g_hats.reshape(p * m, m) @ u).reshape(p, m, s)
+    su = (model.s_hats.reshape(p * m, m) @ u).reshape(p, m, s)
+    dmu = np.einsum("ai,jai->ij", u, gu - su * lead)
 
-    u = zmh @ vec[:, order]  # generalized eigenvectors of (C, Z)
-    uzu = np.einsum("ai,ai->i", u, z @ u)
-    dmu = np.empty((model.s, model.n_parameters))
-    for j in range(model.n_parameters):
-        gu = model.g_hats[j] @ u - model.s_hats[j] @ u * mu_lead[None, :]
-        dmu[:, j] = np.einsum("ai,ai->i", u, gu) / uzu
-
-    dlam = -dmu / mu_lead[:, None] ** 2
+    dlam = -dmu / lead[:, None] ** 2
     grad = mismatch_gradient(
-        f_hat, lam_hat, dlam, model.measured, model.weights
+        f_hat, 1.0 / lead, dlam, model.measured, model.weights
     ) + model.g_corr
-    if need_value:
-        value = weighted_mismatch(f_hat, model.measured, model.weights) + float(
-            model.g_corr @ delta
-        )
-        return value, f_hat, grad
-    return None, f_hat, grad
+    return value, f_hat, grad

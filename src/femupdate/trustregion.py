@@ -30,12 +30,7 @@ import numpy as np
 from .boxmin import minimize_box
 from .errors import ClusteredEigenvaluesError, SurrogateOutOfRangeError
 from .objective import EvalCounter, evaluate_full
-from .reduced import (
-    build_reduced_model,
-    evaluate_reduced,
-    evaluate_reduced_with_gradient,
-    reduced_gradient,
-)
+from .reduced import build_reduced_model, evaluate_reduced_with_gradient
 
 
 @dataclass
@@ -107,8 +102,7 @@ def criticality(box, x, gradient):
 
 
 def _model_gaps(problem, model, evaluation, gradient, x):
-    value_r, _ = evaluate_reduced(model, x)
-    grad_r = reduced_gradient(model, x)
+    value_r, _, grad_r = evaluate_reduced_with_gradient(model, x)
     return abs(value_r - evaluation.value), float(
         np.linalg.norm(grad_r - gradient)
     )

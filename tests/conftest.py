@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import settings
 
 from femupdate import (
     UpdatingProblem,
@@ -10,6 +11,11 @@ from femupdate import (
     benchmarks,
     evaluate_full,
 )
+
+# property tests draw the same examples on every run: no lucky seeds,
+# no example database, no wall-clock deadline on a loaded machine
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 ARCH_TRUE = np.array(benchmarks.ARCH_TRUE)
 ARCH_FAR_START = np.array(benchmarks.ARCH_FAR_START)

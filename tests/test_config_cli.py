@@ -233,3 +233,17 @@ def test_cli_nonconvergence_exit_1(tmp_path, capsys):
     )
     path = write(tmp_path, text)
     assert main(["update", path]) == 1
+
+
+def test_cli_numerical_failure_exit_3(tmp_path, capsys, monkeypatch):
+    import femupdate.cli as cli
+    from femupdate import SurrogateOutOfRangeError
+
+    def failing(setup, out_dir=None):
+        raise SurrogateOutOfRangeError("metric Z lost definiteness")
+
+    monkeypatch.setattr(cli, "run_update", failing)
+    path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "out"))
+    assert main(["update", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "metric Z" in err

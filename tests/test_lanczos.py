@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from femupdate import (
     MaxIterationsError,
@@ -9,6 +10,7 @@ from femupdate import (
     cholesky_factorize,
     lanczos_smallest,
 )
+from femupdate.lanczos import descending_eigh
 import scipy.linalg as sla
 
 from conftest import random_spd_pencil
@@ -121,3 +123,20 @@ def test_tridiagonal_projection_consistency():
     assert np.abs(projected - result.tridiagonal).max() <= 1e-8 * max(
         1.0, np.abs(result.tridiagonal).max()
     )
+
+
+@given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), repeat=st.booleans())
+def test_descending_eigh_matches_sorted_eigvalsh(m, seed, repeat):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    a = a + a.T
+    if repeat and m > 2:  # an exactly repeated eigenvalue
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        w = rng.standard_normal(m)
+        w[1] = w[0]
+        a = (q * w) @ q.T
+    mu, vec = descending_eigh(a)
+    assert np.allclose(mu, np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-12 * m)
+    assert np.all(np.diff(mu) <= 0.0)
+    assert np.allclose(a @ vec, vec * mu, atol=1e-10 * m)
+    assert np.allclose(vec.T @ vec, np.eye(m), atol=1e-12 * m)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from femupdate import (
+    ClusteredEigenvaluesError,
     DimensionMismatchError,
     EvalCounter,
     ParametricPencil,
@@ -184,3 +185,24 @@ def test_full_gradient_matches_finite_differences_small():
         for j in range(2)
     ])
     assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_repeated_eigenvalue_has_no_gradient():
+    # diagonal pencil whose second and third eigenvalues coincide: any
+    # orthonormal pair spanning their eigenspace is a valid eigenbasis,
+    # so the sensitivity formula would return an arbitrary answer
+    def diagonal(values):
+        n = len(values)
+        return SparseSymMatrix.from_triplets(n, range(n), range(n), values)
+
+    lam = np.array([1.0, 2.0, 2.0, 5.0])
+    dk = diagonal([1.0, 0.0, 1.0, 0.0])
+    dm = diagonal([0.0, 0.5, 0.0, 0.0])
+    pencil = ParametricPencil(diagonal(lam), diagonal(np.ones(4)), [dk], [dm], ["p"])
+    _, m = pencil.evaluate(np.zeros(1))
+    vectors = np.eye(4)[:, :3]
+    with pytest.raises(ClusteredEigenvaluesError):
+        eigenvalue_derivatives(pencil, m, lam[:3], vectors)
+    # the simple pair below the repeated one is still differentiable
+    dlam = eigenvalue_derivatives(pencil, m, lam[:2], vectors[:, :2])
+    assert np.allclose(dlam[:, 0], [1.0, -1.0])

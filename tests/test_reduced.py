@@ -4,6 +4,7 @@ remainder, gradients, and range guards."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, strategies as st
 
 from femupdate import (
     ClusteredEigenvaluesError,
@@ -22,6 +23,7 @@ from femupdate import (
     reduced_gradient,
     weighted_mismatch,
 )
+from femupdate.reduced import Z_FLOOR
 
 from conftest import random_banded_spd, random_spd_pencil
 
@@ -176,13 +178,13 @@ def test_value_mismatch_at_expansion_point_raises(monkeypatch):
     rng = np.random.default_rng(57)
     problem = make_problem(rng)
     ev = evaluate_full(problem, np.ones(2))
-    exact = reduced.evaluate_reduced
+    exact = reduced.evaluate_reduced_with_gradient
 
     def drifted(model, x):
-        value, freqs = exact(model, x)
-        return np.nextafter(value, np.inf), freqs
+        value, freqs, grad = exact(model, x)
+        return np.nextafter(value, np.inf), freqs, grad
 
-    monkeypatch.setattr(reduced, "evaluate_reduced", drifted)
+    monkeypatch.setattr(reduced, "evaluate_reduced_with_gradient", drifted)
     with pytest.raises(ModelConsistencyError):
         build_reduced_model(problem, ev)
 
@@ -194,3 +196,97 @@ def test_model_keeps_the_full_gradient_at_its_expansion_point():
     model = build_reduced_model(problem, ev)
     assert np.array_equal(model.gradient, full_gradient(problem, ev))
     assert np.array_equal(model.x0, ev.x)
+
+
+def _orthogonal(rng, m):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return q
+
+
+def _small_symmetric(rng, p, m, scale):
+    a = rng.standard_normal((p, m, m))
+    return scale * (a + a.transpose(0, 2, 1)) / (2.0 * np.sqrt(m))
+
+
+@given(
+    m=st.integers(2, 12),
+    s_frac=st.floats(0.0, 1.0),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
+    # random small model: T symmetric positive definite with separated
+    # eigenvalues, Z = I + small symmetric, C = T + small symmetric
+    rng = np.random.default_rng(seed)
+    s = 1 + int(s_frac * (m - 2))  # 1 <= s < m
+    spectrum = 0.2 + np.cumsum(rng.uniform(0.05, 0.3, m))
+    q = _orthogonal(rng, m)
+    weights = rng.uniform(0.1, 1.0, s)
+    model = ReducedModel(
+        x0=rng.uniform(0.5, 2.0, p),
+        tridiagonal=(q * spectrum) @ q.T,
+        s_hats=_small_symmetric(rng, p, m, 0.1),
+        g_hats=_small_symmetric(rng, p, m, 0.1),
+        g_corr=rng.standard_normal(p),
+        measured=np.sort(rng.uniform(0.05, 0.5, s)),
+        weights=weights / np.linalg.norm(weights),
+        s=s,
+        value_at_x0=0.0,
+    )
+    delta = rng.uniform(-0.5, 0.5, p)
+    z = np.eye(m) + np.tensordot(delta, model.s_hats, axes=1)
+    c = model.tridiagonal + np.tensordot(delta, model.g_hats, axes=1)
+
+    # dense oracle: generalized eigensolver and the sensitivity formula
+    # dmu_i/ddelta_j = u_i^T (G_j - mu_i S_j) u_i / (u_i^T Z u_i)
+    mu, vec = sla.eigh(c, z)
+    check = mu[::-1][: s + 1]
+    assume(np.min(-np.diff(check) / check[:-1]) > 1e-3)
+    mu, vec = mu[::-1][:s], vec[:, ::-1][:, :s]
+    lam = 1.0 / mu
+    f = np.sqrt(lam) / (2.0 * np.pi)
+    r = model.weights * (f - model.measured)
+    value = float(r @ r) + float(model.g_corr @ delta)
+    uzu = np.einsum("ai,ai->i", vec, z @ vec)
+    dmu = np.array([
+        [vec[:, i] @ (g - mu[i] * s_hat) @ vec[:, i] / uzu[i]
+         for g, s_hat in zip(model.g_hats, model.s_hats)]
+        for i in range(s)
+    ])
+    dlam = -dmu / mu[:, None] ** 2
+    coef = model.weights**2 * (f - model.measured) / (2.0 * np.pi * np.sqrt(lam))
+    grad = coef @ dlam + model.g_corr
+
+    x = model.x0 + delta
+    value_r, f_r, grad_r = evaluate_reduced_with_gradient(model, x)
+    assert np.allclose(f_r, f, rtol=1e-11, atol=0.0)
+    assert abs(value_r - value) <= 1e-11 * max(1.0, abs(value))
+    assert np.linalg.norm(grad_r - grad) <= 1e-9 * max(1.0, np.linalg.norm(grad))
+    value_only, f_only = evaluate_reduced(model, x)
+    assert value_only == value_r and np.array_equal(f_only, f_r)
+
+
+@given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), above=st.booleans())
+def test_metric_floor_separates_points_just_inside_and_outside(m, seed, above):
+    # Z = I + S has its smallest eigenvalue 1% above or below z_floor
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, m)
+    d[rng.integers(m)] = Z_FLOOR * (1.01 if above else 0.99)
+    q = _orthogonal(rng, m)
+    model = ReducedModel(
+        x0=np.zeros(1),
+        tridiagonal=np.diag(rng.uniform(0.5, 2.0, m)),
+        s_hats=((q * (d - 1.0)) @ q.T)[None],
+        g_hats=np.zeros((1, m, m)),
+        g_corr=np.zeros(1),
+        measured=np.array([1.0]),
+        weights=np.array([1.0]),
+        s=1,
+        value_at_x0=0.0,
+    )
+    if above:
+        value, _ = evaluate_reduced(model, np.ones(1))
+        assert np.isfinite(value)
+    else:
+        with pytest.raises(SurrogateOutOfRangeError):
+            evaluate_reduced(model, np.ones(1))
