@@ -9,6 +9,13 @@ M-reorthogonalization against the basis. The smallest pencil
 eigenvalues are the reciprocals of the largest Ritz values of the
 projected tridiagonal matrix.
 
+Each step's raw shift-invert solve K^{-1} M u_k is recorded before it is
+orthogonalized and returned as ``LanczosResult.solves``: the reduced
+models need exactly Y = K^{-1} M U, so they take it from here instead of
+back-substituting again. The basis and its M-products are kept in
+column-major workspaces, so writing a column and the reorthogonalization
+products read contiguous memory.
+
 Termination: a Ritz pair (mu_i, y_i) of the basis-size-k tridiagonal
 T_k has residual norm beta_k * |e_k^T s_i| in the M-norm; the iteration
 stops when beta_k |e_k^T s_i| / mu_i <= tol for all s leading pairs,
@@ -37,6 +44,8 @@ class LanczosResult:
     eigenvalues are ascending; vectors (n, s) are M-normalized Ritz
     vectors; basis (n, m) is the M-orthonormal Lanczos basis;
     tridiagonal is the dense m-by-m projection of K^{-1}M onto it;
+    solves (n, m) holds the shift-invert solves K^{-1} M u_k, one per
+    basis column, as the iteration computed them;
     factor is the Cholesky factorization of K, reusable by callers;
     bounds are the termination residual bounds (relative, per pair).
     """
@@ -45,6 +54,7 @@ class LanczosResult:
     vectors: np.ndarray
     basis: np.ndarray
     tridiagonal: np.ndarray
+    solves: np.ndarray
     factor: object
     bounds: np.ndarray
 
@@ -124,8 +134,10 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
     cap = min(n, int(max_basis) if max_basis else max(4 * s + 20, 100))
     rng = np.random.default_rng(seed)
 
-    basis = np.zeros((n, cap))
-    mbasis = np.zeros((n, cap))  # columns M u_k, cached for reorthogonalization
+    # column-major, so each column and each leading block is contiguous
+    basis = np.zeros((n, cap), order="F")
+    mbasis = np.zeros((n, cap), order="F")  # columns M u_k, for reorthogonalization
+    solves = []  # K^{-1} M u_k, kept for the reduced model
     alphas, betas = [], []
 
     v = rng.standard_normal(n)
@@ -140,6 +152,7 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
         basis[:, k] = v / norm
         mbasis[:, k] = mv / norm
         w = factor.solve(mbasis[:, k])
+        solves.append(w.copy())
         alpha = float(mbasis[:, k] @ w)
         alphas.append(alpha)
         scale = max(scale, abs(alpha))
@@ -186,22 +199,23 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
             raise SubspaceExhaustedError(
                 "Krylov space exhausted with %d of %d pairs available" % (k, s)
             )
-        result = _package(t, mu, vec, bounds, basis[:, :k], factor)
+        result = _package(t, mu, vec, bounds, basis[:, :k], solves, factor)
         raise MaxIterationsError(
             "basis cap %d reached with residual bounds down to %g (tol %g)"
             % (cap, float(np.max(bounds / mu)), tol),
             result=result,
         )
-    return _package(t, mu, vec, bounds, basis[:, :k], factor)
+    return _package(t, mu, vec, bounds, basis[:, :k], solves, factor)
 
 
-def _package(t, mu, vec, bounds, basis, factor):
+def _package(t, mu, vec, bounds, basis, solves, factor):
     lam = 1.0 / mu  # descending mu -> ascending lambda
     return LanczosResult(
         eigenvalues=lam,
         vectors=basis @ vec,
         basis=basis,
         tridiagonal=t,
+        solves=np.stack(solves, axis=1),
         factor=factor,
         bounds=bounds / mu,
     )

@@ -10,11 +10,13 @@ symmetric-definite pencil
                           Z(x) = I + sum_j delta_j S_j,
 
 where S_j = U^T dM_j U accounts for the drift of the M-inner product
-and G_j is the projected derivative of M K^{-1} M, computable from the
-existing factorization of K(x0) with one back-substitution per basis
-column:
+and G_j is the projected derivative of M K^{-1} M:
 
     G_j = U^T dM_j Y + (U^T dM_j Y)^T - Y^T dK_j Y,   Y = K^{-1} M U.
+
+Y is the stack of the shift-invert solves the Lanczos run made anyway
+(``LanczosResult.solves``), so a model costs no back-substitution, only
+sparse products with the parameter increments.
 
 S_j and G_j are stored stacked as (p, m, m) arrays. One evaluation
 factors Z = L L^T, reduces the pencil to the standard symmetric problem
@@ -74,6 +76,8 @@ class ReducedModel:
     s: int
     value_at_x0: float
     gradient: np.ndarray = None  # full objective gradient at x0
+    value_gap: float = 0.0  # |model - objective| at x0, zero by construction
+    grad_gap: float = np.nan  # ||model gradient - full gradient|| at x0
     gap_tol: float = GAP_TOL
     z_floor: float = Z_FLOOR
 
@@ -100,10 +104,12 @@ def _sym(a):
 def build_reduced_model(problem, evaluation):
     """Assemble the surrogate at a point from its converged full evaluation.
 
-    Cost: m back-substitutions with the existing factorization plus
-    sparse products with the parameter increments; no new
-    factorization and no new assembly. The full gradient at the point,
-    needed for the correction term, is kept as ``model.gradient``.
+    Cost: sparse products with the parameter increments; no
+    factorization, no back-substitution (Y = K^{-1} M U is the Lanczos
+    run's own solves) and no assembly. The full gradient at the point,
+    needed for the correction term, is kept as ``model.gradient``, and
+    the gaps between model and objective there as ``model.value_gap``
+    (0 by the check below) and ``model.grad_gap``.
 
     Raises ModelConsistencyError if the surrogate value at the point
     differs from the evaluation's value in any bit.
@@ -112,8 +118,7 @@ def build_reduced_model(problem, evaluation):
     x0 = evaluation.x
     lanczos_result = evaluation.lanczos
     basis = lanczos_result.basis
-    mu_basis = evaluation.m.matvec(basis)
-    y = lanczos_result.factor.solve(mu_basis)
+    y = lanczos_result.solves
 
     s_hats, g_hats = [], []
     for j in range(pencil.n_parameters):
@@ -147,6 +152,7 @@ def build_reduced_model(problem, evaluation):
         )
     model.gradient = full_gradient(problem, evaluation)
     model.g_corr = model.gradient - grad0
+    model.grad_gap = float(np.linalg.norm(grad0 + model.g_corr - model.gradient))
     return model
 
 

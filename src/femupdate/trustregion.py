@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxmin import minimize_box
-from .errors import ClusteredEigenvaluesError, SurrogateOutOfRangeError
+from .errors import (
+    ClusteredEigenvaluesError,
+    MaxIterationsError,
+    SubspaceExhaustedError,
+    SurrogateOutOfRangeError,
+)
 from .objective import EvalCounter, evaluate_full
 from .reduced import build_reduced_model, evaluate_reduced_with_gradient
 
@@ -56,7 +61,7 @@ class OuterRecord:
     frequencies: np.ndarray
     chi: float
     delta: float
-    rho: float  # nan for k = 0 and when no step was produced
+    rho: float  # nan for k = 0 and when no trial value was produced
     accepted: bool
     factorizations: int
     wall_s: float
@@ -64,6 +69,9 @@ class OuterRecord:
     step_norm: float = 0.0
     model_value_gap: float = np.nan
     model_grad_gap: float = np.nan
+    # why the step was rejected: "no_decrease", "low_ratio", or the name
+    # of the trial point's Lanczos error; "" when accepted and for k = 0
+    reason: str = ""
 
 
 @dataclass
@@ -101,13 +109,6 @@ def criticality(box, x, gradient):
     return float(np.linalg.norm(box.project(x - gradient) - x))
 
 
-def _model_gaps(problem, model, evaluation, gradient, x):
-    value_r, _, grad_r = evaluate_reduced_with_gradient(model, x)
-    return abs(value_r - evaluation.value), float(
-        np.linalg.norm(grad_r - gradient)
-    )
-
-
 def start_state(problem, x0, config, counter, keep_models=False):
     """Evaluate the starting point and build the first surrogate."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -123,7 +124,6 @@ def start_state(problem, x0, config, counter, keep_models=False):
         model=model,
         models=[model] if keep_models else None,
     )
-    vgap, ggap = _model_gaps(problem, model, ev, grad, x0)
     state.history.append(
         OuterRecord(
             k=0,
@@ -136,8 +136,8 @@ def start_state(problem, x0, config, counter, keep_models=False):
             factorizations=counter.factorizations,
             wall_s=0.0,
             x=x0.copy(),
-            model_value_gap=vgap,
-            model_grad_gap=ggap,
+            model_value_gap=model.value_gap,
+            model_grad_gap=model.grad_gap,
         )
     )
     return state
@@ -148,7 +148,10 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
 
     A trial point where the surrogate is out of range or its leading
     eigenvalues cluster is rejected by the inner solver, which then
-    shortens its step.
+    shortens its step. A step whose trial point's Lanczos run fails
+    (basis cap or exhausted Krylov space) is rejected like one with a
+    low agreement ratio: the radius shrinks and the record keeps the
+    error's name as its reason.
     """
     model = state.model
     lo = np.maximum(problem.box.lower, state.x - state.delta)
@@ -185,34 +188,24 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
     predicted = state.evaluation.value - inner.value
 
     state.k += 1
+    rho, reason = np.nan, ""
     if step_norm == 0.0 or predicted <= 0.0:
-        # no useful surrogate decrease: reject and shrink
+        step_norm, reason = 0.0, "no_decrease"  # no trial point evaluated
+    else:
+        try:
+            trial = evaluate_full(problem, inner.x, counter)
+        except (MaxIterationsError, SubspaceExhaustedError) as exc:
+            reason = type(exc).__name__  # its factorization is counted
+        else:
+            rho = float((state.evaluation.value - trial.value) / predicted)
+            if rho < config.eta1:
+                reason = "low_ratio"
+    accepted = not reason
+
+    if not accepted:
         state.delta *= config.gamma2
-        state.history.append(
-            OuterRecord(
-                k=state.k,
-                value=state.evaluation.value,
-                frequencies=state.evaluation.frequencies.copy(),
-                chi=state.chi,
-                delta=state.delta,
-                rho=np.nan,
-                accepted=False,
-                factorizations=counter.factorizations,
-                wall_s=wall_s,
-                x=state.x.copy(),
-            )
-        )
-        state.converged = state.chi <= problem.criticality_tol
-        return state
-
-    trial = evaluate_full(problem, inner.x, counter)
-    rho = (state.evaluation.value - trial.value) / predicted
-    accepted = rho >= config.eta1
-
-    if rho >= config.eta2:
+    elif rho >= config.eta2:
         state.delta = min(config.growth * state.delta, config.delta_max)
-    elif rho < config.eta1:
-        state.delta *= config.gamma2
 
     vgap = ggap = np.nan
     if accepted:
@@ -223,9 +216,7 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
         state.chi = criticality(problem.box, state.x, state.gradient)
         if state.models is not None:
             state.models.append(state.model)
-        vgap, ggap = _model_gaps(
-            problem, state.model, state.evaluation, state.gradient, state.x
-        )
+        vgap, ggap = state.model.value_gap, state.model.grad_gap
 
     state.history.append(
         OuterRecord(
@@ -234,7 +225,7 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
             frequencies=state.evaluation.frequencies.copy(),
             chi=state.chi,
             delta=state.delta,
-            rho=float(rho),
+            rho=rho,
             accepted=accepted,
             factorizations=counter.factorizations,
             wall_s=wall_s,
@@ -242,6 +233,7 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
             step_norm=step_norm,
             model_value_gap=vgap,
             model_grad_gap=ggap,
+            reason=reason,
         )
     )
     state.converged = state.chi <= problem.criticality_tol

@@ -125,6 +125,40 @@ def test_tridiagonal_projection_consistency():
     )
 
 
+def assert_solves_are_fresh_back_substitutions(result, m):
+    """The recorded solves equal K⁻¹ M U solved again from the basis."""
+    fresh = result.factor.solve(m.matvec(result.basis))
+    assert result.solves.shape == result.basis.shape
+    assert np.abs(result.solves - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+def test_recorded_solves_match_fresh_back_substitution():
+    rng = np.random.default_rng(38)
+    k, m = random_spd_pencil(80, rng)
+    result = lanczos_smallest(k, m, s=4, tol=1e-9, seed=2)
+    assert result.basis.flags.f_contiguous
+    assert_solves_are_fresh_back_substitutions(result, m)
+
+
+def test_recorded_solves_survive_breakdown_restarts():
+    # two distinct eigenvalues, each three times: the Krylov space of one
+    # start vector breaks down after two steps, short of s = 4 pairs
+    k = diagonal([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    m = identity(6)
+    result = lanczos_smallest(k, m, s=4, tol=1e-10)
+    assert np.allclose(result.eigenvalues, [1.0, 1.0, 2.0, 2.0], atol=1e-9)
+    assert np.any(np.diag(result.tridiagonal, 1) == 0.0)  # a restart happened
+    assert_solves_are_fresh_back_substitutions(result, m)
+
+
+def test_partial_result_carries_recorded_solves():
+    rng = np.random.default_rng(36)
+    k, m = random_spd_pencil(200, rng)
+    with pytest.raises(MaxIterationsError) as err:
+        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
+    assert_solves_are_fresh_back_substitutions(err.value.result, m)
+
+
 @given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), repeat=st.booleans())
 def test_descending_eigh_matches_sorted_eigvalsh(m, seed, repeat):
     rng = np.random.default_rng(seed)

@@ -196,6 +196,44 @@ def test_model_keeps_the_full_gradient_at_its_expansion_point():
     model = build_reduced_model(problem, ev)
     assert np.array_equal(model.gradient, full_gradient(problem, ev))
     assert np.array_equal(model.x0, ev.x)
+    # the gaps it keeps are those a surrogate evaluation at x0 would give
+    value, _, grad = evaluate_reduced_with_gradient(model, ev.x)
+    assert model.value_gap == abs(value - ev.value) == 0.0
+    assert model.grad_gap == np.linalg.norm(grad - model.gradient)
+
+
+def test_build_makes_no_back_substitution(monkeypatch):
+    from femupdate.sparse import CholeskyFactor
+
+    rng = np.random.default_rng(59)
+    problem = make_problem(rng)
+    ev = evaluate_full(problem, np.ones(2))
+    exact = CholeskyFactor.solve
+    calls = []
+
+    def counted(factor, b):
+        calls.append(np.shape(b))
+        return exact(factor, b)
+
+    monkeypatch.setattr(CholeskyFactor, "solve", counted)
+    build_reduced_model(problem, ev)
+    assert calls == []
+
+
+def test_increments_match_a_build_from_fresh_solves():
+    rng = np.random.default_rng(60)
+    problem = make_problem(rng, ell=3)
+    ev = evaluate_full(problem, np.ones(3))
+    model = build_reduced_model(problem, ev)
+    u = ev.lanczos.basis
+    y = ev.lanczos.factor.solve(ev.m.matvec(u))  # Y = K⁻¹ M U, solved again
+    for j in range(problem.pencil.n_parameters):
+        dk, dm = problem.pencil.derivative(j)
+        s_ref = u.T @ dm.matvec(u)
+        b = u.T @ dm.matvec(y)
+        g_ref = b + b.T - y.T @ dk.matvec(y)
+        assert np.abs(model.s_hats[j] - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+        assert np.abs(model.g_hats[j] - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
 
 
 def _orthogonal(rng, m):

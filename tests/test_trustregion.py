@@ -11,6 +11,7 @@ from femupdate import (
     UpdatingProblem,
     criticality,
     FeasibleBox,
+    MaxIterationsError,
     solve,
 )
 
@@ -72,10 +73,11 @@ def test_history_invariants(arch_problem):
 def test_model_consistency_gaps_at_iterates(arch_problem):
     result = solve(arch_problem, x0=ARCH_FAR_START)
     for rec in result.history:
-        if rec.model_value_gap is not None:
+        if rec.accepted:  # k = 0 included: a new model was built here
             assert rec.model_value_gap <= 1e-10 * max(1.0, rec.value)
-        if rec.model_grad_gap is not None:
             assert rec.model_grad_gap <= 1e-8
+        else:
+            assert np.isnan(rec.model_value_gap) and np.isnan(rec.model_grad_gap)
 
 
 def test_models_rebuilt_only_on_acceptance(arch_problem):
@@ -144,3 +146,37 @@ def test_clustered_trial_point_shortens_the_inner_step(arch_problem, monkeypatch
     result = solve(arch_problem)
     assert len(trials) > 3
     assert result.converged
+
+
+def test_lanczos_failure_at_trial_point_rejects_the_step(arch_problem, monkeypatch):
+    import femupdate.trustregion as trustregion
+
+    exact = trustregion.evaluate_full
+    calls = []
+
+    def first_trial_fails(problem, x, counter=None):
+        calls.append(x)
+        if len(calls) == 2:  # the first trial point, after the start
+            counter.factorizations += 1
+            counter.lanczos_runs += 1
+            raise MaxIterationsError("basis cap reached")
+        return exact(problem, x, counter)
+
+    monkeypatch.setattr(trustregion, "evaluate_full", first_trial_fails)
+    config = TrustRegionConfig()
+    counter = EvalCounter()
+    result = solve(arch_problem, x0=ARCH_FAR_START, config=config, counter=counter)
+    assert result.converged
+
+    start, failed = result.history[:2]
+    assert not failed.accepted and failed.reason == "MaxIterationsError"
+    assert np.isnan(failed.rho) and failed.step_norm > 0.0
+    assert failed.value == start.value and np.array_equal(failed.x, start.x)
+    assert np.isclose(failed.delta, start.delta * config.gamma2)
+    assert failed.factorizations == 2
+
+    reasons = {"", "no_decrease", "low_ratio", "MaxIterationsError"}
+    assert all(rec.reason in reasons for rec in result.history)
+    assert all((rec.reason == "") == rec.accepted for rec in result.history)
+    trials = sum(1 for rec in result.history[1:] if rec.step_norm > 0.0)
+    assert counter.factorizations == 1 + trials
