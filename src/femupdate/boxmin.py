@@ -1,14 +1,18 @@
-"""Box-constrained minimization by projected gradients with L-BFGS.
+"""Box-constrained minimization by projected Newton or projected L-BFGS.
 
 Minimizes f over a box [lower, upper] starting from a feasible point.
-Directions come from a limited-memory BFGS two-loop recursion applied
-to the components not pinned at active bounds; steps follow the
-projected path x(t) = clip(x + t d) with Armijo backtracking, falling
-back to the projected steepest-descent direction when the quasi-Newton
+Components pinned at an active bound (on the bound, with the gradient
+pushing outward) stay fixed; on the free ones the direction is the
+Newton direction when a Hessian is supplied, with the Hessian's
+eigenvalues w replaced by max(|w|, 1e-8 max |w|) so that it always
+descends (Bertsekas, "Projected Newton methods for optimization problems
+with simple constraints", SIAM J. Control Optim. 20, 1982), and
+otherwise a limited-memory BFGS two-loop recursion. Steps follow the
+projected path x(t) = clip(x + t d) with Armijo backtracking from t = 1,
+falling back to the projected steepest-descent direction when the first
 direction fails to produce decrease. The method is monotone: every
-iterate improves on the previous one, and the first accepted step from
-the start already satisfies an Armijo decrease along the projected
-gradient path.
+iterate satisfies an Armijo decrease along the projected Newton,
+quasi-Newton or gradient path from the previous one.
 
 Termination is on the projected-gradient norm ||x - clip(x - g)||.
 """
@@ -19,8 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lanczos import descending_eigh
+
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
+_EIG_FLOOR = 1e-8
 
 
 @dataclass
@@ -52,6 +59,20 @@ def _two_loop(grad, pairs):
     return q
 
 
+def _newton_direction(grad, hess, free):
+    """-H~^{-1} g on the free components, zero on the others, where H~ is
+    the free block of the Hessian with its eigenvalues w replaced by
+    max(|w|, 1e-8 max |w|); None when that block is zero."""
+    w, q = descending_eigh(hess[np.ix_(free, free)])
+    w = np.abs(w)
+    top = w.max()
+    if top == 0.0:
+        return None
+    d = np.zeros_like(grad)
+    d[free] = -q @ ((q.T @ grad[free]) / np.maximum(w, _EIG_FLOOR * top))
+    return d
+
+
 def minimize_box(
     fun,
     grad,
@@ -62,6 +83,7 @@ def minimize_box(
     max_iter=400,
     memory=10,
     reject=(),
+    hess=None,
 ):
     """Minimize fun over the box; see module docstring.
 
@@ -71,12 +93,16 @@ def minimize_box(
         Objective value and gradient; ``grad`` is only called at
         accepted iterates. Exceptions listed in ``reject`` thrown by
         ``fun`` mark the candidate as unacceptable and shorten the step.
+    hess : callable, optional
+        Hessian of ``fun``, called at accepted iterates only. When given,
+        directions are projected Newton steps and no L-BFGS memory is kept.
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     f = fun(x)
     g = np.asarray(grad(x), dtype=np.float64)
+    h = None if hess is None else hess(x)
     pairs = []
     status = "maxiter"
     it = 0
@@ -92,13 +118,15 @@ def minimize_box(
         at_high = (x >= upper - 1e-12 * span) & (g < 0.0)
         pinned = at_low | at_high
 
-        directions = []
-        if pairs:
-            gm = np.where(pinned, 0.0, g)
-            d = -_two_loop(gm, pairs)
+        d = None
+        if hess is not None and not np.all(pinned):
+            d = _newton_direction(g, h, ~pinned)
+        elif pairs:  # kept only without a Hessian
+            d = -_two_loop(np.where(pinned, 0.0, g), pairs)
             d[pinned] = 0.0
-            if d @ g < 0.0:  # keep only if a descent direction
-                directions.append(d)
+        directions = []
+        if d is not None and d @ g < 0.0:  # keep only if a descent direction
+            directions.append(d)
         directions.append(np.where(pinned, 0.0, -g))
 
         moved = None
@@ -130,12 +158,15 @@ def minimize_box(
 
         xn, fn = moved
         gn = np.asarray(grad(xn), dtype=np.float64)
-        s, y = xn - x, gn - g
-        sy = s @ y
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > memory:
-                pairs.pop(0)
+        if hess is not None:
+            h = hess(xn)
+        else:
+            s, y = xn - x, gn - g
+            sy = s @ y
+            if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y, 1.0 / sy))
+                if len(pairs) > memory:
+                    pairs.pop(0)
         x, f, g = xn, fn, gn
 
     return BoxMinResult(x=x, value=f, grad=g, iterations=it, status=status)

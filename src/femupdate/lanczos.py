@@ -209,6 +209,9 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
 
 
 def _package(t, mu, vec, bounds, basis, solves, factor):
+    # a copy of the used columns, so the result does not keep the whole
+    # (n, cap) workspace alive
+    basis = basis.copy(order="F")
     lam = 1.0 / mu  # descending mu -> ascending lambda
     return LanczosResult(
         eigenvalues=lam,

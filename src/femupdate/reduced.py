@@ -25,6 +25,21 @@ L^{-1} C L^{-T} v = mu v (LAPACK sygst), and solves that with
 eigenvectors u = L^{-T} v are Z-orthonormal, so the sensitivities are
 d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i for all i, j at once.
 
+With all m Z-orthonormal eigenvectors, second-order perturbation theory
+of the pencil gives the exact Hessian of every mu_i as well. C and Z are
+linear in delta, so with the couplings
+c_i[k, j] = u_k^T (G_j - mu_i S_j) u_i (c_i[i, j] = d mu_i / d delta_j)
+
+    d2 mu_i / d delta_j d delta_l
+        = 2 sum_{k != i} c_i[k, j] c_i[k, l] / (mu_i - mu_k)
+          - c_i[i, j] u_i^T S_l u_i - c_i[i, l] u_i^T S_j u_i,
+
+and the chain rule through f_i = mu_i^{-1/2} / (2 pi) gives the Hessian
+of the surrogate objective (the correction g_corr^T delta is linear and
+adds nothing). Weighted by d phi / d mu_i, the sums over k and i
+collapse into one product of p x (m s) matrices, so the Hessian adds a
+few small dense products to an evaluation.
+
 The s largest mu approximate the reciprocals of the s smallest pencil
 eigenvalues; the surrogate objective adds a linear correction
 g_corr^T delta that makes its gradient match the full gradient exactly
@@ -48,6 +63,7 @@ from .errors import (
 from .lanczos import descending_eigh
 from .objective import (
     GAP_TOL,
+    TWO_PI,
     frequencies_from_eigenvalues,
     full_gradient,
     mismatch_gradient,
@@ -214,11 +230,15 @@ def reduced_gradient(model, x):
     return evaluate_reduced_with_gradient(model, x)[2]
 
 
-def evaluate_reduced_with_gradient(model, x):
+def evaluate_reduced_with_gradient(model, x, hessian=False):
     """Surrogate value, frequencies, and gradient in one pass.
 
+    With ``hessian=True`` the exact p x p Hessian of the surrogate
+    objective is returned as a fourth element (see the module
+    docstring); value and gradient are the same bits either way.
+
     Raises ClusteredEigenvaluesError when two of the s + 1 leading
-    reduced eigenvalues nearly coincide: the sensitivity formula needs
+    reduced eigenvalues nearly coincide: the sensitivity formulas need
     simple eigenvalues.
     """
     delta, mu, l, v = _eigensystem(model, x)
@@ -233,14 +253,41 @@ def evaluate_reduced_with_gradient(model, x):
     value, f_hat = _value(model, delta, mu)
 
     # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i
+    # all m of them, with or without the Hessian, so that the gradient
+    # is the same bits either way (the solve's blocking depends on the
+    # number of right-hand sides)
     lead = mu[:s]
-    u, _ = lapack.dtrtrs(l, v[:, :s], lower=1, trans=1)
+    u_all, _ = lapack.dtrtrs(l, v, lower=1, trans=1)
+    u = u_all[:, :s]
     gu = (model.g_hats.reshape(p * m, m) @ u).reshape(p, m, s)
     su = (model.s_hats.reshape(p * m, m) @ u).reshape(p, m, s)
-    dmu = np.einsum("ai,jai->ij", u, gu - su * lead)
+    coupled = gu - su * lead  # (G_j - mu_i S_j) u_i
+    dmu = np.einsum("ai,jai->ij", u, coupled)
 
     dlam = -dmu / lead[:, None] ** 2
     grad = mismatch_gradient(
         f_hat, 1.0 / lead, dlam, model.measured, model.weights
     ) + model.g_corr
-    return value, f_hat, grad
+    if not hessian:
+        return value, f_hat, grad
+
+    # phi = sum_i w_i^2 (f_i - fbar_i)^2 with f_i = mu_i^{-1/2} / (2 pi):
+    # d phi / d mu_i = a_i, d2 phi / d mu_i^2 = b_i
+    resid = model.weights**2 * (f_hat - model.measured)
+    df = -0.5 * lead**-1.5 / TWO_PI
+    d2f = 0.75 * lead**-2.5 / TWO_PI
+    a = 2.0 * resid * df
+    b = 2.0 * (model.weights**2 * df**2 + resid * d2f)
+
+    # couplings c[j, k, i] = u_k^T (G_j - mu_i S_j) u_i over all m u_k,
+    # weighted by 2 a_i / (mu_i - mu_k) off the diagonal k = i
+    c = np.matmul(u_all.T, coupled).reshape(p, m * s)
+    gaps = lead[None, :] - mu[:, None]
+    np.fill_diagonal(gaps, np.inf)  # k = i
+    wc = c * (2.0 * a / gaps).ravel()
+    hess = wc @ c.T
+    sdiag = np.einsum("ai,jai->ij", u, su)  # u_i^T S_j u_i
+    cross = (a[:, None] * dmu).T @ sdiag
+    hess -= cross + cross.T
+    hess += (b[:, None] * dmu).T @ dmu
+    return value, f_hat, grad, _sym(hess)

@@ -70,8 +70,13 @@ class OuterRecord:
     model_value_gap: float = np.nan
     model_grad_gap: float = np.nan
     # why the step was rejected: "no_decrease", "low_ratio", or the name
-    # of the trial point's Lanczos error; "" when accepted and for k = 0
+    # of the trial point's Lanczos or model-build error; "" when accepted
+    # and for k = 0
     reason: str = ""
+    # the step's inner solve: iterations and BoxMinResult.status
+    # (0 and "" for k = 0)
+    inner_iterations: int = 0
+    inner_status: str = ""
 
 
 @dataclass
@@ -146,12 +151,14 @@ def start_state(problem, x0, config, counter, keep_models=False):
 def outer_iterate(state, problem, config, counter, wall_s=0.0):
     """Run one outer trust-region iteration, mutating the state.
 
-    A trial point where the surrogate is out of range or its leading
-    eigenvalues cluster is rejected by the inner solver, which then
-    shortens its step. A step whose trial point's Lanczos run fails
-    (basis cap or exhausted Krylov space) is rejected like one with a
-    low agreement ratio: the radius shrinks and the record keeps the
-    error's name as its reason.
+    The inner solve takes projected Newton steps on the surrogate's
+    exact Hessian. A trial point where the surrogate is out of range or
+    its leading eigenvalues cluster is rejected by the inner solver,
+    which then shortens its step. A step whose trial point's Lanczos run
+    fails (basis cap or exhausted Krylov space), or whose new model
+    cannot be built because its eigenvalues cluster, is rejected like
+    one with a low agreement ratio: the radius shrinks and the record
+    keeps the error's name as its reason.
     """
     model = state.model
     lo = np.maximum(problem.box.lower, state.x - state.delta)
@@ -159,29 +166,23 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
 
     cache = {}
 
-    def surrogate_value(x):
+    def surrogate(x):
         key = x.tobytes()
         if key not in cache:
             cache.clear()
-            cache[key] = evaluate_reduced_with_gradient(model, x)
-        return cache[key][0]
-
-    def surrogate_grad(x):
-        key = x.tobytes()
-        if key not in cache:
-            cache.clear()
-            cache[key] = evaluate_reduced_with_gradient(model, x)
-        return cache[key][2]
+            cache[key] = evaluate_reduced_with_gradient(model, x, hessian=True)
+        return cache[key]
 
     inner = minimize_box(
-        surrogate_value,
-        surrogate_grad,
+        lambda x: surrogate(x)[0],
+        lambda x: surrogate(x)[2],
         state.x,
         lo,
         hi,
         tol=config.inner_tol,
         max_iter=config.inner_max_iter,
         reject=(SurrogateOutOfRangeError, ClusteredEigenvaluesError),
+        hess=lambda x: surrogate(x)[3],
     )
     step = inner.x - state.x
     step_norm = float(np.max(np.abs(step))) if step.size else 0.0
@@ -194,10 +195,18 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
     else:
         try:
             trial = evaluate_full(problem, inner.x, counter)
-        except (MaxIterationsError, SubspaceExhaustedError) as exc:
-            reason = type(exc).__name__  # its factorization is counted
-        else:
             rho = float((state.evaluation.value - trial.value) / predicted)
+            if rho >= config.eta1:
+                # built before the state changes, so a failed build
+                # leaves the state as it was
+                new_model = build_reduced_model(problem, trial)
+        except (
+            MaxIterationsError,
+            SubspaceExhaustedError,
+            ClusteredEigenvaluesError,
+        ) as exc:
+            reason = type(exc).__name__  # the trial factorization is counted
+        else:
             if rho < config.eta1:
                 reason = "low_ratio"
     accepted = not reason
@@ -211,7 +220,7 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
     if accepted:
         state.x = inner.x.copy()
         state.evaluation = trial
-        state.model = build_reduced_model(problem, trial)
+        state.model = new_model
         state.gradient = state.model.gradient
         state.chi = criticality(problem.box, state.x, state.gradient)
         if state.models is not None:
@@ -234,6 +243,8 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
             model_value_gap=vgap,
             model_grad_gap=ggap,
             reason=reason,
+            inner_iterations=inner.iterations,
+            inner_status=inner.status,
         )
     )
     state.converged = state.chi <= problem.criticality_tol

@@ -110,3 +110,74 @@ def test_result_reports_value_and_gradient():
     res = minimize_box(fun, grad, np.zeros(2), np.full(2, -1.0), np.full(2, 1.0))
     assert np.isclose(res.value, fun(res.x))
     assert np.allclose(res.grad, grad(res.x), atol=1e-12)
+
+
+def test_newton_solves_an_interior_quadratic_in_two_iterations():
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 0.1]])  # SPD, ill-scaled
+    center = np.array([0.3, -0.2, 1.4])
+
+    def fun(x):
+        return 0.5 * float((x - center) @ a @ (x - center))
+
+    res = minimize_box(fun, lambda x: a @ (x - center), np.zeros(3),
+                       np.full(3, -2.0), np.full(3, 2.0), hess=lambda x: a)
+    assert res.status == "converged"
+    assert res.iterations <= 2
+    assert np.allclose(res.x, center, atol=1e-10)
+
+
+def test_newton_on_an_indefinite_quadratic_is_monotone_and_ends_at_kkt():
+    # saddle in the middle of the box: the minimum lies on the boundary
+    a = np.array([[2.0, 0.5], [0.5, -1.0]])
+    b = np.array([0.3, -0.1])
+    lower, upper = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+    x0 = np.array([0.1, 0.05])
+    evaluated, accepted = [], []
+
+    def value(x):
+        return 0.5 * float(x @ a @ x) + float(b @ x)
+
+    def fun(x):
+        evaluated.append(x)
+        return value(x)
+
+    def grad(x):
+        accepted.append(value(x))  # called at accepted iterates only
+        return a @ x + b
+
+    res = minimize_box(fun, grad, x0, lower, upper, hess=lambda x: a)
+    assert res.status == "converged"
+    assert all(later < earlier for earlier, later in zip(accepted, accepted[1:]))
+    assert projected_gradient_norm(res.x, grad(res.x), lower, upper) <= 1e-8
+    # the negative-curvature coordinate ends on a bound
+    assert abs(res.x[1]) == 3.0
+    # the first trial point is the full step along -|H|^{-1} g, |H| having
+    # the absolute eigenvalues of H
+    w, q = np.linalg.eigh(a)
+    newton = x0 - q @ ((q.T @ (a @ x0 + b)) / np.abs(w))
+    assert np.all(np.abs(newton) < 3.0)
+    assert np.allclose(evaluated[1], newton, rtol=1e-12, atol=1e-15)
+
+
+def test_reject_exception_shrinks_the_newton_step():
+    center = np.array([0.6, 0.6])
+    refused = []
+
+    class Refused(RuntimeError):
+        pass
+
+    def fun(x):
+        if np.linalg.norm(x) > 1.0:
+            refused.append(x)
+            raise Refused()
+        return 0.5 * float((x - center) @ (x - center))
+
+    # half the true curvature: the full step from the origin lands at
+    # 2 * center, outside the ball
+    res = minimize_box(
+        fun, lambda x: x - center, np.zeros(2), np.full(2, -2.0), np.full(2, 2.0),
+        reject=(Refused,), hess=lambda x: 0.5 * np.eye(2),
+    )
+    assert refused
+    assert res.status == "converged"
+    assert np.allclose(res.x, center, atol=1e-6)

@@ -140,6 +140,17 @@ def test_recorded_solves_match_fresh_back_substitution():
     assert_solves_are_fresh_back_substitutions(result, m)
 
 
+def test_basis_does_not_keep_the_workspace_alive():
+    rng = np.random.default_rng(39)
+    k, m = random_spd_pencil(80, rng)
+    result = lanczos_smallest(k, m, s=2, tol=1e-9)
+    assert result.m < 80  # the workspace has more columns than were used
+    assert result.basis.base is None and result.basis.flags.f_contiguous
+    with pytest.raises(MaxIterationsError) as info:
+        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
+    assert info.value.result.basis.base is None
+
+
 def test_recorded_solves_survive_breakdown_restarts():
     # two distinct eigenvalues, each three times: the Krylov space of one
     # start vector breaks down after two steps, short of s = 4 pairs

@@ -246,21 +246,14 @@ def _small_symmetric(rng, p, m, scale):
     return scale * (a + a.transpose(0, 2, 1)) / (2.0 * np.sqrt(m))
 
 
-@given(
-    m=st.integers(2, 12),
-    s_frac=st.floats(0.0, 1.0),
-    p=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
-    # random small model: T symmetric positive definite with separated
-    # eigenvalues, Z = I + small symmetric, C = T + small symmetric
-    rng = np.random.default_rng(seed)
+def _random_model(rng, m, s_frac, p):
+    """Random small model: T symmetric positive definite with separated
+    eigenvalues; Z = I + small symmetric and C = T + small symmetric."""
     s = 1 + int(s_frac * (m - 2))  # 1 <= s < m
     spectrum = 0.2 + np.cumsum(rng.uniform(0.05, 0.3, m))
     q = _orthogonal(rng, m)
     weights = rng.uniform(0.1, 1.0, s)
-    model = ReducedModel(
+    return ReducedModel(
         x0=rng.uniform(0.5, 2.0, p),
         tridiagonal=(q * spectrum) @ q.T,
         s_hats=_small_symmetric(rng, p, m, 0.1),
@@ -271,6 +264,18 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
         s=s,
         value_at_x0=0.0,
     )
+
+
+@given(
+    m=st.integers(2, 12),
+    s_frac=st.floats(0.0, 1.0),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, m, s_frac, p)
+    s = model.s
     delta = rng.uniform(-0.5, 0.5, p)
     z = np.eye(m) + np.tensordot(delta, model.s_hats, axes=1)
     c = model.tridiagonal + np.tensordot(delta, model.g_hats, axes=1)
@@ -302,6 +307,41 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
     assert np.linalg.norm(grad_r - grad) <= 1e-9 * max(1.0, np.linalg.norm(grad))
     value_only, f_only = evaluate_reduced(model, x)
     assert value_only == value_r and np.array_equal(f_only, f_r)
+
+
+@given(
+    m=st.integers(3, 12),
+    s_frac=st.floats(0.0, 1.0),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hessian_matches_central_difference_of_the_gradient(m, s_frac, p, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, m, s_frac, p)
+    delta = rng.uniform(-0.3, 0.3, p)
+    z = np.eye(m) + np.tensordot(delta, model.s_hats, axes=1)
+    c = model.tridiagonal + np.tensordot(delta, model.g_hats, axes=1)
+    check = sla.eigvalsh(c, z)[::-1][: model.s + 1]
+    assume(np.min(-np.diff(check) / check[:-1]) > 1e-3)
+
+    x = model.x0 + delta
+    value, f_hat, grad = evaluate_reduced_with_gradient(model, x)
+    value_h, f_h, grad_h, hess = evaluate_reduced_with_gradient(model, x, hessian=True)
+    # the flag adds the Hessian and changes no bit of the rest
+    assert value_h == value and np.array_equal(f_h, f_hat)
+    assert np.array_equal(grad_h, grad)
+    assert hess.shape == (p, p) and np.array_equal(hess, hess.T)
+
+    step = 1e-5
+    central = np.empty((p, p))
+    for j in range(p):
+        e = np.zeros(p)
+        e[j] = step
+        central[:, j] = (
+            evaluate_reduced_with_gradient(model, x + e)[2]
+            - evaluate_reduced_with_gradient(model, x - e)[2]
+        ) / (2.0 * step)
+    assert np.abs(hess - central).max() <= 1e-7 * max(1.0, np.abs(hess).max())
 
 
 @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), above=st.booleans())

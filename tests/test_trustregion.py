@@ -135,12 +135,12 @@ def test_clustered_trial_point_shortens_the_inner_step(arch_problem, monkeypatch
     exact = trustregion.evaluate_reduced_with_gradient
     trials = []
 
-    def sometimes_clustered(model, x):
+    def sometimes_clustered(model, x, **kwargs):
         if not np.array_equal(x, model.x0):
             trials.append(x)
             if len(trials) % 3 == 1:
                 raise ClusteredEigenvaluesError("leading reduced eigenvalues coincide")
-        return exact(model, x)
+        return exact(model, x, **kwargs)
 
     monkeypatch.setattr(trustregion, "evaluate_reduced_with_gradient", sometimes_clustered)
     result = solve(arch_problem)
@@ -180,3 +180,57 @@ def test_lanczos_failure_at_trial_point_rejects_the_step(arch_problem, monkeypat
     assert all((rec.reason == "") == rec.accepted for rec in result.history)
     trials = sum(1 for rec in result.history[1:] if rec.step_norm > 0.0)
     assert counter.factorizations == 1 + trials
+
+
+def test_clustered_model_at_trial_point_rejects_the_step(arch_problem, monkeypatch):
+    import femupdate.trustregion as trustregion
+
+    exact = trustregion.build_reduced_model
+    calls = []
+
+    def first_trial_clustered(problem, evaluation):
+        calls.append(evaluation.x)
+        if len(calls) == 2:  # the first accepted trial point, after the start
+            raise ClusteredEigenvaluesError("leading eigenvalues coincide")
+        return exact(problem, evaluation)
+
+    monkeypatch.setattr(trustregion, "build_reduced_model", first_trial_clustered)
+    config = TrustRegionConfig()
+    counter = EvalCounter()
+    result = solve(arch_problem, x0=ARCH_FAR_START, config=config, counter=counter)
+    assert result.converged
+
+    hist = result.history
+    clustered = [i for i, rec in enumerate(hist) if rec.reason == "ClusteredEigenvaluesError"]
+    assert len(clustered) == 1
+    before, failed = hist[clustered[0] - 1], hist[clustered[0]]
+    assert not failed.accepted
+    assert failed.rho >= config.eta1 and failed.step_norm > 0.0
+    # the state is the one before the step: point, value and model
+    assert failed.value == before.value and np.array_equal(failed.x, before.x)
+    assert np.isnan(failed.model_value_gap) and np.isnan(failed.model_grad_gap)
+    assert np.isclose(failed.delta, before.delta * config.gamma2)
+    assert result.n_models == 1 + sum(1 for rec in hist[1:] if rec.accepted)
+    trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
+    assert counter.factorizations == 1 + trials
+
+
+def test_records_carry_the_inner_solve(arch_problem, monkeypatch):
+    import femupdate.trustregion as trustregion
+
+    exact = trustregion.minimize_box
+    inner = []
+
+    def recorded(*args, **kwargs):
+        assert kwargs["hess"] is not None  # projected Newton on the surrogate
+        inner.append(exact(*args, **kwargs))
+        return inner[-1]
+
+    monkeypatch.setattr(trustregion, "minimize_box", recorded)
+    result = solve(arch_problem, x0=ARCH_FAR_START)
+    start = result.history[0]
+    assert start.inner_iterations == 0 and start.inner_status == ""
+    assert [(rec.inner_iterations, rec.inner_status) for rec in result.history[1:]] == [
+        (res.iterations, res.status) for res in inner
+    ]
+    assert all(res.iterations >= 1 for res in inner)
