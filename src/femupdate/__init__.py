@@ -34,10 +34,11 @@ from .errors import (
     MaxIterationsError,
     ModelConsistencyError,
     NotPositiveDefiniteError,
+    NumericalError,
     SubspaceExhaustedError,
     SurrogateOutOfRangeError,
 )
-from .fem import Material, Mesh, assemble_parametric, region_operators
+from .fem import Material, Mesh, assemble_parametric
 from .lanczos import LanczosResult, lanczos_smallest
 from .objective import (
     EvalCounter,
@@ -49,7 +50,7 @@ from .objective import (
     make_weights,
     weighted_mismatch,
 )
-from .pencil import FeasibleBox, ParametricPencil, default_start
+from .pencil import FeasibleBox, ParametricPencil
 from .reduced import (
     ReducedModel,
     build_reduced_model,
@@ -91,6 +92,7 @@ __all__ = [
     "Mesh",
     "ModelConsistencyError",
     "NotPositiveDefiniteError",
+    "NumericalError",
     "OuterRecord",
     "ParametricPencil",
     "ReducedModel",
@@ -106,7 +108,6 @@ __all__ = [
     "build_reduced_model",
     "cholesky_factorize",
     "criticality",
-    "default_start",
     "evaluate_full",
     "evaluate_reduced",
     "evaluate_reduced_with_gradient",
@@ -119,7 +120,6 @@ __all__ = [
     "projected_gradient_norm",
     "read_matrix_market",
     "reduced_gradient",
-    "region_operators",
     "solve",
     "solve_baseline",
     "weighted_mismatch",

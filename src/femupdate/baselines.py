@@ -40,7 +40,7 @@ class BaselineResult:
     counter: EvalCounter
 
 
-def solve_baseline(problem, x0, strategy, counter=None, max_iter=500, fd_step=FD_STEP):
+def solve_baseline(problem, x0, strategy, counter=None, max_iter=500):
     """Minimize the full objective from x0 without surrogates.
 
     strategy 'AD' uses analytic gradients, 'A' forward-difference
@@ -51,41 +51,25 @@ def solve_baseline(problem, x0, strategy, counter=None, max_iter=500, fd_step=FD
     if strategy not in ("A", "AD"):
         raise ValueError("strategy must be 'A' or 'AD', got %r" % (strategy,))
     counter = counter if counter is not None else EvalCounter()
-    reference = np.asarray(
-        problem.box.midpoint() if x0 is None else x0, dtype=np.float64
-    )
-    if np.any(reference <= 0.0):
-        raise ValueError("starting point must be strictly positive for scaling")
-    if not problem.box.contains(reference):
-        raise ValueError("starting point lies outside the feasible box")
-    scaled = problem.scaled_by(reference)
-
-    cache = {}
-
-    def evaluation(x):
-        key = x.tobytes()
-        if key not in cache:
-            cache.clear()
-            cache[key] = evaluate_full(scaled, x, counter)
-        return cache[key]
+    scaled, reference = problem.scaled_from(x0)
 
     def fun(x):
-        return evaluation(x).value
+        ev = evaluate_full(scaled, x, counter)
+        return ev.value, ev
 
     if strategy == "AD":
 
-        def grad(x):
-            return full_gradient(scaled, evaluation(x))
+        def grad(ev):
+            return full_gradient(scaled, ev)
 
     else:
 
-        def grad(x):
-            f0 = fun(x)
-            g = np.empty(scaled.pencil.n_parameters)
+        def grad(ev):
+            g = np.empty(ev.x.size)
             for j in range(g.size):
-                xp = x.copy()
-                xp[j] += fd_step
-                g[j] = (fun(xp) - f0) / fd_step
+                xp = ev.x.copy()
+                xp[j] += FD_STEP
+                g[j] = (fun(xp)[0] - ev.value) / FD_STEP
             return g
 
     res = minimize_box(
@@ -97,10 +81,8 @@ def solve_baseline(problem, x0, strategy, counter=None, max_iter=500, fd_step=FD
         tol=problem.criticality_tol,
         max_iter=max_iter,
     )
-    final = evaluation(res.x)
-    chi = criticality(
-        scaled.box, res.x, full_gradient(scaled, final)
-    )
+    final = res.data
+    chi = criticality(scaled.box, res.x, full_gradient(scaled, final))
     return BaselineResult(
         x=res.x * reference,
         value=final.value,

@@ -37,19 +37,23 @@ class _MeshBuilder:
 
     def __init__(self, dim):
         self.dim = dim
-        self._ids = {}
+        self._ids = {}  # rounded coordinates -> node
+        self._seen = {}  # exact coordinates -> node
         self.coords = []
         self.elements = []
         self.regions = []
         self.fixed = set()
 
     def node(self, *xyz):
-        key = tuple(round(v, 9) for v in xyz)
-        nid = self._ids.get(key)
+        nid = self._seen.get(xyz)  # exact repeats skip the rounding
         if nid is None:
-            nid = len(self.coords)
-            self._ids[key] = nid
-            self.coords.append(xyz)
+            key = tuple([round(v * 1e9) for v in xyz])  # in units of 1e-9
+            nid = self._ids.get(key)
+            if nid is None:
+                nid = len(self.coords)
+                self._ids[key] = nid
+                self.coords.append(xyz)
+            self._seen[xyz] = nid
         return nid
 
     def element(self, nodes, region):
@@ -195,34 +199,18 @@ def generate_pillared_vault(refine=1):
         (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
         (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
     ]
-    vertex_ids = {}
-    coords = []
-    elements = []
-    regions = []
+    b = _MeshBuilder(dim=3)
     for cx, cy, lz, reg in cells:
-        conn = []
-        for ox, oy, oz in corner_offsets:
-            key = (cx + ox, cy + oy, lz + oz)
-            nid = vertex_ids.get(key)
-            if nid is None:
-                nid = len(coords)
-                vertex_ids[key] = nid
-                coords.append((key[0] * dx, key[1] * dy, key[2] * dz))
-            conn.append(nid)
-        elements.append(conn)
-        regions.append(reg)
+        b.element(
+            [b.node((cx + i) * dx, (cy + j) * dy, (lz + k) * dz) for i, j, k in corner_offsets],
+            reg,
+        )
+    for nid, (_, _, z) in enumerate(b.coords):
+        if z == 0.0:  # clamped pillar base
+            for axis in range(3):
+                b.fix(nid, axis)
 
-    fixed = []
-    for (i, j, k), nid in vertex_ids.items():
-        if k == 0:
-            fixed.extend((3 * nid, 3 * nid + 1, 3 * nid + 2))
-
-    mesh = Mesh(
-        np.asarray(coords, dtype=np.float64),
-        np.asarray(elements, dtype=np.int64),
-        np.asarray(regions, dtype=np.int64),
-        np.asarray(fixed, dtype=np.int64),
-    )
+    mesh = b.build()
     materials = [
         Material(
             "vault", young=3000.0, density=1800.0, poisson=0.25,

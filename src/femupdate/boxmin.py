@@ -15,6 +15,12 @@ iterate satisfies an Armijo decrease along the projected Newton,
 quasi-Newton or gradient path from the previous one.
 
 Termination is on the projected-gradient norm ||x - clip(x - g)||.
+
+Each evaluation returns the point's value and its data, which the
+gradient and the Hessian then read, so one evaluation serves all three
+at an accepted point. A backtracking trial that ``clip`` maps onto the
+previous trial of the same line search is not evaluated again: it would
+fail the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .lanczos import descending_eigh
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 _EIG_FLOOR = 1e-8
+_MEMORY = 10  # L-BFGS pairs kept
 
 
 @dataclass
@@ -37,6 +44,7 @@ class BoxMinResult:
     grad: np.ndarray
     iterations: int
     status: str  # 'converged' | 'stalled' | 'maxiter'
+    data: object  # what fun returned with the value at x
 
 
 def projected_gradient_norm(x, grad, lower, upper):
@@ -81,7 +89,6 @@ def minimize_box(
     upper,
     tol=1e-8,
     max_iter=400,
-    memory=10,
     reject=(),
     hess=None,
 ):
@@ -89,20 +96,24 @@ def minimize_box(
 
     Parameters
     ----------
-    fun, grad : callables
-        Objective value and gradient; ``grad`` is only called at
-        accepted iterates. Exceptions listed in ``reject`` thrown by
-        ``fun`` mark the candidate as unacceptable and shorten the step.
+    fun : callable
+        ``fun(x)`` returns ``(value, data)``. Exceptions listed in
+        ``reject`` thrown by ``fun`` mark the candidate as unacceptable
+        and shorten the step.
+    grad : callable
+        ``grad(data)``: the gradient at the point ``data`` came from;
+        called at accepted iterates only.
     hess : callable, optional
-        Hessian of ``fun``, called at accepted iterates only. When given,
-        directions are projected Newton steps and no L-BFGS memory is kept.
+        ``hess(data)``: the Hessian there, called at accepted iterates
+        only. When given, directions are projected Newton steps and no
+        L-BFGS memory is kept.
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
-    f = fun(x)
-    g = np.asarray(grad(x), dtype=np.float64)
-    h = None if hess is None else hess(x)
+    f, data = fun(x)
+    g = np.asarray(grad(data), dtype=np.float64)
+    h = None if hess is None else hess(data)
     pairs = []
     status = "maxiter"
     it = 0
@@ -134,19 +145,21 @@ def minimize_box(
             if not np.any(d):
                 continue
             t = 1.0
+            tried = None
             for _ in range(_MAX_HALVINGS):
                 xc = np.clip(x + t * d, lower, upper)
                 slope = g @ (xc - x)
-                if slope >= 0.0:
+                if slope >= 0.0 or np.array_equal(xc, tried):
                     t *= 0.5
                     continue
+                tried = xc
                 try:
-                    fc = fun(xc)
+                    fc, dc = fun(xc)
                 except reject:
                     t *= 0.5
                     continue
                 if fc <= f + _ARMIJO * slope:
-                    moved = (xc, fc)
+                    moved = (xc, fc, dc)
                     break
                 t *= 0.5
             if moved:
@@ -156,17 +169,17 @@ def minimize_box(
             status = "stalled"
             break
 
-        xn, fn = moved
-        gn = np.asarray(grad(xn), dtype=np.float64)
+        xn, fn, data = moved
+        gn = np.asarray(grad(data), dtype=np.float64)
         if hess is not None:
-            h = hess(xn)
+            h = hess(data)
         else:
             s, y = xn - x, gn - g
             sy = s @ y
             if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
                 pairs.append((s, y, 1.0 / sy))
-                if len(pairs) > memory:
+                if len(pairs) > _MEMORY:
                     pairs.pop(0)
         x, f, g = xn, fn, gn
 
-    return BoxMinResult(x=x, value=f, grad=g, iterations=it, status=status)
+    return BoxMinResult(x=x, value=f, grad=g, iterations=it, status=status, data=data)

@@ -21,14 +21,7 @@ import sys
 
 from . import benchmarks
 from .config import load_config
-from .errors import (
-    ClusteredEigenvaluesError,
-    ConfigError,
-    MaxIterationsError,
-    ModelConsistencyError,
-    SubspaceExhaustedError,
-    SurrogateOutOfRangeError,
-)
+from .errors import ConfigError, NumericalError
 from .studies import eigenreport, run_noise_study, run_strategy_comparison, run_update
 
 
@@ -87,12 +80,12 @@ def main(argv=None):
             return 0
 
         if args.command == "update":
-            result = run_update(setup, out_dir=args.output_dir)
+            result, iterations, _ = run_update(setup, out_dir=args.output_dir)
             out = args.output_dir or setup.output_dir
             print("strategy %s: %s after %d iterations" % (
                 setup.strategy,
                 "converged" if result.converged else "did not converge",
-                result.n_outer if setup.strategy == "RM" else result.iterations,
+                iterations,
             ))
             print("objective %.6e, criticality %.3e" % (result.value, result.chi))
             for name, value in zip(setup.parameter_names, result.x):
@@ -131,13 +124,7 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (
-        ClusteredEigenvaluesError,
-        SurrogateOutOfRangeError,
-        ModelConsistencyError,
-        MaxIterationsError,
-        SubspaceExhaustedError,
-    ) as exc:
+    except NumericalError as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -20,7 +20,6 @@ Schema (version 1)::
     [trust_region]              ; optional, defaults shown in the docs
     eta1 = 0.05
     eta2 = 0.9
-    gamma1 = 0.25
     gamma2 = 0.5
     growth = 2.0
     delta0 = 0.1
@@ -322,7 +321,7 @@ def load_config(path):
     tr_kwargs = {}
     if parser.has_section("trust_region"):
         for key, cast in (
-            ("eta1", float), ("eta2", float), ("gamma1", float), ("gamma2", float),
+            ("eta1", float), ("eta2", float), ("gamma2", float),
             ("growth", float), ("delta0", float), ("delta_max", float),
             ("max_outer", int), ("inner_tol", float),
         ):

@@ -22,11 +22,15 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
-class SubspaceExhaustedError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical failure of the method (the CLI's exit code 3)."""
+
+
+class SubspaceExhaustedError(NumericalError):
     """Krylov subspace spans the whole space with too few converged pairs."""
 
 
-class MaxIterationsError(RuntimeError):
+class MaxIterationsError(NumericalError):
     """Iteration cap reached before convergence.
 
     Carries the best available estimates in ``result`` when the caller
@@ -38,15 +42,15 @@ class MaxIterationsError(RuntimeError):
         self.result = result
 
 
-class ClusteredEigenvaluesError(RuntimeError):
+class ClusteredEigenvaluesError(NumericalError):
     """Consecutive eigenvalues too close for a well-posed sensitivity."""
 
 
-class SurrogateOutOfRangeError(RuntimeError):
+class SurrogateOutOfRangeError(NumericalError):
     """Reduced model evaluated too far from its expansion point."""
 
 
-class ModelConsistencyError(RuntimeError):
+class ModelConsistencyError(NumericalError):
     """Reduced model disagrees with the full objective at its expansion point."""
 
 

@@ -395,7 +395,7 @@ class _Scatter:
     def matrix(self, values):
         """The matrix with these values, on the entries where they are nonzero."""
         nonzero = values != 0.0
-        return SparseSymMatrix.on_pattern(self.pattern.restrict(nonzero), values[nonzero])
+        return SparseSymMatrix(self.pattern.restrict(nonzero), values[nonzero])
 
     def region_values(self, region_id, poisson):
         """Unit-parameter stiffness and mass values of one region."""
@@ -408,19 +408,6 @@ class _Scatter:
             self.assemble(which, element_stiffness(coords, 1.0, poisson)),
             self.assemble(which, element_mass(coords, 1.0)),
         )
-
-
-def region_operators(mesh, region_id, poisson):
-    """Unit-parameter stiffness/mass of one region, on free dofs only.
-
-    Returns the pair (K_r, M_r) of SparseSymMatrix blocks assembled with
-    a Young modulus of 1 MPa and a density of 1 kg/m^3, so that the
-    region's physical contribution is ``young * K_r`` and
-    ``density * M_r``.
-    """
-    scatter = _Scatter(mesh)
-    k_r, m_r = scatter.region_values(region_id, poisson)
-    return scatter.matrix(k_r), scatter.matrix(m_r)
 
 
 def assemble_parametric(mesh, materials):

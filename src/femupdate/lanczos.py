@@ -2,12 +2,11 @@
 
 Finds the s smallest eigenvalues of K v = lambda M v by running the
 Lanczos iteration on the operator K^{-1} M, which is self-adjoint in the
-M-inner product. One sparse Cholesky factorization of K is performed
-(or reused if supplied); each iteration costs one triangular
-back-substitution pair, one multiplication by M, and full
-M-reorthogonalization against the basis. The smallest pencil
-eigenvalues are the reciprocals of the largest Ritz values of the
-projected tridiagonal matrix.
+M-inner product. One sparse Cholesky factorization of K is performed;
+each iteration costs one triangular back-substitution pair, one
+multiplication by M, and full M-reorthogonalization against the basis.
+The smallest pencil eigenvalues are the reciprocals of the largest Ritz
+values of the projected tridiagonal matrix.
 
 Each step's raw shift-invert solve K^{-1} M u_k is recorded before it is
 orthogonalized and returned as ``LanczosResult.solves``: the reduced
@@ -97,7 +96,7 @@ def _leading_ritz(t, s, beta_last):
     return mu_lead, vec_lead, bounds
 
 
-def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_basis=None):
+def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     """Smallest s eigenpairs of the SPD pencil (K, M).
 
     Parameters
@@ -110,8 +109,6 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
         Relative eigenvalue error bound at termination.
     seed : int
         Seed of the start vector; fixed seed gives a reproducible basis.
-    factor : CholeskyFactor, optional
-        Existing factorization of K to reuse.
     max_basis : int, optional
         Basis-size cap; default max(4 s + 20, 100), never above n.
 
@@ -129,8 +126,7 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
         raise ValueError("K and M dimensions disagree")
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n, got s=%d, n=%d" % (s, n))
-    if factor is None:
-        factor = cholesky_factorize(k_matrix)
+    factor = cholesky_factorize(k_matrix)
     cap = min(n, int(max_basis) if max_basis else max(4 * s + 20, 100))
     rng = np.random.default_rng(seed)
 
@@ -191,9 +187,7 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, factor=None, max_b
         else:
             v, mv, norm = w, mw, beta
 
-    t = _tridiagonal(alphas, betas)
-    if k >= s:
-        mu, vec, bounds = _leading_ritz(t, s, betas[-1])
+    # when k >= s, the last iteration has computed T and its Ritz data
     if not converged:
         if exhausted or k < s:
             raise SubspaceExhaustedError(

@@ -8,7 +8,7 @@ derive from pencil eigenvalues as f = sqrt(lambda) / (2 pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,15 +104,24 @@ class UpdatingProblem:
 
     def scaled_by(self, reference):
         """The same problem over scaled parameters y = x / reference."""
-        return UpdatingProblem(
+        return replace(
+            self,
             pencil=self.pencil.scaled_by(reference),
             box=self.box.scaled_by(reference),
-            measured=self.measured,
-            weights=self.weights.copy(),
-            lanczos_tol=self.lanczos_tol,
-            criticality_tol=self.criticality_tol,
-            seed=self.seed,
         )
+
+    def scaled_from(self, x0=None):
+        """(scaled problem, reference): the problem rescaled so that the
+        start x0 (physical units; default the box midpoint) becomes the
+        all-ones vector, and x0 itself as the scaling reference."""
+        reference = np.asarray(
+            self.box.midpoint() if x0 is None else x0, dtype=np.float64
+        )
+        if np.any(reference <= 0.0):
+            raise ValueError("starting point must be strictly positive for scaling")
+        if not self.box.contains(reference):
+            raise ValueError("starting point lies outside the feasible box")
+        return self.scaled_by(reference), reference
 
 
 @dataclass

@@ -53,13 +53,6 @@ class FeasibleBox:
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
 
-    def intersect(self, lower, upper):
-        """Intersection with another componentwise box [lower, upper]."""
-        return (
-            np.maximum(self.lower, lower),
-            np.minimum(self.upper, upper),
-        )
-
     def scaled_by(self, reference):
         return FeasibleBox(self.lower / reference, self.upper / reference)
 
@@ -72,7 +65,7 @@ class _AffineFamily:
         self.pattern = pattern
         base_data = np.zeros(pattern.nnz)
         base_data[where[0]] = base.data
-        self.base = SparseSymMatrix.on_pattern(pattern, base_data)
+        self.base = SparseSymMatrix(pattern, base_data)
         counts = [a.pattern.nnz for a in increments]
         self._columns = sp.csc_array(
             (
@@ -87,12 +80,12 @@ class _AffineFamily:
     def _share_increments(self, patterns):
         cols = self._columns
         self.increments = [
-            SparseSymMatrix.on_pattern(p, cols.data[cols.indptr[j]:cols.indptr[j + 1]])
+            SparseSymMatrix(p, cols.data[cols.indptr[j]:cols.indptr[j + 1]])
             for j, p in enumerate(patterns)
         ]
 
     def at(self, x):
-        return SparseSymMatrix.on_pattern(self.pattern, self.base.data + self._columns @ x)
+        return SparseSymMatrix(self.pattern, self.base.data + self._columns @ x)
 
     def scaled_by(self, reference):
         """The family over y = x / reference; shares every pattern."""
@@ -199,8 +192,3 @@ class ParametricPencil:
         out._m = self._m.scaled_by(reference)
         out.names = list(self.names)
         return out
-
-
-def default_start(box):
-    """Box midpoint, the conventional starting point."""
-    return box.midpoint()

@@ -94,8 +94,6 @@ class ReducedModel:
     gradient: np.ndarray = None  # full objective gradient at x0
     value_gap: float = 0.0  # |model - objective| at x0, zero by construction
     grad_gap: float = np.nan  # ||model gradient - full gradient|| at x0
-    gap_tol: float = GAP_TOL
-    z_floor: float = Z_FLOOR
 
     @property
     def m(self):
@@ -178,7 +176,7 @@ def _eigensystem(model, x):
 
     Raises SurrogateOutOfRangeError when x is too far from the expansion
     point for the linearization to make sense: the metric Z has an
-    eigenvalue at or below z_floor, or one of the s leading values, which
+    eigenvalue at or below Z_FLOOR, or one of the s leading values, which
     approximate reciprocals of positive pencil eigenvalues, is nonpositive.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -189,12 +187,12 @@ def _eigensystem(model, x):
     eye = np.eye(m)
     z = eye + (delta @ model.s_hats.reshape(p, m * m)).reshape(m, m)
     c = model.tridiagonal + (delta @ model.g_hats.reshape(p, m * m)).reshape(m, m)
-    # lambda_min(Z) > z_floor exactly when Z - z_floor I has a Cholesky factor
-    if lapack.dpotrf(z - model.z_floor * eye, lower=1, clean=0)[1] != 0:
+    # lambda_min(Z) > Z_FLOOR exactly when Z - Z_FLOOR I has a Cholesky factor
+    if lapack.dpotrf(z - Z_FLOOR * eye, lower=1, clean=0)[1] != 0:
         raise SurrogateOutOfRangeError(
             "metric Z lost definiteness (floor %g) at distance %g: point too "
             "far from the expansion point"
-            % (model.z_floor, float(np.max(np.abs(delta))))
+            % (Z_FLOOR, float(np.max(np.abs(delta))))
         )
     l, _ = lapack.dpotrf(z, lower=1, clean=0)
     a, _ = lapack.dsygst(c, l, itype=1, lower=1)
@@ -245,7 +243,7 @@ def evaluate_reduced_with_gradient(model, x, hessian=False):
     s, p, m = model.s, model.n_parameters, model.m
     check = mu[: s + 1]  # the first s are positive
     rel_gaps = (check[:-1] - check[1:]) / check[:-1]
-    if np.any(rel_gaps < model.gap_tol):
+    if np.any(rel_gaps < GAP_TOL):
         raise ClusteredEigenvaluesError(
             "leading reduced eigenvalues nearly coincide (relative gap %g)"
             % float(rel_gaps.min())

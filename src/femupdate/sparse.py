@@ -105,42 +105,22 @@ def union_pattern(patterns):
 class SparseSymMatrix:
     """Square symmetric matrix stored in full CSR form on a pattern.
 
-    Parameters
-    ----------
-    lower : scipy sparse matrix
-        Lower triangle (entries with row >= col) of the matrix, in any
-        scipy sparse format. Entries above the diagonal are rejected.
+    ``data`` holds the values at the pattern's entries, in storage
+    order, and must be symmetric: the value at (i, j) equals the one at
+    (j, i). Matrices on one pattern share its index arrays.
     """
 
-    def __init__(self, lower):
-        lower = sp.csc_array(lower)
-        if lower.shape[0] != lower.shape[1]:
-            raise DimensionMismatchError(
-                "expected a square matrix, got shape %s" % (lower.shape,)
-            )
-        coo = sp.coo_array(lower)
-        if np.any(coo.row < coo.col):
-            raise ValueError("entries above the diagonal are not allowed")
-        diag = sp.dia_array((lower.diagonal()[None, :], [0]), shape=lower.shape)
-        full = (lower + lower.T - diag).tocsr()
-        full.sum_duplicates()
-        self._set(SymmetricPattern(full.shape[0], full.indptr, full.indices), full.data)
-
-    @classmethod
-    def on_pattern(cls, pattern, data):
-        """Matrix with the given values on a pattern; no copy, no checks.
-
-        ``data`` must be symmetric: the value at (i, j) equals the one
-        at (j, i).
-        """
-        self = cls.__new__(cls)
-        self._set(pattern, data)
-        return self
-
-    def _set(self, pattern, data):
+    def __init__(self, pattern, data):
         self.pattern = pattern
         self.data = data
         self._csr = None
+
+    @classmethod
+    def _from_scipy(cls, full):
+        """Matrix with the values of a full symmetric scipy matrix."""
+        full = sp.csr_array(full)
+        full.sum_duplicates()
+        return cls(SymmetricPattern(full.shape[0], full.indptr, full.indices), full.data)
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -150,8 +130,15 @@ class SparseSymMatrix:
         values = np.asarray(values, dtype=np.float64)
         if np.any(rows < cols):
             raise ValueError("triplets must address the lower triangle")
-        lower = sp.coo_array((values, (rows, cols)), shape=(n, n))
-        return cls(lower.tocsc())
+        off = rows > cols  # mirrored into the upper triangle
+        full = sp.coo_array(
+            (
+                np.concatenate((values, values[off])),
+                (np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))),
+            ),
+            shape=(n, n),
+        )
+        return cls._from_scipy(full)
 
     @classmethod
     def from_full(cls, a, sym_tol=1e-10):
@@ -165,8 +152,7 @@ class SparseSymMatrix:
         scale = abs(a).max() if a.nnz else 0.0
         if a.nnz and gap.nnz and gap.max() > sym_tol * max(scale, 1e-300):
             raise ValueError("matrix is not symmetric to tolerance %g" % sym_tol)
-        sym = (a + a.T) * 0.5
-        return cls(sp.tril(sym, format="csc"))
+        return cls._from_scipy((a + a.T) * 0.5)
 
     @property
     def n(self):
@@ -175,10 +161,6 @@ class SparseSymMatrix:
     @property
     def shape(self):
         return (self.n, self.n)
-
-    @property
-    def nnz_lower(self):
-        return self.lower.nnz
 
     @property
     def lower(self):
@@ -210,7 +192,7 @@ class SparseSymMatrix:
 
     def scaled(self, c):
         """New matrix c * A on the same pattern."""
-        return SparseSymMatrix.on_pattern(self.pattern, self.data * float(c))
+        return SparseSymMatrix(self.pattern, self.data * float(c))
 
 
 def _splu(a, permc_spec):
@@ -238,8 +220,6 @@ class CholeskyFactor:
     """
 
     def __init__(self, matrix):
-        if not isinstance(matrix, SparseSymMatrix):
-            matrix = SparseSymMatrix.from_full(matrix)
         perm, gather, indptr, indices = matrix.pattern.ordering()
         permuted = sp.csc_array((matrix.data[gather], indices, indptr), shape=matrix.shape)
         lu = _splu(permuted, "NATURAL")
@@ -249,13 +229,7 @@ class CholeskyFactor:
             raise NotPositiveDefiniteError(perm[bad[0]])
         self.n = matrix.n
         self._lu = lu
-        self._sqrt_d = np.sqrt(d)
         self.perm = perm
-
-    @property
-    def L(self):
-        """Lower Cholesky factor of the permuted matrix (CSC)."""
-        return (self._lu.L @ sp.diags_array(self._sqrt_d)).tocsc()
 
     def solve(self, b):
         """Solve A x = b for a vector or a stack of right-hand sides."""

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .baselines import solve_baseline
-from .objective import EvalCounter, UpdatingProblem, evaluate_full
+from .objective import EvalCounter, evaluate_full
 from .trustregion import solve
 
 
@@ -57,32 +58,42 @@ def write_summary(path, lines):
             fh.write("%s = %s\n" % (key, value))
 
 
+def run_strategy(setup, strategy, counter):
+    """Solve the configured problem with one strategy.
+
+    Returns (result, iterations, status): a SolveResult (RM) or a
+    BaselineResult (A, AD), the outer or solver iterations, and the
+    stopping status.
+    """
+    if strategy == "RM":
+        result = solve(setup.problem, x0=setup.start, config=setup.tr_config,
+                       counter=counter)
+        return result, result.n_outer, "converged" if result.converged else "maxiter"
+    result = solve_baseline(
+        setup.problem, setup.start, strategy, counter=counter,
+        max_iter=setup.tr_config.max_outer * 10,
+    )
+    return result, result.iterations, result.status
+
+
 def run_update(setup, out_dir=None):
     """Run one model update and write convergence.csv plus summary.txt.
 
-    Returns the SolveResult (RM strategy) or BaselineResult (A, AD).
+    Returns ``run_strategy``'s (result, iterations, status).
     """
     out_dir = setup.output_dir if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
     counter = EvalCounter()
     t0 = time.perf_counter()
+    result, iterations, status = run_strategy(setup, setup.strategy, counter)
+    wall = time.perf_counter() - t0
     if setup.strategy == "RM":
-        result = solve(setup.problem, x0=setup.start, config=setup.tr_config,
-                       counter=counter)
         write_convergence_csv(
             os.path.join(out_dir, "convergence.csv"),
             result.history,
             setup.problem.s,
             record_wall_time=setup.record_wall_time,
         )
-        iterations = result.n_outer
-    else:
-        result = solve_baseline(
-            setup.problem, setup.start, setup.strategy, counter=counter,
-            max_iter=setup.tr_config.max_outer * 10,
-        )
-        iterations = result.iterations
-    wall = time.perf_counter() - t0
 
     lines = [
         ("benchmark", setup.benchmark),
@@ -107,7 +118,7 @@ def run_update(setup, out_dir=None):
         lines.append(("rel_error:max", _fmt(float(err.max()))))
         lines.append(("rel_error:mean", _fmt(float(err.mean()))))
     write_summary(os.path.join(out_dir, "summary.txt"), lines)
-    return result
+    return result, iterations, status
 
 
 def perturbed_targets(clean, delta, rng):
@@ -140,15 +151,7 @@ def run_noise_study(setup, out_dir=None):
         for b in range(setup.noise_trials):
             rng = np.random.default_rng([setup.noise_seed, a, b])
             noisy = perturbed_targets(clean, float(delta), rng)
-            problem = UpdatingProblem(
-                setup.problem.pencil,
-                setup.problem.box,
-                measured=noisy,
-                weights="relative",
-                lanczos_tol=setup.problem.lanczos_tol,
-                criticality_tol=setup.problem.criticality_tol,
-                seed=setup.problem.seed,
-            )
+            problem = replace(setup.problem, measured=noisy, weights="relative")
             result = solve(problem, x0=setup.start, config=setup.tr_config)
             err = float(
                 np.max(np.abs(result.x - setup.true_values) / np.abs(setup.true_values))
@@ -194,18 +197,7 @@ def run_strategy_comparison(setup, out_dir=None):
     for strategy in COMPARE_STRATEGIES:
         counter = EvalCounter()
         t0 = time.perf_counter()
-        if strategy == "RM":
-            result = solve(setup.problem, x0=setup.start, config=setup.tr_config,
-                           counter=counter)
-            iterations = result.n_outer
-            status = "converged" if result.converged else "maxiter"
-        else:
-            result = solve_baseline(
-                setup.problem, setup.start, strategy, counter=counter,
-                max_iter=setup.tr_config.max_outer * 10,
-            )
-            iterations = result.iterations
-            status = result.status
+        result, iterations, status = run_strategy(setup, strategy, counter)
         wall = time.perf_counter() - t0
         results[strategy] = result
         rows.append(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxmin import minimize_box
+from .boxmin import minimize_box, projected_gradient_norm
 from .errors import (
     ClusteredEigenvaluesError,
     MaxIterationsError,
@@ -42,7 +42,6 @@ from .reduced import build_reduced_model, evaluate_reduced_with_gradient
 class TrustRegionConfig:
     eta1: float = 0.05
     eta2: float = 0.9
-    gamma1: float = 0.25
     gamma2: float = 0.5
     growth: float = 2.0
     delta0: float = 0.1
@@ -90,7 +89,6 @@ class TrustRegionState:
     k: int = 0
     converged: bool = False
     history: list = field(default_factory=list)
-    models: list = None
 
 
 @dataclass
@@ -106,15 +104,14 @@ class SolveResult:
     counter: EvalCounter
     history: list
     reference: np.ndarray  # scaling reference (physical units of all-ones)
-    models: list = None  # populated when solve(..., keep_models=True)
 
 
 def criticality(box, x, gradient):
     """Projected-gradient criticality ||P_box(x - grad) - x||."""
-    return float(np.linalg.norm(box.project(x - gradient) - x))
+    return projected_gradient_norm(x, gradient, box.lower, box.upper)
 
 
-def start_state(problem, x0, config, counter, keep_models=False):
+def start_state(problem, x0, config, counter):
     """Evaluate the starting point and build the first surrogate."""
     x0 = np.asarray(x0, dtype=np.float64)
     ev = evaluate_full(problem, x0, counter)
@@ -127,7 +124,6 @@ def start_state(problem, x0, config, counter, keep_models=False):
         gradient=grad,
         chi=criticality(problem.box, x0, grad),
         model=model,
-        models=[model] if keep_models else None,
     )
     state.history.append(
         OuterRecord(
@@ -164,25 +160,20 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
     lo = np.maximum(problem.box.lower, state.x - state.delta)
     hi = np.minimum(problem.box.upper, state.x + state.delta)
 
-    cache = {}
-
     def surrogate(x):
-        key = x.tobytes()
-        if key not in cache:
-            cache.clear()
-            cache[key] = evaluate_reduced_with_gradient(model, x, hessian=True)
-        return cache[key]
+        out = evaluate_reduced_with_gradient(model, x, hessian=True)
+        return out[0], out
 
     inner = minimize_box(
-        lambda x: surrogate(x)[0],
-        lambda x: surrogate(x)[2],
+        surrogate,
+        lambda out: out[2],
         state.x,
         lo,
         hi,
         tol=config.inner_tol,
         max_iter=config.inner_max_iter,
         reject=(SurrogateOutOfRangeError, ClusteredEigenvaluesError),
-        hess=lambda x: surrogate(x)[3],
+        hess=lambda out: out[3],
     )
     step = inner.x - state.x
     step_norm = float(np.max(np.abs(step))) if step.size else 0.0
@@ -223,8 +214,6 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
         state.model = new_model
         state.gradient = state.model.gradient
         state.chi = criticality(problem.box, state.x, state.gradient)
-        if state.models is not None:
-            state.models.append(state.model)
         vgap, ggap = state.model.value_gap, state.model.grad_gap
 
     state.history.append(
@@ -251,7 +240,7 @@ def outer_iterate(state, problem, config, counter, wall_s=0.0):
     return state
 
 
-def solve(problem, x0=None, config=None, counter=None, keep_models=False):
+def solve(problem, x0=None, config=None, counter=None):
     """Minimize the updating objective from x0 (physical units).
 
     The problem is rescaled so x0 maps to the all-ones vector; radii,
@@ -261,25 +250,10 @@ def solve(problem, x0=None, config=None, counter=None, keep_models=False):
     """
     config = config or TrustRegionConfig()
     counter = counter if counter is not None else EvalCounter()
-    reference = np.asarray(
-        problem.box.midpoint() if x0 is None else x0, dtype=np.float64
-    )
-    if np.any(reference <= 0.0):
-        raise ValueError("starting point must be strictly positive for scaling")
-    if not problem.box.contains(reference):
-        raise ValueError("starting point lies outside the feasible box")
-    scaled = problem.scaled_by(reference)
+    scaled, reference = problem.scaled_from(x0)
     t0 = time.perf_counter()
-    state = start_state(
-        scaled,
-        np.ones(len(reference)),
-        config,
-        counter,
-        keep_models=keep_models,
-    )
-    n_models = 1
+    state = start_state(scaled, np.ones(len(reference)), config, counter)
     while not state.converged and state.k < config.max_outer:
-        before = state.model
         outer_iterate(
             state,
             scaled,
@@ -287,8 +261,6 @@ def solve(problem, x0=None, config=None, counter=None, keep_models=False):
             counter,
             wall_s=time.perf_counter() - t0,
         )
-        if state.model is not before:
-            n_models += 1
     return SolveResult(
         x=state.x * reference,
         x_scaled=state.x.copy(),
@@ -297,9 +269,8 @@ def solve(problem, x0=None, config=None, counter=None, keep_models=False):
         chi=state.chi,
         converged=state.converged,
         n_outer=state.k,
-        n_models=n_models,
+        n_models=sum(rec.accepted for rec in state.history),
         counter=counter,
         history=state.history,
         reference=reference,
-        models=state.models,
     )

@@ -46,6 +46,24 @@ def test_finite_difference_gradient_costs_extra_evaluations(arch_body):
     assert np.all(np.abs(r_ad.x - true) / true <= 1e-3)
 
 
+def test_forward_differences_factor_every_point_once(arch_problem, monkeypatch):
+    import femupdate.baselines as baselines
+
+    exact = baselines.evaluate_full
+    points = []
+
+    def recorded(problem, x, counter=None):
+        points.append(np.asarray(x).tobytes())
+        return exact(problem, x, counter)
+
+    monkeypatch.setattr(baselines, "evaluate_full", recorded)
+    counter = EvalCounter()
+    result = solve_baseline(arch_problem, None, "A", counter=counter)
+    assert result.converged
+    # the final point reuses its evaluation from the line search
+    assert len(set(points)) == len(points) == counter.factorizations
+
+
 def test_strategies_agree_with_trust_region(arch_body):
     pencil, box, true, clean = arch_body
     problem = UpdatingProblem(pencil, box, measured=clean)

@@ -1,4 +1,8 @@
-"""Projected-gradient/quasi-Newton minimizer on box constraints."""
+"""Projected-gradient/quasi-Newton minimizer on box constraints.
+
+``fun`` returns ``(value, data)`` and ``grad``/``hess`` read the data;
+most tests here pass the point itself as its data.
+"""
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ def quad(center, scales):
     scales = np.asarray(scales, dtype=np.float64)
 
     def fun(x):
-        return 0.5 * float(scales @ (x - center) ** 2)
+        return 0.5 * float(scales @ (x - center) ** 2), x
 
     def grad(x):
         return scales * (x - center)
@@ -50,7 +54,7 @@ def test_quadratic_minimum_clamped_at_bounds():
 
 def test_rosenbrock_in_box():
     def fun(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2), x
 
     def grad(x):
         return np.array([
@@ -82,7 +86,7 @@ def test_reject_exception_shrinks_the_step():
     def fun(x):
         if np.linalg.norm(x) > 1.0:
             raise Refused()
-        return 0.5 * float((x - center) @ (x - center))
+        return 0.5 * float((x - center) @ (x - center)), x
 
     def grad(x):
         return x - center
@@ -108,7 +112,8 @@ def test_max_iterations_status():
 def test_result_reports_value_and_gradient():
     fun, grad = quad([0.25, 0.75], [4.0, 4.0])
     res = minimize_box(fun, grad, np.zeros(2), np.full(2, -1.0), np.full(2, 1.0))
-    assert np.isclose(res.value, fun(res.x))
+    assert np.isclose(res.value, fun(res.x)[0])
+    assert res.data is res.x
     assert np.allclose(res.grad, grad(res.x), atol=1e-12)
 
 
@@ -117,7 +122,7 @@ def test_newton_solves_an_interior_quadratic_in_two_iterations():
     center = np.array([0.3, -0.2, 1.4])
 
     def fun(x):
-        return 0.5 * float((x - center) @ a @ (x - center))
+        return 0.5 * float((x - center) @ a @ (x - center)), x
 
     res = minimize_box(fun, lambda x: a @ (x - center), np.zeros(3),
                        np.full(3, -2.0), np.full(3, 2.0), hess=lambda x: a)
@@ -139,7 +144,7 @@ def test_newton_on_an_indefinite_quadratic_is_monotone_and_ends_at_kkt():
 
     def fun(x):
         evaluated.append(x)
-        return value(x)
+        return value(x), x
 
     def grad(x):
         accepted.append(value(x))  # called at accepted iterates only
@@ -170,7 +175,7 @@ def test_reject_exception_shrinks_the_newton_step():
         if np.linalg.norm(x) > 1.0:
             refused.append(x)
             raise Refused()
-        return 0.5 * float((x - center) @ (x - center))
+        return 0.5 * float((x - center) @ (x - center)), x
 
     # half the true curvature: the full step from the origin lands at
     # 2 * center, outside the ball
@@ -181,3 +186,26 @@ def test_reject_exception_shrinks_the_newton_step():
     assert refused
     assert res.status == "converged"
     assert np.allclose(res.x, center, atol=1e-6)
+
+
+def test_clipped_backtracking_trials_are_evaluated_once():
+    # the steepest-descent steps from the start leave the box, and the
+    # first backtracking trials clip onto one corner, where the quartic
+    # wall in x[0] fails the Armijo test every time
+    center = np.array([40.0, -40.0])
+    evaluated = []
+
+    def fun(x):
+        evaluated.append(x.copy())
+        value = 0.5 * float((x - center) @ (x - center)) + 100.0 * x[0] ** 4
+        return value, len(evaluated) - 1  # the data: where x was stored
+
+    def grad(i):
+        x = evaluated[i]
+        return x - center + np.array([400.0 * x[0] ** 3, 0.0])
+
+    res = minimize_box(fun, grad, np.full(2, 0.5), np.full(2, -1.0), np.full(2, 1.0))
+    assert res.status == "converged"
+    assert np.array_equal(evaluated[1], [-1.0, -1.0])  # the first trial
+    assert all(not np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
+    assert np.array_equal(evaluated[res.data], res.x)

@@ -152,8 +152,9 @@ def test_external_mesh_matches_builtin(tmp_path, arch, arch_targets):
 def test_run_update_writes_outputs(tmp_path):
     path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "out"))
     setup = load_config(path)
-    result = run_update(setup)
-    assert result.converged
+    result, iterations, status = run_update(setup)
+    assert result.converged and status == "converged"
+    assert iterations == result.n_outer
     out = tmp_path / "out"
     with open(out / "convergence.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -170,8 +171,9 @@ def test_run_update_writes_outputs(tmp_path):
 def test_run_update_baseline_strategy(tmp_path):
     path = write(tmp_path, TWO_PARAM.format(strategy="AD", out=tmp_path / "outad"))
     setup = load_config(path)
-    result = run_update(setup)
-    assert result.converged
+    result, iterations, status = run_update(setup)
+    assert result.converged and status == "converged"
+    assert iterations == result.iterations
     assert not (tmp_path / "outad" / "convergence.csv").exists()
     assert "strategy = AD" in (tmp_path / "outad" / "summary.txt").read_text()
 

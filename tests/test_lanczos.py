@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from femupdate import (
     MaxIterationsError,
     SparseSymMatrix,
-    cholesky_factorize,
     lanczos_smallest,
 )
 from femupdate.lanczos import descending_eigh
@@ -82,16 +81,6 @@ def test_seed_reproducibility():
     assert np.array_equal(a.vectors, b.vectors)
     c = lanczos_smallest(k, m, s=3, tol=1e-8, seed=8)
     assert np.allclose(c.eigenvalues, a.eigenvalues, rtol=1e-7)
-
-
-def test_reuses_supplied_factorization():
-    rng = np.random.default_rng(35)
-    k, m = random_spd_pencil(50, rng)
-    factor = cholesky_factorize(k)
-    a = lanczos_smallest(k, m, s=2, tol=1e-8, factor=factor)
-    b = lanczos_smallest(k, m, s=2, tol=1e-8)
-    assert a.factor is factor
-    assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
 
 
 def test_basis_cap_raises_with_partial_result():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from femupdate import FeasibleBox, ParametricPencil, SparseSymMatrix, default_start
+from femupdate import FeasibleBox, ParametricPencil, SparseSymMatrix
 
 from conftest import random_banded_spd
 
@@ -30,14 +30,6 @@ def test_box_contains_and_project():
 def test_box_midpoint_and_default_start():
     box = box23()
     assert np.array_equal(box.midpoint(), [2.0, 15.0])
-    assert np.array_equal(default_start(box), box.midpoint())
-
-
-def test_box_intersect():
-    box = box23()
-    lo, hi = box.intersect([0.0, 12.0], [2.5, 30.0])
-    assert np.array_equal(lo, [1.0, 12.0])
-    assert np.array_equal(hi, [2.5, 20.0])
 
 
 def test_box_scaled_by():

@@ -86,14 +86,6 @@ def test_models_rebuilt_only_on_acceptance(arch_problem):
     assert result.n_models == 1 + accepted
 
 
-def test_keep_models_collects_surrogates(arch_problem):
-    result = solve(arch_problem, x0=ARCH_FAR_START, keep_models=True)
-    assert result.models is not None
-    assert len(result.models) == result.n_models
-    x0_first = result.models[0].x0
-    assert np.allclose(x0_first, np.ones(3))  # scaled expansion point
-
-
 def test_solve_scales_back_to_physical_units(arch_problem):
     result = solve(arch_problem, x0=ARCH_FAR_START)
     assert np.array_equal(result.reference, ARCH_FAR_START)
