@@ -70,7 +70,6 @@ from .trustregion import (
     OuterRecord,
     SolveResult,
     TrustRegionConfig,
-    criticality,
     solve,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "assemble_parametric",
     "build_reduced_model",
     "cholesky_factorize",
-    "criticality",
     "evaluate_full",
     "evaluate_reduced",
     "evaluate_reduced_with_gradient",

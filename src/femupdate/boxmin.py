@@ -14,7 +14,11 @@ direction fails to produce decrease. The method is monotone: every
 iterate satisfies an Armijo decrease along the projected Newton,
 quasi-Newton or gradient path from the previous one.
 
-Termination is on the projected-gradient norm ||x - clip(x - g)||.
+Termination is on the projected-gradient norm ||x - clip(x - g)||, or,
+when no direction gives an Armijo decrease, on every direction's
+first-order gain g^T (x - clip(x + d)) being below _FTOL max(|f|, 1):
+a decrease that small is lost in the rounding error of f, so the point
+counts as converged (as in L-BFGS-B's relative reduction test).
 
 Each evaluation returns the point's value and its data, which the
 gradient and the Hessian then read, so one evaluation serves all three
@@ -34,6 +38,7 @@ from .lanczos import descending_eigh
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 _EIG_FLOOR = 1e-8
+_FTOL = 1e-13  # about 450 ulps of max(|f|, 1)
 _MEMORY = 10  # L-BFGS pairs kept
 
 
@@ -166,7 +171,9 @@ def minimize_box(
                 break
             pairs = []  # quasi-Newton memory unreliable past this point
         if not moved:
-            status = "stalled"
+            gains = [g @ (x - np.clip(x + d, lower, upper)) for d in directions]
+            flat = max(gains) <= _FTOL * max(abs(f), 1.0)
+            status = "converged" if flat else "stalled"
             break
 
         xn, fn, data = moved

@@ -159,16 +159,10 @@ def _apply_material_overrides(parser, materials, need_region):
                 )
             mat.free_young = "young" in props
             mat.free_density = "density" in props
-        if parser.has_option(section, "young_bounds"):
-            mat.young_bounds = tuple(
-                _floats(parser.get(section, "young_bounds"), section, "young_bounds", 2)
-            )
-        if parser.has_option(section, "density_bounds"):
-            mat.density_bounds = tuple(
-                _floats(
-                    parser.get(section, "density_bounds"), section, "density_bounds", 2
-                )
-            )
+        for key in ("young_bounds", "density_bounds"):
+            if parser.has_option(section, key):
+                bounds = _floats(parser.get(section, key), section, key, 2)
+                setattr(mat, key, tuple(bounds))
     if need_region:
         for rid, mat in enumerate(out, start=1):
             if mat is None:
@@ -319,33 +313,22 @@ def load_config(path):
         raise ConfigError("invalid problem: %s" % exc)
 
     tr_kwargs = {}
-    if parser.has_section("trust_region"):
-        for key, cast in (
-            ("eta1", float), ("eta2", float), ("gamma2", float),
-            ("growth", float), ("delta0", float), ("delta_max", float),
-            ("max_outer", int), ("inner_tol", float),
-        ):
-            if parser.has_option("trust_region", key):
-                tr_kwargs[key] = _get(parser, "trust_region", key, cast, _REQUIRED)
+    for key, cast in (
+        ("eta1", float), ("eta2", float), ("gamma2", float),
+        ("growth", float), ("delta0", float), ("delta_max", float),
+        ("max_outer", int), ("inner_tol", float),
+    ):
+        if parser.has_option("trust_region", key):
+            tr_kwargs[key] = _get(parser, "trust_region", key, cast, _REQUIRED)
     tr_config = TrustRegionConfig(**tr_kwargs)
 
     deltas = _floats(
-        parser.get("noise_study", "deltas")
-        if parser.has_option("noise_study", "deltas")
-        else "1e-4 1e-3 1e-2 1e-1 1",
+        _get(parser, "noise_study", "deltas", str, "1e-4 1e-3 1e-2 1e-1 1"),
         "noise_study",
         "deltas",
     )
-    trials = (
-        _get(parser, "noise_study", "trials", int, 5)
-        if parser.has_section("noise_study")
-        else 5
-    )
-    noise_seed = (
-        _get(parser, "noise_study", "seed", int, 2024)
-        if parser.has_section("noise_study")
-        else 2024
-    )
+    trials = _get(parser, "noise_study", "trials", int, 5)
+    noise_seed = _get(parser, "noise_study", "seed", int, 2024)
 
     return RunSetup(
         problem=problem,

@@ -45,7 +45,6 @@ class LanczosResult:
     tridiagonal is the dense m-by-m projection of K^{-1}M onto it;
     solves (n, m) holds the shift-invert solves K^{-1} M u_k, one per
     basis column, as the iteration computed them;
-    factor is the Cholesky factorization of K, reusable by callers;
     bounds are the termination residual bounds (relative, per pair).
     """
 
@@ -54,7 +53,6 @@ class LanczosResult:
     basis: np.ndarray
     tridiagonal: np.ndarray
     solves: np.ndarray
-    factor: object
     bounds: np.ndarray
 
     @property
@@ -193,16 +191,16 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
             raise SubspaceExhaustedError(
                 "Krylov space exhausted with %d of %d pairs available" % (k, s)
             )
-        result = _package(t, mu, vec, bounds, basis[:, :k], solves, factor)
+        result = _package(t, mu, vec, bounds, basis[:, :k], solves)
         raise MaxIterationsError(
             "basis cap %d reached with residual bounds down to %g (tol %g)"
             % (cap, float(np.max(bounds / mu)), tol),
             result=result,
         )
-    return _package(t, mu, vec, bounds, basis[:, :k], solves, factor)
+    return _package(t, mu, vec, bounds, basis[:, :k], solves)
 
 
-def _package(t, mu, vec, bounds, basis, solves, factor):
+def _package(t, mu, vec, bounds, basis, solves):
     # a copy of the used columns, so the result does not keep the whole
     # (n, cap) workspace alive
     basis = basis.copy(order="F")
@@ -213,6 +211,5 @@ def _package(t, mu, vec, bounds, basis, solves, factor):
         basis=basis,
         tridiagonal=t,
         solves=np.stack(solves, axis=1),
-        factor=factor,
         bounds=bounds / mu,
     )

@@ -136,16 +136,15 @@ class EvalCounter:
 class FullEvaluation:
     """Objective value, frequencies, and eigendata at one point.
 
-    Also carries the point x and the matrices K(x), M(x) the eigendata
-    were computed from, so gradients and surrogates built at x reuse
-    them instead of assembling again.
+    Also carries the point x and the mass matrix M(x) the eigendata
+    were computed from, so the gradient at x reuses it instead of
+    assembling again.
     """
 
     value: float
     frequencies: np.ndarray
     lanczos: object
     x: np.ndarray
-    k: object
     m: object
 
 
@@ -165,7 +164,6 @@ def evaluate_full(problem, x, counter=None):
         frequencies=f,
         lanczos=res,
         x=x,
-        k=k,
         m=m,
     )
 

@@ -69,7 +69,6 @@ from .objective import (
     mismatch_gradient,
     weighted_mismatch,
 )
-from .sparse import write_matrix_market
 
 Z_FLOOR = 1e-8
 
@@ -90,7 +89,6 @@ class ReducedModel:
     measured: np.ndarray
     weights: np.ndarray
     s: int
-    value_at_x0: float
     gradient: np.ndarray = None  # full objective gradient at x0
     value_gap: float = 0.0  # |model - objective| at x0, zero by construction
     grad_gap: float = np.nan  # ||model gradient - full gradient|| at x0
@@ -102,13 +100,6 @@ class ReducedModel:
     @property
     def n_parameters(self):
         return self.s_hats.shape[0]
-
-    def dump(self, prefix):
-        """Write T, S_j, G_j to Matrix Market files for inspection."""
-        write_matrix_market("%s_T.mtx" % prefix, self.tridiagonal)
-        for j, (s_hat, g_hat) in enumerate(zip(self.s_hats, self.g_hats)):
-            write_matrix_market("%s_S%d.mtx" % (prefix, j), s_hat)
-            write_matrix_market("%s_G%d.mtx" % (prefix, j), g_hat)
 
 
 def _sym(a):
@@ -153,7 +144,6 @@ def build_reduced_model(problem, evaluation):
         measured=problem.measured.copy(),
         weights=problem.weights.copy(),
         s=problem.s,
-        value_at_x0=phi0,
     )
 
     # at x0 the term g_corr^T delta is zero, so one evaluation with

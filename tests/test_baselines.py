@@ -64,6 +64,23 @@ def test_forward_differences_factor_every_point_once(arch_problem, monkeypatch):
     assert len(set(points)) == len(points) == counter.factorizations
 
 
+def test_analytic_gradient_is_computed_once_per_point(arch_problem, monkeypatch):
+    import femupdate.baselines as baselines
+
+    exact = baselines.full_gradient
+    points = []
+
+    def recorded(problem, evaluation):
+        points.append(evaluation.x.tobytes())
+        return exact(problem, evaluation)
+
+    monkeypatch.setattr(baselines, "full_gradient", recorded)
+    result = solve_baseline(arch_problem, None, "AD")
+    assert result.converged
+    # the final criticality reuses the line search's gradient
+    assert len(points) == len(set(points))
+
+
 def test_strategies_agree_with_trust_region(arch_body):
     pencil, box, true, clean = arch_body
     problem = UpdatingProblem(pencil, box, measured=clean)

@@ -4,8 +4,11 @@
 most tests here pass the point itself as its data.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from femupdate import minimize_box, projected_gradient_norm
 
@@ -21,6 +24,9 @@ def test_projected_gradient_norm_hand_values():
     g2 = np.array([0.0, -1.0])
     # now the second coordinate wants to move inside: |min(1, 0+1) - 0| = 1
     assert np.isclose(projected_gradient_norm(x, g2, lower, upper), 1.0)
+    # at a corner with the whole gradient pointing outward: zero
+    corner = np.array([0.0, 0.0])
+    assert projected_gradient_norm(corner, np.array([3.0, 5.0]), lower, upper) == 0.0
 
 
 def quad(center, scales):
@@ -209,3 +215,56 @@ def test_clipped_backtracking_trials_are_evaluated_once():
     assert np.array_equal(evaluated[1], [-1.0, -1.0])  # the first trial
     assert all(not np.array_equal(a, b) for a, b in zip(evaluated, evaluated[1:]))
     assert np.array_equal(evaluated[res.data], res.x)
+
+
+def box_kkt_oracle(a, c, lower, upper):
+    """Minimum of 0.5 (x - c)^T a (x - c) over the box, a positive definite.
+
+    Tries all 3^p active sets (each component at its lower bound, at its
+    upper bound, or free) and keeps the feasible KKT points; strict
+    convexity makes them one point, found once per degenerate active set.
+    """
+    best = None
+    for sides in itertools.product((-1, 0, 1), repeat=len(c)):
+        sides = np.array(sides)
+        x = np.where(sides < 0, lower, upper)
+        free = sides == 0
+        if free.any():  # a (x - c) = 0 on the free components
+            rhs = a[free] @ c - a[np.ix_(free, ~free)] @ x[~free]
+            x[free] = np.linalg.solve(a[np.ix_(free, free)], rhs)
+        g = a @ (x - c)
+        feasible = np.all(x >= lower - 1e-12) and np.all(x <= upper + 1e-12)
+        if feasible and np.all(g[sides < 0] >= -1e-12) and np.all(g[sides > 0] <= 1e-12):
+            value = 0.5 * float((x - c) @ a @ (x - c))
+            best = value if best is None else min(best, value)
+    assert best is not None
+    return best
+
+
+@given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), newton=st.booleans())
+def test_convex_quadratic_in_a_box_matches_the_active_set_oracle(p, seed, newton):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a = (q * 10.0 ** rng.uniform(-1.0, 1.0, p)) @ q.T  # eigenvalues 0.1 .. 10
+    a = (a + a.T) / 2.0
+    c = rng.uniform(-2.0, 2.0, p)  # the unconstrained minimum, often outside
+    lower = rng.uniform(-1.0, 0.5, p)
+    upper = lower + rng.uniform(0.1, 1.5, p)
+
+    def fun(x):
+        return 0.5 * float((x - c) @ a @ (x - c)), x
+
+    res = minimize_box(
+        fun,
+        lambda x: a @ (x - c),
+        rng.uniform(lower, upper),
+        lower,
+        upper,
+        hess=(lambda x: a) if newton else None,
+    )
+    assert res.status == "converged"
+    # converged: a projected gradient of at most 1e-8 or, where rounding
+    # hides the last decrease, first-order gains below 1e-13 max(|f|, 1);
+    # with eigenvalues of at least 0.1 either leaves a gap under 1e-12
+    best = box_kkt_oracle(a, c, lower, upper)
+    assert abs(res.value - best) <= 1e-12 * max(1.0, abs(best))

@@ -9,23 +9,11 @@ from femupdate import (
     EvalCounter,
     TrustRegionConfig,
     UpdatingProblem,
-    criticality,
-    FeasibleBox,
     MaxIterationsError,
     solve,
 )
 
 from conftest import ARCH_FAR_START, ARCH_TRUE
-
-
-def test_criticality_hand_values():
-    box = FeasibleBox([0.0, 0.0], [1.0, 1.0])
-    x = np.array([0.5, 0.0])
-    g = np.array([2.0, 1.0])
-    # projection of x - g clips to (0, 0): distance (0.5, 0)
-    assert np.isclose(criticality(box, x, g), 0.5)
-    # gradient pointing outward at an active bound contributes nothing
-    assert criticality(box, np.array([0.0, 0.0]), np.array([3.0, 5.0])) == 0.0
 
 
 def test_arch_roundtrip_recovers_parameters(arch_problem):
@@ -111,6 +99,18 @@ def test_default_start_is_box_midpoint(arch_problem):
     result = solve(arch_problem)
     assert np.array_equal(result.reference, arch_problem.box.midpoint())
     assert result.converged
+
+
+def test_critical_start_takes_no_step(arch_problem):
+    first = solve(arch_problem)
+    assert first.converged
+    counter = EvalCounter()
+    result = solve(arch_problem, x0=first.x, counter=counter)
+    # the start is already critical: no trial point is factored
+    assert result.converged and result.chi <= arch_problem.criticality_tol
+    assert result.n_outer == 0 and len(result.history) == 1
+    assert counter.factorizations == 1
+    assert result.n_models == 1
 
 
 def test_wall_time_recorded_in_history(arch_problem):
