@@ -35,6 +35,7 @@ class BaselineResult:
     chi: float
     converged: bool
     iterations: int
+    # BoxMinResult.status; "unconfirmed" where it says converged but chi fails
     status: str
     counter: EvalCounter
 
@@ -84,13 +85,14 @@ def solve_baseline(problem, x0, strategy, counter=None, max_iter=500):
     # AD's line search already holds the analytic gradient at res.x
     g = res.grad if strategy == "AD" else full_gradient(scaled, final)
     chi = projected_gradient_norm(res.x, g, scaled.box.lower, scaled.box.upper)
+    converged = chi <= problem.criticality_tol
     return BaselineResult(
         x=res.x * reference,
         value=final.value,
         frequencies=final.frequencies.copy(),
         chi=chi,
-        converged=chi <= problem.criticality_tol,
+        converged=converged,
         iterations=res.iterations,
-        status=res.status,
+        status="unconfirmed" if res.status == "converged" and not converged else res.status,
         counter=counter,
     )

@@ -10,7 +10,7 @@ pattern of K0 and the dK_j, and M(x) on that of M0 and the dM_j. On its
 pattern, K(x) has the values ``k0 + Dk @ x``, where column j of the
 sparse (nnz, n_parameters) matrix Dk holds the values of dK_j at its
 own entries; evaluation is one sparse product, and every K(x) shares
-the pattern and with it the fill-reducing ordering of its
+the pattern and with it the ordering and kernel of its
 factorization. Each increment keeps its own, usually much smaller,
 pattern for derivative products, with its values stored once, in Dk.
 """

@@ -2,13 +2,11 @@
 
 Matrices are stored in full compressed sparse row form on a shared
 ``SymmetricPattern``: matrices on one pattern share its index arrays and
-differ only in their values. The factorization is an unpivoted sparse
-Cholesky P A Pᵀ = L Lᵀ with a fill-reducing minimum-degree ordering P,
-performed through SuperLU in symmetric mode (no numerical pivoting),
-which for a symmetric positive definite input yields U = diag(d) Lᵀ
-with d > 0. The ordering depends on the pattern alone, so it is
-computed once per pattern and every factorization on that pattern
-reuses it.
+differ only in their values. The factorization is an unpivoted Cholesky
+P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a reverse Cuthill-McKee ordering,
+or SuperLU in symmetric mode without pivoting (U = diag(d) Lᵀ, d > 0 for
+an SPD input) on a minimum-degree ordering. ``SymmetricPattern.ordering``
+picks the kernel once per pattern, from its structure alone.
 """
 
 from __future__ import annotations
@@ -19,6 +17,8 @@ from operator import add
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
@@ -28,7 +28,7 @@ class SymmetricPattern:
     """Structurally symmetric sparsity pattern of an n-by-n matrix.
 
     Full CSR layout: ``indices[indptr[i]:indptr[i + 1]]`` are the sorted
-    columns of row i. The pattern caches its fill-reducing ordering.
+    columns of row i. The pattern caches its ordering and kernel.
     """
 
     def __init__(self, n, indptr, indices):
@@ -52,13 +52,15 @@ class SymmetricPattern:
         return rows * self.n + self.indices
 
     def ordering(self):
-        """(perm, gather, indptr, indices) of the permuted pattern P A Pᵀ.
+        """(perm, kd, pack): the pattern's ordering P and Cholesky kernel.
 
-        ``perm`` is the minimum-degree ordering; ``gather`` maps the
-        values of a matrix on this pattern to the values of its
-        symmetric permutation stored column-wise on (indptr, indices).
-        Computed on first use by factoring a diagonally dominant matrix
-        on the pattern: the ordering only sees the structure.
+        Computed on first use, from the structure alone. The band kernel
+        (reverse Cuthill-McKee, half-bandwidth kd) is used when
+        (kd + 1) n <= 2 nnz(L+U), the fill of a minimum-degree SuperLU
+        probe factorization; SuperLU otherwise (kd is None). ``pack``
+        maps a matrix's values into P A Pᵀ: (src, dst) scatter them into
+        LAPACK's lower band storage, transposed and flattened; (gather,
+        indptr, indices) store them column-wise for SuperLU.
         """
         if self._ordering is None:
             ones = sp.csc_array(
@@ -66,20 +68,21 @@ class SymmetricPattern:
             )
             dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
             lu = _splu(dominant.tocsc(), "MMD_AT_PLUS_A")
-            perm = np.argsort(lu.perm_c)
-            slots = sp.csr_array(
-                (np.arange(1.0, self.nnz + 1.0), self.indices, self.indptr),
-                shape=(self.n, self.n),
-            )[perm][:, perm]
-            slots.sort_indices()
-            # P A Pᵀ is symmetric, so its CSR arrays are also its CSC arrays
-            gather = slots.data.astype(np.int64) - 1
-            self._ordering = (
-                perm,
-                gather,
-                slots.indptr.astype(np.int32),
-                slots.indices.astype(np.int32),
-            )
+            perm = reverse_cuthill_mckee(ones, symmetric_mode=True)
+            # entry (r, c) of A is entry (at[r], at[c]) of P A Pᵀ
+            rows, at = self.keys() // self.n, np.argsort(perm)
+            i, j = at[rows], at[self.indices]
+            kd = int(np.max(i - j, initial=0))
+            if (kd + 1) * self.n <= 2 * lu.nnz:
+                src = np.flatnonzero(i >= j)
+                self._ordering = (perm, kd, (src, i[src] - j[src] + (kd + 1) * j[src]))
+            else:
+                perm, at = np.argsort(lu.perm_c), lu.perm_c
+                i, j = at[rows], at[self.indices]
+                # P A Pᵀ is symmetric, so its CSR arrays are also its CSC arrays
+                gather = np.lexsort((j, i))
+                indptr = np.searchsorted(i[gather], np.arange(self.n + 1)).astype(np.int32)
+                self._ordering = (perm, None, (gather, indptr, j[gather].astype(np.int32)))
         return self._ordering
 
 
@@ -131,13 +134,8 @@ class SparseSymMatrix:
         if np.any(rows < cols):
             raise ValueError("triplets must address the lower triangle")
         off = rows > cols  # mirrored into the upper triangle
-        full = sp.coo_array(
-            (
-                np.concatenate((values, values[off])),
-                (np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))),
-            ),
-            shape=(n, n),
-        )
+        ij = (np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off])))
+        full = sp.coo_array((np.concatenate((values, values[off])), ij), shape=(n, n))
         return cls._from_scipy(full)
 
     @classmethod
@@ -161,11 +159,6 @@ class SparseSymMatrix:
     @property
     def shape(self):
         return (self.n, self.n)
-
-    @property
-    def lower(self):
-        """Lower triangle as CSC (a new matrix)."""
-        return sp.tril(self.to_scipy(), format="csc")
 
     def to_scipy(self):
         """Full symmetric matrix as CSR (shares this matrix's arrays)."""
@@ -198,12 +191,8 @@ class SparseSymMatrix:
 def _splu(a, permc_spec):
     """SuperLU in symmetric mode without pivoting; singular -> not SPD."""
     try:
-        return splu(
-            a,
-            diag_pivot_thresh=0.0,
-            permc_spec=permc_spec,
-            options=dict(SymmetricMode=True),
-        )
+        options = dict(SymmetricMode=True)
+        return splu(a, diag_pivot_thresh=0.0, permc_spec=permc_spec, options=options)
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise NotPositiveDefiniteError(0) from exc
@@ -211,36 +200,45 @@ def _splu(a, permc_spec):
 
 
 class CholeskyFactor:
-    """Sparse Cholesky factorization P A Pᵀ = L Lᵀ of an SPD matrix.
+    """Cholesky factorization P A Pᵀ = L Lᵀ of an SPD sparse matrix.
 
-    ``perm`` is the fill-reducing permutation P as an index vector:
-    (P A Pᵀ)[i, j] == A[perm[i], perm[j]]. It belongs to the matrix's
-    pattern, so factorizations on one pattern share it; the permuted
-    matrix is factored in its natural order.
+    ``perm`` is the pattern's permutation P as an index vector:
+    (P A Pᵀ)[i, j] == A[perm[i], perm[j]]. It and the kernel (band or
+    SuperLU) belong to the matrix's pattern, so factorizations on one
+    pattern share them; P A Pᵀ is factored in its natural order.
     """
 
     def __init__(self, matrix):
-        perm, gather, indptr, indices = matrix.pattern.ordering()
-        permuted = sp.csc_array((matrix.data[gather], indices, indptr), shape=matrix.shape)
-        lu = _splu(permuted, "NATURAL")
-        d = lu.U.diagonal()
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(perm[bad[0]])
+        perm, kd, pack = matrix.pattern.ordering()
+        if kd is None:
+            gather, indptr, indices = pack
+            permuted = sp.csc_array((matrix.data[gather], indices, indptr), shape=matrix.shape)
+            lu = _splu(permuted, "NATURAL")
+            bad = np.flatnonzero(lu.U.diagonal() <= 0.0)
+            if bad.size:
+                raise NotPositiveDefiniteError(perm[bad[0]])
+            self._solve = lu.solve
+        else:
+            src, dst = pack
+            band = np.zeros((matrix.n, kd + 1))
+            band.reshape(-1)[dst] = matrix.data[src]
+            cb, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+            if info > 0:
+                raise NotPositiveDefiniteError(perm[info - 1])
+            if info < 0:
+                raise ValueError("dpbtrf rejected argument %d" % -info)
+            self._solve = lambda b: dpbtrs(cb, b, lower=1, overwrite_b=1)[0]
         self.n = matrix.n
-        self._lu = lu
         self.perm = perm
 
     def solve(self, b):
         """Solve A x = b for a vector or a stack of right-hand sides."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.n:
-            raise DimensionMismatchError(
-                "right-hand side has leading dimension %d, expected %d"
-                % (b.shape[0], self.n)
-            )
+            raise DimensionMismatchError("right-hand side has leading dimension %d, expected %d"
+                                         % (b.shape[0], self.n))
         x = np.empty_like(b)
-        x[self.perm] = self._lu.solve(b[self.perm])
+        x[self.perm] = self._solve(b[self.perm])
         return x
 
 
@@ -252,7 +250,8 @@ def cholesky_factorize(matrix):
 def write_matrix_market(path, matrix, comment=""):
     """Write a SparseSymMatrix (or array) to a Matrix Market file."""
     if isinstance(matrix, SparseSymMatrix):
-        scipy.io.mmwrite(path, matrix.lower, comment=comment, symmetry="symmetric")
+        lower = sp.tril(matrix.to_scipy(), format="csc")
+        scipy.io.mmwrite(path, lower, comment=comment, symmetry="symmetric")
     else:
         scipy.io.mmwrite(path, np.asarray(matrix), comment=comment)
 

@@ -46,6 +46,17 @@ def test_finite_difference_gradient_costs_extra_evaluations(arch_body):
     assert np.all(np.abs(r_ad.x - true) / true <= 1e-3)
 
 
+def test_status_is_converged_only_when_chi_confirms_it(arch_body):
+    pencil, box, _, clean = arch_body
+    problem = UpdatingProblem(pencil, box, measured=clean)
+    result = solve_baseline(problem, box.midpoint(), "A")
+    # the solver's forward-difference test passes, the analytic chi
+    # (about 4.5e-4 against 1e-4) does not
+    assert not result.converged
+    assert result.chi > problem.criticality_tol
+    assert result.status == "unconfirmed"
+
+
 def test_forward_differences_factor_every_point_once(arch_problem, monkeypatch):
     import femupdate.baselines as baselines
 

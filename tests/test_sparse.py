@@ -1,13 +1,16 @@
-"""Sparse symmetric storage and the unpivoted Cholesky wrapper."""
+"""Sparse symmetric storage and the unpivoted Cholesky factorization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from femupdate import (
     CholeskyFactor,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     SparseSymMatrix,
+    assemble_parametric,
+    benchmarks,
     cholesky_factorize,
     read_matrix_market,
     write_matrix_market,
@@ -151,3 +154,61 @@ def test_reused_ordering_reports_pivot_in_original_numbering():
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_factorize(SparseSymMatrix(a.pattern, data))
     assert err.value.pivot == k
+
+
+def _kernel(pattern):
+    return "superlu" if pattern.ordering()[1] is None else "band"
+
+
+def _random_spd_on(n, pairs, rng):
+    """Diagonally dominant SPD matrix on the given (i, j) pairs and the diagonal."""
+    a = np.zeros((n, n))
+    for i, j in pairs:
+        if i != j:
+            a[i, j] = a[j, i] = rng.uniform(-1.0, 1.0)
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + rng.uniform(0.5, 2.0, n)
+    return SparseSymMatrix.from_full(a)
+
+
+@given(n=st.integers(30, 80), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_both_kernels_solve_and_locate_pivots(n, wide, seed):
+    rng = np.random.default_rng(seed)
+    if wide:  # hubs coupled to every dof: any ordering has kd >= (n - 1) / 2
+        hubs = rng.choice(n, rng.integers(1, 3), replace=False)
+        extra = rng.integers(0, n, (n // 4, 2))
+        pairs = [(h, j) for h in hubs for j in range(n)] + list(extra)
+    else:  # a random band of half-width <= 4 under a random relabelling
+        width = rng.integers(1, 5)
+        label = rng.permutation(n)
+        pairs = [(label[i], label[i - off]) for off in range(1, width + 1)
+                 for i in range(off, n) if off == 1 or rng.random() < 0.6]
+    a = _random_spd_on(n, pairs, rng)
+    assert _kernel(a.pattern) == ("superlu" if wide else "band")
+
+    data = a.data.copy()
+    data[_diagonal_slots(a.pattern)] += rng.uniform(0.5, 2.0, n)
+    b = SparseSymMatrix(a.pattern, data)
+    first, second = cholesky_factorize(a), cholesky_factorize(b)
+    assert second.perm is first.perm
+    for matrix, factor in ((a, first), (b, second)):
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            expected = np.linalg.solve(matrix.to_dense(), rhs)
+            x = factor.solve(rhs)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    k = int(rng.integers(n))
+    data = a.data.copy()
+    data[_diagonal_slots(a.pattern)[k]] = -100.0
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        cholesky_factorize(SparseSymMatrix(a.pattern, data))
+    assert err.value.pivot == k
+
+
+@pytest.mark.parametrize("name, refine, kernel", [
+    ("arch", 1, "band"), ("arch", 2, "band"), ("arch", 3, "band"),
+    ("vault", 1, "superlu"), ("vault", 2, "superlu"),
+])
+def test_builtin_structures_keep_their_kernel(name, refine, kernel):
+    pencil, _, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
+    assert _kernel(pencil.pattern) == kernel
