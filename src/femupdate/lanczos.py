@@ -129,8 +129,8 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     rng = np.random.default_rng(seed)
 
     # column-major, so each column and each leading block is contiguous
-    basis = np.zeros((n, cap), order="F")
-    mbasis = np.zeros((n, cap), order="F")  # columns M u_k, for reorthogonalization
+    basis = np.empty((n, cap), order="F")  # column k is written before any read
+    mbasis = np.empty((n, cap), order="F")  # columns M u_k, for reorthogonalization
     solves = []  # K^{-1} M u_k, kept for the reduced model
     alphas, betas = [], []
 

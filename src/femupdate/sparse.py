@@ -3,10 +3,10 @@
 Matrices are stored in full compressed sparse row form on a shared
 ``SymmetricPattern``: matrices on one pattern share its index arrays and
 differ only in their values. The factorization is an unpivoted Cholesky
-P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a reverse Cuthill-McKee ordering,
-or SuperLU in symmetric mode without pivoting (U = diag(d) Lᵀ, d > 0 for
-an SPD input) on a minimum-degree ordering. ``SymmetricPattern.ordering``
-picks the kernel once per pattern, from its structure alone.
+P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a Gibbs-Poole-Stockmeyer level
+ordering, or SuperLU in symmetric mode without pivoting (U = diag(d) Lᵀ,
+d > 0 for an SPD input) on a minimum-degree ordering. ``ordering`` picks
+the kernel once per pattern, from its structure alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
@@ -55,7 +55,7 @@ class SymmetricPattern:
         """(perm, kd, pack): the pattern's ordering P and Cholesky kernel.
 
         Computed on first use, from the structure alone. The band kernel
-        (reverse Cuthill-McKee, half-bandwidth kd) is used when
+        (``_band_ordering``, half-bandwidth kd) is used when
         (kd + 1) n <= 2 nnz(L+U), the fill of a minimum-degree SuperLU
         probe factorization; SuperLU otherwise (kd is None). ``pack``
         maps a matrix's values into P A Pᵀ: (src, dst) scatter them into
@@ -63,12 +63,12 @@ class SymmetricPattern:
         indptr, indices) store them column-wise for SuperLU.
         """
         if self._ordering is None:
-            ones = sp.csc_array(
+            ones = sp.csr_array(
                 (np.ones(self.nnz), self.indices, self.indptr), shape=(self.n, self.n)
             )
             dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
             lu = _splu(dominant.tocsc(), "MMD_AT_PLUS_A")
-            perm = reverse_cuthill_mckee(ones, symmetric_mode=True)
+            perm = _band_ordering(ones)
             # entry (r, c) of A is entry (at[r], at[c]) of P A Pᵀ
             rows, at = self.keys() // self.n, np.argsort(perm)
             i, j = at[rows], at[self.indices]
@@ -84,6 +84,75 @@ class SymmetricPattern:
                 indptr = np.searchsorted(i[gather], np.arange(self.n + 1)).astype(np.int32)
                 self._ordering = (perm, None, (gather, indptr, j[gather].astype(np.int32)))
         return self._ordering
+
+
+def _depths(graph, root):
+    """Breadth-first distance from ``root`` of each node of a connected graph."""
+    hop = breadth_first_order(graph, root, return_predecessors=True)[1]
+    hop[root], depth = root, np.ones(hop.size, dtype=np.int64)
+    depth[root] = 0
+    while np.any(hop != root):  # pointer doubling: depth[i] is i's distance to hop[i]
+        depth, hop = depth + depth[hop], hop[hop]
+    return depth
+
+
+def _component_order(graph):
+    """Nodes of a connected graph in Gibbs-Poole-Stockmeyer level order."""
+    n, deg = graph.shape[0], np.diff(graph.indptr)
+    # pseudo-diameter u-v: from the last level of u, one node per degree;
+    # a deeper one replaces u, else v is the narrowest
+    du = _depths(graph, np.argmin(deg))
+    while True:
+        last, ends = np.flatnonzero(du == du.max()), []
+        for c in last[np.unique(deg[last], return_index=True)[1]]:
+            ends.append(_depths(graph, c))
+            if ends[-1].max() > du.max():
+                break
+        else:
+            break
+        du = ends[-1]
+    ecc = du.max()
+    dv = ecc - min(ends, key=lambda d: np.bincount(d).max())  # v's levels, from u's end
+    # nodes where the two agree keep that level; each other component takes,
+    # largest first, the whole structure that keeps the widest level narrower
+    level, free = du.copy(), np.flatnonzero(du != dv)
+    count = np.bincount(du[du == dv], minlength=ecc + 1)
+    label = connected_components(graph[free][:, free], directed=False)[1]
+    parts = np.split(free[np.argsort(label, kind="stable")], np.cumsum(np.bincount(label))[:-1])
+    for nodes in sorted(parts, key=len, reverse=True):
+        a, b = (np.bincount(d[nodes], minlength=ecc + 1) for d in (du, dv))
+        if np.max(count + b, where=b > 0, initial=0) < np.max(count + a, where=a > 0, initial=0):
+            level[nodes] = dv[nodes]
+        count += np.bincount(level[nodes], minlength=ecc + 1)
+    # level by level, by the lowest number among neighbours on the level
+    # before, then by degree; level 0 by distance from its lowest degree
+    rows = np.repeat(np.arange(n), deg)
+    back = np.flatnonzero(level[graph.indices] == level[rows] - 1)
+    back = back[np.argsort(level[rows[back]], kind="stable")]
+    edge_at = np.searchsorted(level[rows[back]], np.arange(ecc + 2))
+    by_level = np.argsort(level, kind="stable")
+    at = np.searchsorted(level[by_level], np.arange(ecc + 2))
+    first = by_level[:at[1]]
+    key, number = np.full(n, n), np.empty(n, dtype=np.int64)
+    key[first] = _depths(graph, first[np.argmin(deg[first])])[first]
+    for k in range(ecc + 1):
+        e = back[edge_at[k]:edge_at[k + 1]]
+        np.minimum.at(key, rows[e], number[graph.indices[e]])
+        nodes = by_level[at[k]:at[k + 1]]
+        by_level[at[k]:at[k + 1]] = nodes = nodes[np.lexsort((deg[nodes], key[nodes]))]
+        number[nodes] = np.arange(at[k], at[k + 1])
+    return by_level
+
+
+def _band_ordering(graph):
+    """Band ordering of a symmetric graph: each connected component in
+    reversed Gibbs-Poole-Stockmeyer order (SIAM J. Numer. Anal. 13, 1976)."""
+    label = connected_components(graph, directed=False)[1]
+    parts = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+    return np.concatenate([
+        nodes[_component_order(graph[nodes][:, nodes])] if nodes.size > 2 else nodes
+        for nodes in parts
+    ])[::-1]
 
 
 def union_pattern(patterns):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import block_diag
 
 from femupdate import (
     CholeskyFactor,
@@ -170,10 +171,16 @@ def _random_spd_on(n, pairs, rng):
     return SparseSymMatrix.from_full(a)
 
 
-@given(n=st.integers(30, 80), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_both_kernels_solve_and_locate_pivots(n, wide, seed):
+@given(wide=st.booleans(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_both_kernels_solve_and_locate_pivots(wide, data, seed):
+    # Hubs coupled to every dof give kd >= (n - 1) / 2 in any ordering, so
+    # (kd + 1) n >= n (n + 1) / 2. From n = 40 up that exceeds 2 nnz(L+U)
+    # of these patterns (at most 0.84 of it in 200 draws at n = 40), which
+    # forces SuperLU. At n = 30 it does not: a hub numbered mid-band can
+    # meet the band rule.
+    n = data.draw(st.integers(40 if wide else 30, 80), label="n")
     rng = np.random.default_rng(seed)
-    if wide:  # hubs coupled to every dof: any ordering has kd >= (n - 1) / 2
+    if wide:  # hubs coupled to every dof
         hubs = rng.choice(n, rng.integers(1, 3), replace=False)
         extra = rng.integers(0, n, (n // 4, 2))
         pairs = [(h, j) for h in hubs for j in range(n)] + list(extra)
@@ -212,3 +219,56 @@ def test_both_kernels_solve_and_locate_pivots(n, wide, seed):
 def test_builtin_structures_keep_their_kernel(name, refine, kernel):
     pencil, _, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
     assert _kernel(pencil.pattern) == kernel
+    if kernel == "band":  # the piers are 2 (6 refine + 1) dofs across
+        assert pencil.pattern.ordering()[1] <= {1: 22, 2: 36, 3: 48}[refine]
+
+
+def _strip_mask(short, long, rng):
+    """Q4 strip of short x long elements, 2 dofs per node, randomly relabelled.
+
+    Entry (a, b) holds when the nodes of dofs a and b share an element.
+    """
+    w, h = (short, long) if rng.random() < 0.5 else (long, short)
+    x, y = np.divmod(np.arange((w + 1) * (h + 1)), h + 1)
+    near = (abs(x[:, None] - x) <= 1) & (abs(y[:, None] - y) <= 1)
+    label = rng.permutation(2 * x.size)
+    return np.kron(near, np.ones((2, 2), dtype=bool))[np.ix_(label, label)]
+
+
+def _band_kd(mask):
+    """Half-bandwidth the ordering of a symmetric mask's pattern gives (None: SuperLU)."""
+    return SparseSymMatrix.from_full(mask.astype(float)).pattern.ordering()[1]
+
+
+@given(short=st.integers(1, 8), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_strip_half_bandwidth_follows_its_short_side(short, extra, seed):
+    # one row of nodes across the short side is 2 (short + 1) dofs wide;
+    # numbered row by row, a node's diagonal neighbour is 2 short + 5 away
+    kd = _band_kd(_strip_mask(short, 3 * short + extra, np.random.default_rng(seed)))
+    assert kd is not None and kd <= 2 * short + 5
+
+
+def test_disconnected_pattern_orders_each_component():
+    rng = np.random.default_rng(15)
+    first, second = _strip_mask(2, 9, rng), _strip_mask(4, 14, rng)
+    n, m = len(first) + len(second), len(first)
+    label = rng.permutation(n)  # interleaves the two strips' dofs
+    mask = block_diag(first, second)[np.ix_(label, label)]
+    # each strip alone, its dofs in the relative order they have here
+    at = np.argsort(label)
+    alone = [_band_kd(mask[np.ix_(p, p)]) for p in (np.sort(at[:m]), np.sort(at[m:]))]
+    assert None not in alone
+
+    # a third component, a star, leaves kd >= 75 in any ordering: SuperLU
+    star = np.zeros((n + 151, n + 151), dtype=bool)
+    star[:n, :n] = mask
+    star[n, n:] = star[n:, n] = True
+    for kernel, full in (("band", mask), ("superlu", star)):
+        a = _random_spd_on(len(full), np.argwhere(full), rng)
+        assert _kernel(a.pattern) == kernel
+        if kernel == "band":
+            assert a.pattern.ordering()[1] == max(alone)
+        b = rng.standard_normal((len(full), 2))
+        expected = np.linalg.solve(a.to_dense(), b)
+        x = cholesky_factorize(a).solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
