@@ -108,7 +108,8 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     seed : int
         Seed of the start vector; fixed seed gives a reproducible basis.
     max_basis : int, optional
-        Basis-size cap; default max(4 s + 20, 100), never above n.
+        Basis-size cap, at least s; default max(4 s + 20, 100), never
+        above n.
 
     Raises
     ------
@@ -124,8 +125,10 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         raise ValueError("K and M dimensions disagree")
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n, got s=%d, n=%d" % (s, n))
+    if max_basis is not None and max_basis < s:
+        raise ValueError("need max_basis >= s, got max_basis=%d, s=%d" % (max_basis, s))
     factor = cholesky_factorize(k_matrix)
-    cap = min(n, int(max_basis) if max_basis else max(4 * s + 20, 100))
+    cap = min(n, max(4 * s + 20, 100) if max_basis is None else int(max_basis))
     rng = np.random.default_rng(seed)
 
     # column-major, so each column and each leading block is contiguous

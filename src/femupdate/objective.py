@@ -173,7 +173,8 @@ def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
 
     ``m`` is the mass matrix M(x) at that point. Uses the standard
     first-order formula for simple eigenvalues:
-    v_i^T (dK_j - lambda_i dM_j) v_i / (v_i^T M v_i).
+    v_i^T (dK_j - lambda_i dM_j) v_i / (v_i^T M v_i), with each increment
+    applied on its own rows and empty increments skipped.
 
     Raises ClusteredEigenvaluesError when two consecutive eigenvalues
     are closer than GAP_TOL relative to the smaller one: a repeated
@@ -186,18 +187,16 @@ def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
             "eigenvalues to differentiate nearly coincide (relative gap %g)"
             % float(rel_gaps.min())
         )
-    mv = m.matvec(vectors)
-    vmv = np.einsum("ni,ni->i", vectors, mv)
-    out = np.empty((len(eigenvalues), pencil.n_parameters))
+    vmv = np.einsum("ni,ni->i", vectors, m.matvec(vectors))
+    out = np.zeros((len(eigenvalues), pencil.n_parameters))
     for j in range(pencil.n_parameters):
         dk, dm = pencil.derivative(j)
-        kv = dk.matvec(vectors)
-        dmv = dm.matvec(vectors)
-        num = np.einsum("ni,ni->i", vectors, kv) - eigenvalues * np.einsum(
-            "ni,ni->i", vectors, dmv
-        )
-        out[:, j] = num / vmv
-    return out
+        for coef, inc in ((1.0, dk), (-lam, dm)):
+            if inc.pattern.nnz:  # v_i^T dA v_i on the increment's own rows
+                rows, q = inc.local()
+                v = vectors[rows]
+                out[:, j] += coef * np.einsum("ni,ni->i", v, q @ v)
+    return out / vmv[:, None]
 
 
 def mismatch_gradient(frequencies, eigenvalues, dlam, measured, weights):

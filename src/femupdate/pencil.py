@@ -13,6 +13,8 @@ own entries; evaluation is one sparse product, and every K(x) shares
 the pattern and with it the ordering and kernel of its
 factorization. Each increment keeps its own, usually much smaller,
 pattern for derivative products, with its values stored once, in Dk.
+Products with an increment run on its pattern's rows only
+(``SparseSymMatrix.local``), found once per pencil, scaled copies included.
 """
 
 from __future__ import annotations

@@ -16,7 +16,10 @@ and G_j is the projected derivative of M K^{-1} M:
 
 Y is the stack of the shift-invert solves the Lanczos run made anyway
 (``LanczosResult.solves``), so a model costs no back-substitution, only
-sparse products with the parameter increments.
+sparse products with the parameter increments, each on its own rows
+(``SparseSymMatrix.local``): with R the rows dM_j touches and Q its
+block there, S_j = U_R^T Q U_R and U^T dM_j Y = (Q U_R)^T Y_R share the
+product Q U_R. An empty dK_j or dM_j costs nothing.
 
 S_j and G_j are stored stacked as (p, m, m) arrays. One evaluation
 factors Z = L L^T, reduces the pencil to the standard symmetric problem
@@ -109,12 +112,12 @@ def _sym(a):
 def build_reduced_model(problem, evaluation):
     """Assemble the surrogate at a point from its converged full evaluation.
 
-    Cost: sparse products with the parameter increments; no
-    factorization, no back-substitution (Y = K^{-1} M U is the Lanczos
-    run's own solves) and no assembly. The full gradient at the point,
-    needed for the correction term, is kept as ``model.gradient``, and
-    the gaps between model and objective there as ``model.value_gap``
-    (0 by the check below) and ``model.grad_gap``.
+    Cost: sparse products with the nonempty parameter increments on
+    their own rows; no factorization, no back-substitution (Y = K^{-1} M U
+    is the Lanczos run's own solves) and no assembly. The full gradient
+    at the point, needed for the correction term, is kept as
+    ``model.gradient``, and the gaps between model and objective there
+    as ``model.value_gap`` (0 by the check below) and ``model.grad_gap``.
 
     Raises ModelConsistencyError if the surrogate value at the point
     differs from the evaluation's value in any bit.
@@ -125,22 +128,29 @@ def build_reduced_model(problem, evaluation):
     basis = lanczos_result.basis
     y = lanczos_result.solves
 
-    s_hats, g_hats = [], []
-    for j in range(pencil.n_parameters):
+    p, m = pencil.n_parameters, lanczos_result.m
+    s_hats, g_hats = np.zeros((p, m, m)), np.zeros((p, m, m))
+    for j in range(p):
         dk, dm = pencil.derivative(j)
-        dm_basis = dm.matvec(basis)
-        s_hats.append(_sym(basis.T @ dm_basis))
-        b = basis.T @ (dm.matvec(y))
-        c = y.T @ (dk.matvec(y))
-        g_hats.append(b + b.T - _sym(c))
+        if dm.pattern.nnz:  # dM_j is symmetric: one product Q U_R serves S_j and G_j
+            rows, q = dm.local()
+            u_rows = basis[rows]
+            qu = q @ u_rows
+            s_hats[j] = _sym(u_rows.T @ qu)
+            b = qu.T @ y[rows]
+            g_hats[j] = b + b.T
+        if dk.pattern.nnz:
+            rows, q = dk.local()
+            y_rows = y[rows]
+            g_hats[j] -= _sym(y_rows.T @ (q @ y_rows))
 
     phi0 = evaluation.value
     model = ReducedModel(
         x0=x0.copy(),
         tridiagonal=lanczos_result.tridiagonal.copy(),
-        s_hats=np.stack(s_hats),
-        g_hats=np.stack(g_hats),
-        g_corr=np.zeros(pencil.n_parameters),
+        s_hats=s_hats,
+        g_hats=g_hats,
+        g_corr=np.zeros(p),
         measured=problem.measured.copy(),
         weights=problem.weights.copy(),
         s=problem.s,

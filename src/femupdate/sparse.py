@@ -28,7 +28,8 @@ class SymmetricPattern:
     """Structurally symmetric sparsity pattern of an n-by-n matrix.
 
     Full CSR layout: ``indices[indptr[i]:indptr[i + 1]]`` are the sorted
-    columns of row i. The pattern caches its ordering and kernel.
+    columns of row i. The pattern caches its ordering and kernel, and its
+    row support.
     """
 
     def __init__(self, n, indptr, indices):
@@ -36,6 +37,7 @@ class SymmetricPattern:
         self.indptr = np.asarray(indptr, dtype=np.int32)
         self.indices = np.asarray(indices, dtype=np.int32)
         self._ordering = None
+        self._support = None
 
     @property
     def nnz(self):
@@ -50,6 +52,15 @@ class SymmetricPattern:
         """Entry keys row * n + col, ascending in storage order."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         return rows * self.n + self.indices
+
+    def support(self):
+        """(rows, indptr, indices): the rows that hold entries, ascending,
+        and the pattern renumbered onto them. Computed on first use."""
+        if self._support is None:
+            held = np.diff(self.indptr) > 0  # structural symmetry: columns are rows
+            rows, local = np.flatnonzero(held), np.cumsum(held, dtype=np.int32) - 1
+            self._support = (rows, self.indptr[np.append(rows, self.n)], local[self.indices])
+        return self._support
 
     def ordering(self):
         """(perm, kd, pack): the pattern's ordering P and Cholesky kernel.
@@ -186,6 +197,7 @@ class SparseSymMatrix:
         self.pattern = pattern
         self.data = data
         self._csr = None
+        self._local = None
 
     @classmethod
     def _from_scipy(cls, full):
@@ -239,6 +251,14 @@ class SparseSymMatrix:
 
     def to_dense(self):
         return self.to_scipy().toarray()
+
+    def local(self):
+        """(rows, A[rows][:, rows] as CSR) on the pattern's row support, so
+        that xᵀ A x == x[rows]ᵀ (local @ x[rows])."""
+        if self._local is None:
+            rows, indptr, indices = self.pattern.support()
+            self._local = rows, sp.csr_array((self.data, indices, indptr), shape=(rows.size,) * 2)
+        return self._local
 
     def matvec(self, x):
         """Product A @ x for a vector or a stack of column vectors."""

@@ -94,6 +94,16 @@ def test_basis_cap_raises_with_partial_result():
     assert partial.basis.shape[1] == 7
 
 
+def test_basis_cap_below_block_count_is_rejected():
+    # a cap below s can never hold s pairs; 0 is such a cap, not the default
+    rng = np.random.default_rng(37)
+    k, m = random_spd_pencil(50, rng)
+    for cap in (3, 0):
+        with pytest.raises(ValueError, match="max_basis"):
+            lanczos_smallest(k, m, s=5, max_basis=cap)
+    assert lanczos_smallest(k, m, s=5, max_basis=50).m <= 50
+
+
 def test_validates_block_count():
     k = identity(4)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from femupdate import (
     ModelConsistencyError,
     ParametricPencil,
     ReducedModel,
+    SparseSymMatrix,
     SurrogateOutOfRangeError,
     UpdatingProblem,
     build_reduced_model,
@@ -24,6 +25,7 @@ from femupdate import (
     reduced_gradient,
     weighted_mismatch,
 )
+from femupdate.objective import eigenvalue_derivatives
 from femupdate.reduced import Z_FLOOR
 
 from conftest import random_banded_spd, random_spd_pencil
@@ -353,3 +355,104 @@ def test_metric_floor_separates_points_just_inside_and_outside(m, seed, above):
     else:
         with pytest.raises(SurrogateOutOfRangeError):
             evaluate_reduced(model, np.ones(1))
+
+
+def _on_rows(n, rows, rng, scale):
+    """Random symmetric positive semidefinite increment on the given rows."""
+    b = rng.standard_normal((rows.size, rows.size))
+    full = np.zeros((n, n))
+    full[np.ix_(rows, rows)] = scale * (b @ b.T) / rows.size
+    return SparseSymMatrix.from_full(full)
+
+
+def _mixed_problem(n, s, extra, seed):
+    """Problem whose parameters move K and M, neither, one row of K or M,
+    and then K, M or both on random rows (``extra`` of them)."""
+    rng = np.random.default_rng(seed)
+    k0, m0 = random_spd_pencil(n, rng)
+    empty = SparseSymMatrix.from_triplets(n, [], [], [])
+
+    def rows(size):
+        return np.sort(rng.choice(n, size, replace=False))
+
+    shared = rows(int(rng.integers(1, n + 1)))
+    one = rows(1)
+    moves_k = [True, False, bool(rng.integers(2))]
+    moves_m = [True, False, not moves_k[2]]
+    for kind in rng.integers(1, 4, extra):  # 1: K only, 2: M only, 3: both
+        moves_k.append(bool(kind & 1))
+        moves_m.append(bool(kind & 2))
+    supports = [shared, None, one] + [rows(int(rng.integers(1, n + 1))) for _ in range(extra)]
+    dk = [_on_rows(n, r, rng, 0.3) if mk else empty for r, mk in zip(supports, moves_k)]
+    dm = [_on_rows(n, r, rng, 0.05) if mm else empty for r, mm in zip(supports, moves_m)]
+    p = len(dk)
+    pencil = ParametricPencil(k0, m0, dk, dm)
+    measured = np.sort(rng.uniform(0.05, 0.5, s))
+    return UpdatingProblem(pencil, FeasibleBox(np.full(p, 0.1), np.full(p, 5.0)),
+                           measured=measured, lanczos_tol=1e-10)
+
+
+@given(
+    n=st.integers(6, 30),
+    s=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_restricted_projections_match_dense_formulas(n, s, extra, seed):
+    problem = _mixed_problem(n, s, extra, seed)
+    pencil = problem.pencil
+    ev = evaluate_full(problem, np.ones(pencil.n_parameters))
+    lam, v = ev.lanczos.eigenvalues, ev.lanczos.vectors
+    assume(np.min(np.diff(lam) / lam[:-1], initial=1.0) > 1e-6)
+    model = build_reduced_model(problem, ev)
+    dlam = eigenvalue_derivatives(pencil, ev.m, lam, v)
+    u, y = ev.lanczos.basis, ev.lanczos.solves
+    vmv = np.einsum("ni,ni->i", v, ev.m.to_dense() @ v)
+    for j in range(pencil.n_parameters):
+        dk, dm = (a.to_dense() for a in pencil.derivative(j))
+        s_ref = u.T @ dm @ u
+        b, c = u.T @ dm @ y, y.T @ dk @ y
+        g_ref = b + b.T - c
+        assert np.abs(model.s_hats[j] - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
+        g_scale = max(np.abs(b).max(), np.abs(c).max())
+        assert np.abs(model.g_hats[j] - g_ref).max() <= 1e-12 * g_scale
+        vkv = np.einsum("ni,ni->i", v, dk @ v)
+        vdv = lam * np.einsum("ni,ni->i", v, dm @ v)
+        d_scale = np.max((np.abs(vkv) + np.abs(vdv)) / vmv)
+        assert np.abs(dlam[:, j] - (vkv - vdv) / vmv).max() <= 1e-12 * d_scale
+
+
+def test_projections_skip_empty_increments_and_full_products(monkeypatch):
+    # the increments are only ever used through their row-restricted
+    # block, and the empty ones not at all
+    problem = _mixed_problem(24, 3, 2, seed=61)
+    pencil = problem.pencil
+    increments = {id(a): a for a in pencil.k_increments + pencil.m_increments}
+    nonempty = [id(a) for a in increments.values() if a.pattern.nnz]
+    assert len(nonempty) < len(increments)  # the both-empty parameter at least
+    ev = evaluate_full(problem, np.ones(pencil.n_parameters))
+    calls = []
+    for name in ("matvec", "to_scipy", "to_dense", "local"):
+        exact = getattr(SparseSymMatrix, name)
+
+        def counted(matrix, *args, _name=name, _exact=exact):
+            if id(matrix) in increments:
+                calls.append((_name, id(matrix)))
+            return _exact(matrix, *args)
+
+        monkeypatch.setattr(SparseSymMatrix, name, counted)
+    build_reduced_model(problem, ev)  # the projections and the full gradient
+    assert sorted(calls) == sorted([("local", i) for i in nonempty] * 2)
+    calls.clear()
+    eigenvalue_derivatives(pencil, ev.m, ev.lanczos.eigenvalues, ev.lanczos.vectors)
+    assert sorted(calls) == sorted(("local", i) for i in nonempty)
+
+
+def test_scaled_pencil_shares_each_increment_support():
+    pencil = _mixed_problem(12, 2, 2, seed=62).pencil
+    scaled = pencil.scaled_by(np.linspace(0.5, 2.0, pencil.n_parameters))
+    for j in range(pencil.n_parameters):
+        for a, b in zip(pencil.derivative(j), scaled.derivative(j)):
+            assert b.pattern.support() is a.pattern.support()
+            rows, local = b.local()
+            assert np.array_equal(local.toarray(), b.to_dense()[np.ix_(rows, rows)])
