@@ -63,8 +63,6 @@ from .sparse import (
     SparseSymMatrix,
     SymmetricPattern,
     cholesky_factorize,
-    read_matrix_market,
-    write_matrix_market,
 )
 from .trustregion import (
     OuterRecord,
@@ -116,10 +114,8 @@ __all__ = [
     "make_weights",
     "minimize_box",
     "projected_gradient_norm",
-    "read_matrix_market",
     "reduced_gradient",
     "solve",
     "solve_baseline",
     "weighted_mismatch",
-    "write_matrix_market",
 ]

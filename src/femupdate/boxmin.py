@@ -15,10 +15,12 @@ iterate satisfies an Armijo decrease along the projected Newton,
 quasi-Newton or gradient path from the previous one.
 
 Termination is on the projected-gradient norm ||x - clip(x - g)||, or,
-when no direction gives an Armijo decrease, on every direction's
-first-order gain g^T (x - clip(x + d)) being below _FTOL max(|f|, 1):
-a decrease that small is lost in the rounding error of f, so the point
-counts as converged (as in L-BFGS-B's relative reduction test).
+before any line search, on every direction's first-order gain
+g^T (x - clip(x + d)) being below _FTOL max(|f|, 1): a decrease that
+small is lost in the rounding error of f, so the point counts as
+converged (as in L-BFGS-B's relative reduction test) without spending
+evaluations on it. A line search that then finds no Armijo decrease
+along any direction ends the run as stalled.
 
 Each evaluation returns the point's value and its data, which the
 gradient and the Hessian then read, so one evaluation serves all three
@@ -144,6 +146,10 @@ def minimize_box(
         if d is not None and d @ g < 0.0:  # keep only if a descent direction
             directions.append(d)
         directions.append(np.where(pinned, 0.0, -g))
+        gains = [g @ (x - np.clip(x + d, lower, upper)) for d in directions]
+        if max(gains) <= _FTOL * max(abs(f), 1.0):
+            status = "converged"
+            break
 
         moved = None
         for d in directions:
@@ -171,9 +177,7 @@ def minimize_box(
                 break
             pairs = []  # quasi-Newton memory unreliable past this point
         if not moved:
-            gains = [g @ (x - np.clip(x + d, lower, upper)) for d in directions]
-            flat = max(gains) <= _FTOL * max(abs(f), 1.0)
-            status = "converged" if flat else "stalled"
+            status = "stalled"
             break
 
         xn, fn, data = moved

@@ -31,15 +31,7 @@ class SubspaceExhaustedError(NumericalError):
 
 
 class MaxIterationsError(NumericalError):
-    """Iteration cap reached before convergence.
-
-    Carries the best available estimates in ``result`` when the caller
-    provides them.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """Iteration cap reached before convergence."""
 
 
 class ClusteredEigenvaluesError(NumericalError):

@@ -44,8 +44,7 @@ class LanczosResult:
     vectors; basis (n, m) is the M-orthonormal Lanczos basis;
     tridiagonal is the dense m-by-m projection of K^{-1}M onto it;
     solves (n, m) holds the shift-invert solves K^{-1} M u_k, one per
-    basis column, as the iteration computed them;
-    bounds are the termination residual bounds (relative, per pair).
+    basis column, as the iteration computed them.
     """
 
     eigenvalues: np.ndarray
@@ -53,19 +52,10 @@ class LanczosResult:
     basis: np.ndarray
     tridiagonal: np.ndarray
     solves: np.ndarray
-    bounds: np.ndarray
 
     @property
     def m(self):
         return self.tridiagonal.shape[0]
-
-
-def _tridiagonal(alphas, betas):
-    t = np.diag(np.asarray(alphas))
-    if len(alphas) > 1:
-        off = np.asarray(betas[: len(alphas) - 1])
-        t += np.diag(off, 1) + np.diag(off, -1)
-    return t
 
 
 def descending_eigh(a):
@@ -83,15 +73,6 @@ def descending_eigh(a):
     if info != 0:
         raise np.linalg.LinAlgError("symmetric eigensolver failed (info %d)" % info)
     return mu[::-1], vec[:, ::-1]
-
-
-def _leading_ritz(t, s, beta_last):
-    """Ritz data of T: values mu (descending, first s), bounds, vectors."""
-    mu, vec = descending_eigh(t)
-    mu_lead = mu[:s]
-    vec_lead = vec[:, :s]
-    bounds = np.abs(beta_last * vec_lead[-1, :])
-    return mu_lead, vec_lead, bounds
 
 
 def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
@@ -117,8 +98,7 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         The Krylov space spans everything reachable but holds fewer
         than s pairs.
     MaxIterationsError
-        Cap reached before the bound was met; carries the best current
-        estimates in ``result``.
+        Cap reached before the bound was met.
     """
     n = k_matrix.n
     if m_matrix.n != n:
@@ -135,7 +115,7 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     basis = np.empty((n, cap), order="F")  # column k is written before any read
     mbasis = np.empty((n, cap), order="F")  # columns M u_k, for reorthogonalization
     solves = []  # K^{-1} M u_k, kept for the reduced model
-    alphas, betas = [], []
+    t = np.zeros((cap + 1, cap + 1))  # T_k = t[:k, :k]; beta_k in row/column k
 
     v = rng.standard_normal(n)
     mv = m_matrix.matvec(v)
@@ -143,19 +123,16 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     scale = 0.0  # running magnitude of the projected operator
 
     k = 0
-    converged = False
-    exhausted = False
     while k < cap:
         basis[:, k] = v / norm
         mbasis[:, k] = mv / norm
         w = factor.solve(mbasis[:, k])
         solves.append(w.copy())
-        alpha = float(mbasis[:, k] @ w)
-        alphas.append(alpha)
+        alpha = t[k, k] = mbasis[:, k] @ w
         scale = max(scale, abs(alpha))
         w -= alpha * basis[:, k]
         if k > 0:
-            w -= betas[-1] * basis[:, k - 1]
+            w -= t[k, k - 1] * basis[:, k - 1]
         for _ in range(2):  # full reorthogonalization, two passes
             w -= basis[:, : k + 1] @ (mbasis[:, : k + 1].T @ w)
         mw = m_matrix.matvec(w)
@@ -165,14 +142,23 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         broke = beta <= _BREAKDOWN_REL * max(scale, 1e-300)
         if broke:
             beta = 0.0
-        betas.append(beta)
+        t[k, k - 1] = t[k - 1, k] = beta
 
         if k >= s:
-            t = _tridiagonal(alphas, betas)
-            mu, vec, bounds = _leading_ritz(t, s, beta)
+            mu, vec = descending_eigh(t[:k, :k])
+            mu, vec = mu[:s], vec[:, :s]  # the leading Ritz pairs
+            bounds = np.abs(beta * vec[-1])
             if np.all(mu > 0.0) and np.all(bounds <= tol * mu):
-                converged = True
-                break
+                # a copy of the used columns, so the result does not keep
+                # the whole (n, cap) workspace alive
+                basis = basis[:, :k].copy(order="F")
+                return LanczosResult(
+                    eigenvalues=1.0 / mu,  # descending mu -> ascending lambda
+                    vectors=basis @ vec,
+                    basis=basis,
+                    tridiagonal=t[:k, :k].copy(),
+                    solves=np.stack(solves, axis=1),
+                )
 
         if broke:
             # invariant subspace: continue with a fresh direction
@@ -182,37 +168,15 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
             mv = m_matrix.matvec(v)
             norm2 = float(v @ mv)
             if norm2 <= n * 1e-28:
-                exhausted = True
-                break
+                raise SubspaceExhaustedError(
+                    "Krylov space exhausted with %d of %d pairs available" % (k, s)
+                )
             norm = np.sqrt(norm2)
         else:
             v, mv, norm = w, mw, beta
 
-    # when k >= s, the last iteration has computed T and its Ritz data
-    if not converged:
-        if exhausted or k < s:
-            raise SubspaceExhaustedError(
-                "Krylov space exhausted with %d of %d pairs available" % (k, s)
-            )
-        result = _package(t, mu, vec, bounds, basis[:, :k], solves)
-        raise MaxIterationsError(
-            "basis cap %d reached with residual bounds down to %g (tol %g)"
-            % (cap, float(np.max(bounds / mu)), tol),
-            result=result,
-        )
-    return _package(t, mu, vec, bounds, basis[:, :k], solves)
-
-
-def _package(t, mu, vec, bounds, basis, solves):
-    # a copy of the used columns, so the result does not keep the whole
-    # (n, cap) workspace alive
-    basis = basis.copy(order="F")
-    lam = 1.0 / mu  # descending mu -> ascending lambda
-    return LanczosResult(
-        eigenvalues=lam,
-        vectors=basis @ vec,
-        basis=basis,
-        tridiagonal=t,
-        solves=np.stack(solves, axis=1),
-        bounds=bounds / mu,
+    # k = cap >= s here, so the last iteration computed the Ritz data
+    raise MaxIterationsError(
+        "basis cap %d reached with residual bounds down to %g (tol %g)"
+        % (cap, float(np.max(bounds / mu)), tol)
     )

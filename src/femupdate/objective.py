@@ -134,18 +134,12 @@ class EvalCounter:
 
 @dataclass
 class FullEvaluation:
-    """Objective value, frequencies, and eigendata at one point.
-
-    Also carries the point x and the mass matrix M(x) the eigendata
-    were computed from, so the gradient at x reuses it instead of
-    assembling again.
-    """
+    """Objective value, frequencies, and eigendata at the point x."""
 
     value: float
     frequencies: np.ndarray
     lanczos: object
     x: np.ndarray
-    m: object
 
 
 def evaluate_full(problem, x, counter=None):
@@ -164,16 +158,15 @@ def evaluate_full(problem, x, counter=None):
         frequencies=f,
         lanczos=res,
         x=x,
-        m=m,
     )
 
 
-def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
+def eigenvalue_derivatives(pencil, eigenvalues, vectors):
     """d lambda_i / d x_j for the pencil, given eigenpairs at a point.
 
-    ``m`` is the mass matrix M(x) at that point. Uses the standard
-    first-order formula for simple eigenvalues:
-    v_i^T (dK_j - lambda_i dM_j) v_i / (v_i^T M v_i), with each increment
+    The vectors must be M-normalized (v_i^T M(x) v_i = 1), as Lanczos
+    Ritz vectors are. Uses the standard first-order formula for simple
+    eigenvalues: v_i^T (dK_j - lambda_i dM_j) v_i, with each increment
     applied on its own rows and empty increments skipped.
 
     Raises ClusteredEigenvaluesError when two consecutive eigenvalues
@@ -187,7 +180,6 @@ def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
             "eigenvalues to differentiate nearly coincide (relative gap %g)"
             % float(rel_gaps.min())
         )
-    vmv = np.einsum("ni,ni->i", vectors, m.matvec(vectors))
     out = np.zeros((len(eigenvalues), pencil.n_parameters))
     for j in range(pencil.n_parameters):
         dk, dm = pencil.derivative(j)
@@ -196,7 +188,7 @@ def eigenvalue_derivatives(pencil, m, eigenvalues, vectors):
                 rows, q = inc.local()
                 v = vectors[rows]
                 out[:, j] += coef * np.einsum("ni,ni->i", v, q @ v)
-    return out / vmv[:, None]
+    return out
 
 
 def mismatch_gradient(frequencies, eigenvalues, dlam, measured, weights):
@@ -208,7 +200,7 @@ def mismatch_gradient(frequencies, eigenvalues, dlam, measured, weights):
 def full_gradient(problem, evaluation):
     """Gradient of phi at the point of a converged full evaluation."""
     lam, vectors = evaluation.lanczos.eigenvalues, evaluation.lanczos.vectors
-    dlam = eigenvalue_derivatives(problem.pencil, evaluation.m, lam, vectors)
+    dlam = eigenvalue_derivatives(problem.pencil, lam, vectors)
     return mismatch_gradient(
         evaluation.frequencies, lam, dlam, problem.measured, problem.weights
     )

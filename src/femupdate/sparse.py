@@ -15,7 +15,6 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import breadth_first_order, connected_components
@@ -335,22 +334,3 @@ def cholesky_factorize(matrix):
     """Factor an SPD SparseSymMatrix; raises NotPositiveDefiniteError."""
     return CholeskyFactor(matrix)
 
-
-def write_matrix_market(path, matrix, comment=""):
-    """Write a SparseSymMatrix (or array) to a Matrix Market file."""
-    if isinstance(matrix, SparseSymMatrix):
-        lower = sp.tril(matrix.to_scipy(), format="csc")
-        scipy.io.mmwrite(path, lower, comment=comment, symmetry="symmetric")
-    else:
-        scipy.io.mmwrite(path, np.asarray(matrix), comment=comment)
-
-
-def read_matrix_market(path):
-    """Read a symmetric Matrix Market file as a SparseSymMatrix.
-
-    Dense (array-format) files are returned as plain ndarrays.
-    """
-    a = scipy.io.mmread(path)
-    if isinstance(a, np.ndarray):
-        return a
-    return SparseSymMatrix.from_full(a.tocsc())

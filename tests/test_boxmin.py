@@ -217,6 +217,25 @@ def test_clipped_backtracking_trials_are_evaluated_once():
     assert np.array_equal(evaluated[res.data], res.x)
 
 
+@pytest.mark.parametrize("newton", [False, True])
+def test_flat_start_converges_after_one_evaluation(newton):
+    # a constant function whose gradient is rounding noise: the
+    # projected gradient is above tol, but no direction can gain more
+    # than _FTOL, so no trial point is worth an evaluation
+    evaluated = []
+
+    def fun(x):
+        evaluated.append(x.copy())
+        return 0.0, x
+
+    res = minimize_box(fun, lambda x: np.full(2, 1e-7), np.full(2, 0.5),
+                       np.zeros(2), np.ones(2),
+                       hess=(lambda x: np.eye(2)) if newton else None)
+    assert res.status == "converged"
+    assert len(evaluated) == 1
+    assert np.array_equal(res.x, np.full(2, 0.5))
+
+
 def box_kkt_oracle(a, c, lower, upper):
     """Minimum of 0.5 (x - c)^T a (x - c) over the box, a positive definite.
 

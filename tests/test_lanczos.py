@@ -50,19 +50,38 @@ def test_matches_dense_oracle_random_pencil():
     assert np.all(np.abs(result.eigenvalues - oracle) <= 1e-6 * np.abs(oracle))
 
 
-def test_vectors_are_m_orthonormal_with_small_residuals():
-    rng = np.random.default_rng(32)
-    k, m = random_spd_pencil(90, rng)
+def _pencil_with_triples(d, rng):
+    """Dense SPD pencil K = B W Bᵀ, M = B Bᵀ of size 3 d: its eigenvalues
+    are W's, d distinct values each repeated exactly three times."""
+    q, _ = np.linalg.qr(rng.standard_normal((3 * d, 3 * d)))
+    b = q * np.sqrt(rng.uniform(0.5, 2.0, 3 * d))
+    w = np.repeat(rng.uniform(1.0, 10.0, d), 3)
+    return SparseSymMatrix.from_full((b * w) @ b.T), SparseSymMatrix.from_full(b @ b.T)
+
+
+@given(
+    d=st.integers(1, 10),
+    s=st.integers(1, 12),
+    triples=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vectors_are_m_orthonormal_with_small_residuals(d, s, triples, seed):
+    # the gradient divides by no v_i^T M v_i: it relies on this. With
+    # triples and s > d one Krylov space holds too few distinct
+    # eigenvalues, so such draws mostly break down and restart
+    rng = np.random.default_rng(seed)
+    k, m = _pencil_with_triples(d, rng) if triples else random_spd_pencil(3 * d, rng)
+    s = min(s, 3 * d)
     tol = 1e-7
-    result = lanczos_smallest(k, m, s=4, tol=tol, seed=1)
+    result = lanczos_smallest(k, m, s=s, tol=tol, seed=seed)
     v = result.vectors
-    gram = v.T @ m.matvec(v)
-    assert np.abs(gram - np.eye(4)).max() <= 1e-9
-    for i in range(4):
-        r = k.matvec(v[:, i]) - result.eigenvalues[i] * m.matvec(v[:, i])
+    mv = m.matvec(v)
+    assert np.abs(v.T @ mv - np.eye(s)).max() <= 1e-12
+    for i in range(s):
+        r = k.matvec(v[:, i]) - result.eigenvalues[i] * mv[:, i]
         # the stopping rule bounds the shift-inverted residual by tol * mu
         assert np.linalg.norm(r) <= 10 * tol * result.eigenvalues[i] * np.linalg.norm(
-            m.matvec(v[:, i])
+            mv[:, i]
         ) + 1e-9
 
 
@@ -84,14 +103,11 @@ def test_seed_reproducibility():
     assert np.allclose(c.eigenvalues, a.eigenvalues, rtol=1e-7)
 
 
-def test_basis_cap_raises_with_partial_result():
+def test_basis_cap_raises_max_iterations():
     rng = np.random.default_rng(36)
     k, m = random_spd_pencil(200, rng)
-    with pytest.raises(MaxIterationsError) as err:
+    with pytest.raises(MaxIterationsError, match=r"basis cap 7 reached .* \(tol 1e-12\)"):
         lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
-    partial = err.value.result
-    assert partial is not None
-    assert partial.basis.shape[1] == 7
 
 
 def test_basis_cap_below_block_count_is_rejected():
@@ -146,9 +162,7 @@ def test_basis_does_not_keep_the_workspace_alive():
     result = lanczos_smallest(k, m, s=2, tol=1e-9)
     assert result.m < 80  # the workspace has more columns than were used
     assert result.basis.base is None and result.basis.flags.f_contiguous
-    with pytest.raises(MaxIterationsError) as info:
-        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
-    assert info.value.result.basis.base is None
+    assert result.tridiagonal.base is None
 
 
 def test_recorded_solves_survive_breakdown_restarts():
@@ -160,14 +174,6 @@ def test_recorded_solves_survive_breakdown_restarts():
     assert np.allclose(result.eigenvalues, [1.0, 1.0, 2.0, 2.0], atol=1e-9)
     assert np.any(np.diag(result.tridiagonal, 1) == 0.0)  # a restart happened
     assert_solves_are_fresh_back_substitutions(result, k, m)
-
-
-def test_partial_result_carries_recorded_solves():
-    rng = np.random.default_rng(36)
-    k, m = random_spd_pencil(200, rng)
-    with pytest.raises(MaxIterationsError) as err:
-        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
-    assert_solves_are_fresh_back_substitutions(err.value.result, k, m)
 
 
 @given(m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), repeat=st.booleans())

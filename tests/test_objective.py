@@ -129,7 +129,7 @@ def test_eigenvalue_derivatives_match_finite_differences():
     problem = UpdatingProblem(pencil, box, measured=measured, lanczos_tol=1e-10)
     x = np.ones(2)
     ev = evaluate_full(problem, x)
-    dlam = eigenvalue_derivatives(pencil, ev.m, ev.lanczos.eigenvalues, ev.lanczos.vectors)
+    dlam = eigenvalue_derivatives(pencil, ev.lanczos.eigenvalues, ev.lanczos.vectors)
 
     h = 1e-6
     for j in range(2):
@@ -199,10 +199,9 @@ def test_repeated_eigenvalue_has_no_gradient():
     dk = diagonal([1.0, 0.0, 1.0, 0.0])
     dm = diagonal([0.0, 0.5, 0.0, 0.0])
     pencil = ParametricPencil(diagonal(lam), diagonal(np.ones(4)), [dk], [dm], ["p"])
-    _, m = pencil.evaluate(np.zeros(1))
-    vectors = np.eye(4)[:, :3]
+    vectors = np.eye(4)[:, :3]  # M-normalized: M = I
     with pytest.raises(ClusteredEigenvaluesError):
-        eigenvalue_derivatives(pencil, m, lam[:3], vectors)
+        eigenvalue_derivatives(pencil, lam[:3], vectors)
     # the simple pair below the repeated one is still differentiable
-    dlam = eigenvalue_derivatives(pencil, m, lam[:2], vectors[:, :2])
+    dlam = eigenvalue_derivatives(pencil, lam[:2], vectors[:, :2])
     assert np.allclose(dlam[:, 0], [1.0, -1.0])

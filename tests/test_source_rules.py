@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import femupdate
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "femupdate"
 
 
@@ -16,3 +18,10 @@ def test_package_has_no_assert_statements():
     ]
     assert len(list(PACKAGE.glob("*.py"))) > 1  # the walk saw the package
     assert found == []
+
+
+def test_every_public_name_resolves():
+    # a trimmed API must take its names out of __all__ too
+    missing = [name for name in femupdate.__all__ if not hasattr(femupdate, name)]
+    assert len(femupdate.__all__) > 1
+    assert missing == []

@@ -13,8 +13,6 @@ from femupdate import (
     assemble_parametric,
     benchmarks,
     cholesky_factorize,
-    read_matrix_market,
-    write_matrix_market,
 )
 
 from conftest import random_banded_spd
@@ -104,25 +102,6 @@ def test_cholesky_solve_dimension_check():
     factor = cholesky_factorize(random_banded_spd(8, rng))
     with pytest.raises(DimensionMismatchError):
         factor.solve(np.ones(9))
-
-
-def test_matrix_market_round_trip_symmetric(tmp_path):
-    rng = np.random.default_rng(12)
-    m = random_banded_spd(20, rng)
-    path = tmp_path / "k.mtx"
-    write_matrix_market(path, m)
-    text = path.read_text()
-    assert "symmetric" in text.splitlines()[0]
-    back = read_matrix_market(path)
-    assert np.allclose(back.to_dense(), m.to_dense(), atol=1e-15)
-
-
-def test_matrix_market_round_trip_dense_array(tmp_path):
-    a = np.array([[1.5, -2.0], [0.25, 4.0], [0.0, 1.0]])
-    path = tmp_path / "a.mtx"
-    write_matrix_market(path, a)
-    back = read_matrix_market(path)
-    assert np.allclose(back, a, atol=1e-15)
 
 
 def _diagonal_slots(pattern):
