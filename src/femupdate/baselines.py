@@ -6,7 +6,9 @@ candidate point costs one sparse factorization plus a Lanczos run.
 Strategy 'AD' uses the analytic eigenvalue-sensitivity gradient (one
 evaluation per accepted iterate); strategy 'A' approximates the
 gradient by forward differences, spending one extra evaluation per
-parameter. They exist to quantify what the surrogate saves.
+parameter. They exist to quantify what the surrogate saves. A trial
+point whose stiffness is not positive definite shortens the line
+search's step, as it shortens the trust-region inner step.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxmin import minimize_box, projected_gradient_norm
+from .errors import NotPositiveDefiniteError
 from .objective import EvalCounter, evaluate_full, full_gradient
 
 # Forward-difference step in scaled coordinates. Its truncation error,
@@ -80,6 +83,7 @@ def solve_baseline(problem, x0, strategy, counter=None, max_iter=500):
         scaled.box.upper,
         tol=problem.criticality_tol,
         max_iter=max_iter,
+        reject=NotPositiveDefiniteError,
     )
     final = res.data
     # AD's line search already holds the analytic gradient at res.x

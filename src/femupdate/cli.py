@@ -9,9 +9,10 @@ Subcommands::
     femupdate mesh <arch|vault> <path>  export a built-in benchmark mesh
 
 Exit codes: 0 on success, 1 when an update fails to converge, 2 on a
-configuration or usage error, 3 on a numerical failure (clustered
-eigenvalues, surrogate out of range, inconsistent model, Lanczos cap or
-exhausted subspace).
+configuration or usage error or a start point where K is not positive
+definite, 3 on a numerical failure (clustered eigenvalues, surrogate out
+of range, inconsistent model, Lanczos cap or exhausted subspace). A
+trial point where K is not positive definite is a rejected step.
 """
 
 from __future__ import annotations

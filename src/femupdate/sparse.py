@@ -6,7 +6,7 @@ differ only in their values. The factorization is an unpivoted Cholesky
 P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a Gibbs-Poole-Stockmeyer level
 ordering, or SuperLU in symmetric mode without pivoting (U = diag(d) Lᵀ,
 d > 0 for an SPD input) on a minimum-degree ordering. ``ordering`` picks
-the kernel once per pattern, from its structure alone.
+the kernel once per pattern, from its structure alone, by estimated cost.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
+
+# The cost ratio n (kd + 1)² / nnz(L+U) up to which ``ordering`` takes the
+# band kernel: dpbtrf took 0.03-0.04 ns per unit of n kd², SuperLU 50-80 ns
+# per fill entry. Band wins at 906 (vault r1) and is no faster at 2168
+# (vault r2), where it needs more memory; 1400 is their geometric mean.
+BAND_COST_RATIO = 1400.0
 
 
 class SymmetricPattern:
@@ -65,12 +71,13 @@ class SymmetricPattern:
         """(perm, kd, pack): the pattern's ordering P and Cholesky kernel.
 
         Computed on first use, from the structure alone. The band kernel
-        (``_band_ordering``, half-bandwidth kd) is used when
-        (kd + 1) n <= 2 nnz(L+U), the fill of a minimum-degree SuperLU
-        probe factorization; SuperLU otherwise (kd is None). ``pack``
-        maps a matrix's values into P A Pᵀ: (src, dst) scatter them into
-        LAPACK's lower band storage, transposed and flattened; (gather,
-        indptr, indices) store them column-wise for SuperLU.
+        (``_band_ordering``, half-bandwidth kd) is used when its cost is
+        estimated lower, n (kd + 1)² <= BAND_COST_RATIO nnz(L+U) for the
+        fill of a minimum-degree SuperLU probe factorization; SuperLU
+        otherwise (kd is None). ``pack`` maps a matrix's values into
+        P A Pᵀ: (src, dst) scatter them into LAPACK's lower band storage,
+        transposed and flattened; (gather, indptr, indices) store them
+        column-wise for SuperLU.
         """
         if self._ordering is None:
             ones = sp.csr_array(
@@ -83,7 +90,7 @@ class SymmetricPattern:
             rows, at = self.keys() // self.n, np.argsort(perm)
             i, j = at[rows], at[self.indices]
             kd = int(np.max(i - j, initial=0))
-            if (kd + 1) * self.n <= 2 * lu.nnz:
+            if self.n * (kd + 1) ** 2 <= BAND_COST_RATIO * lu.nnz:
                 src = np.flatnonzero(i >= j)
                 self._ordering = (perm, kd, (src, i[src] - j[src] + (kd + 1) * j[src]))
             else:

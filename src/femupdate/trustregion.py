@@ -13,15 +13,16 @@ cluster, and shortens its step. The agreement ratio
 decides acceptance (rho >= eta1) and the radius update: expansion by
 ``growth`` (capped at delta_max) when rho >= eta2, unchanged radius for
 intermediate rho, shrink by gamma2 on rejection. A step whose trial
-point's Lanczos run fails (basis cap or exhausted Krylov space), or
-whose new model cannot be built because its eigenvalues cluster, is
-rejected like one with a low ratio; its record keeps the error's name
-as the reason. A new surrogate is built only at accepted iterates,
-from the trial point's own Lanczos data, so each outer iteration costs
-exactly one sparse factorization. The loop stops once the
-projected-gradient criticality ||P(x - grad) - x|| is at or below the
-problem's tolerance. It is tested before every step, so a start that
-is already critical takes none.
+point's stiffness is not positive definite, whose Lanczos run fails
+(basis cap or exhausted Krylov space), or whose new model cannot be
+built because its eigenvalues cluster, is rejected like one with a low
+ratio; its record keeps the error's name as the reason. A new surrogate
+is built only at accepted iterates, from the trial point's own Lanczos
+data, so each outer iteration costs exactly one sparse factorization.
+The loop stops once the projected-gradient criticality
+||P(x - grad) - x|| is at or below the problem's tolerance. It is
+tested before every step, so a start that is already critical takes
+none.
 
 All coordinates here are scaled: ``solve`` rescales the problem so the
 starting point becomes the all-ones vector, and maps the final iterate
@@ -39,6 +40,7 @@ from .boxmin import minimize_box, projected_gradient_norm
 from .errors import (
     ClusteredEigenvaluesError,
     MaxIterationsError,
+    NotPositiveDefiniteError,
     SubspaceExhaustedError,
     SurrogateOutOfRangeError,
 )
@@ -77,8 +79,8 @@ class OuterRecord:
     model_value_gap: float = np.nan
     model_grad_gap: float = np.nan
     # why the step was rejected: "no_decrease", "low_ratio", or the name
-    # of the trial point's Lanczos or model-build error; "" when accepted
-    # and for k = 0
+    # of the trial point's factorization, Lanczos or model-build error;
+    # "" when accepted and for k = 0
     reason: str = ""
     # the step's inner solve: iterations and BoxMinResult.status
     # (0 and "" for k = 0)
@@ -175,6 +177,7 @@ def solve(problem, x0=None, config=None, counter=None):
                 else:
                     reason = "low_ratio"
             except (
+                NotPositiveDefiniteError,
                 MaxIterationsError,
                 SubspaceExhaustedError,
                 ClusteredEigenvaluesError,

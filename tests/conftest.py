@@ -45,6 +45,18 @@ def arch_problem(arch, arch_targets):
 
 
 @pytest.fixture(scope="session")
+def arch_soft_pier():
+    """(problem, truth): the arch with the left pier's Young's modulus
+    bounded below by 0, where K(x) is singular; targets at a soft pier."""
+    mesh, materials = benchmarks.benchmark("arch")
+    materials[1].young_bounds = (0.0, 9000.0)
+    pencil, box, _ = assemble_parametric(mesh, materials)
+    truth = np.array([1000.0, 2200.0, 4800.0])
+    gen = UpdatingProblem(pencil, box, measured=np.arange(1.0, 6.0))
+    return UpdatingProblem(pencil, box, measured=evaluate_full(gen, truth).frequencies), truth
+
+
+@pytest.fixture(scope="session")
 def vault():
     mesh, materials = benchmarks.benchmark("vault")
     pencil, box, start = assemble_parametric(mesh, materials)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from femupdate import EvalCounter, UpdatingProblem, solve, solve_baseline
+from femupdate import (
+    EvalCounter,
+    NotPositiveDefiniteError,
+    UpdatingProblem,
+    solve,
+    solve_baseline,
+)
 
 from conftest import ARCH_FAR_START, ARCH_TRUE
 
@@ -100,3 +106,25 @@ def test_strategies_agree_with_trust_region(arch_body):
     r_ad = solve_baseline(problem, mid, "AD")
     assert abs(r_rm.value - r_ad.value) <= 1e-6
     assert np.allclose(r_rm.x, r_ad.x, rtol=1e-3)
+
+
+def test_indefinite_trial_point_shortens_the_line_search(arch_soft_pier, monkeypatch):
+    import femupdate.baselines as baselines
+
+    problem, truth = arch_soft_pier
+    exact = baselines.evaluate_full
+    failed = []
+
+    def recording(problem, x, counter=None):
+        try:
+            return exact(problem, x, counter)
+        except NotPositiveDefiniteError:
+            failed.append(x)
+            raise
+
+    monkeypatch.setattr(baselines, "evaluate_full", recording)
+    result = solve_baseline(problem, problem.box.midpoint(), "AD")
+    # the first line search reaches the pier's zero modulus, then shortens
+    assert failed and failed[0][0] == 0.0
+    assert result.converged
+    assert np.all(np.abs(result.x - truth) / truth <= 1e-3)

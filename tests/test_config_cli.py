@@ -229,6 +229,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["update", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_cli_indefinite_start_exits_2(tmp_path, capsys):
+    # a fixed region with zero modulus leaves K singular at the start
+    text = BASE.format(out=tmp_path / "out").replace(
+        "mode = generate", "mode = measured"
+    ).replace("values = 5000 2200 4800", "values = 18 28 49 50 65")
+    path = write(tmp_path, text + "\n[material.arch]\nyoung = 0\n")
+    assert main(["update", path]) == 2
+    assert "not positive definite" in capsys.readouterr().err
+
+
 def test_cli_nonconvergence_exit_1(tmp_path, capsys):
     text = TWO_PARAM.format(strategy="RM", out=tmp_path / "out") + (
         "\n[trust_region]\nmax_outer = 1\n"

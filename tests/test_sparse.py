@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 from scipy.linalg import block_diag
+
+import femupdate.sparse as sparse
 
 from femupdate import (
     CholeskyFactor,
@@ -13,6 +16,7 @@ from femupdate import (
     assemble_parametric,
     benchmarks,
     cholesky_factorize,
+    lanczos_smallest,
 )
 
 from conftest import random_banded_spd
@@ -153,11 +157,13 @@ def _random_spd_on(n, pairs, rng):
 @given(wide=st.booleans(), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_both_kernels_solve_and_locate_pivots(wide, data, seed):
     # Hubs coupled to every dof give kd >= (n - 1) / 2 in any ordering, so
-    # (kd + 1) n >= n (n + 1) / 2. From n = 40 up that exceeds 2 nnz(L+U)
-    # of these patterns (at most 0.84 of it in 200 draws at n = 40), which
-    # forces SuperLU. At n = 30 it does not: a hub numbered mid-band can
-    # meet the band rule.
-    n = data.draw(st.integers(40 if wide else 30, 80), label="n")
+    # n (kd + 1)² >= n (n + 1)² / 4, while these patterns fill only
+    # nnz(L+U) <= 6.9 n (100 draws each at n = 240 and 320). So from
+    # n = 240 up the cost ratio n (kd + 1)² / nnz(L+U) is at least 1.5
+    # times BAND_COST_RATIO (least 2173 in those draws), which forces
+    # SuperLU. At n = 150 it is only 0.6 times; a band of half-width <= 4
+    # stays far below it.
+    n = data.draw(st.integers(240, 320) if wide else st.integers(30, 80), label="n")
     rng = np.random.default_rng(seed)
     if wide:  # hubs coupled to every dof
         hubs = rng.choice(n, rng.integers(1, 3), replace=False)
@@ -191,15 +197,50 @@ def test_both_kernels_solve_and_locate_pivots(wide, data, seed):
     assert err.value.pivot == k
 
 
+def _cost_ratio(pattern):
+    """n (kd + 1)² / nnz(L+U) of a pattern: the band ordering's kd against
+    the fill of the minimum-degree probe factorization."""
+    ones = sp.csr_array((np.ones(pattern.nnz), pattern.indices, pattern.indptr),
+                        shape=(pattern.n,) * 2)
+    lu = sparse._splu((ones + sp.diags_array(np.diff(pattern.indptr) + 1.0)).tocsc(),
+                      "MMD_AT_PLUS_A")
+    at = np.argsort(sparse._band_ordering(ones))
+    kd = np.max(at[pattern.keys() // pattern.n] - at[pattern.indices])
+    return pattern.n * (kd + 1.0) ** 2 / lu.nnz
+
+
 @pytest.mark.parametrize("name, refine, kernel", [
     ("arch", 1, "band"), ("arch", 2, "band"), ("arch", 3, "band"),
-    ("vault", 1, "superlu"), ("vault", 2, "superlu"),
+    ("vault", 1, "band"), ("vault", 2, "superlu"),
 ])
 def test_builtin_structures_keep_their_kernel(name, refine, kernel):
     pencil, _, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
     assert _kernel(pencil.pattern) == kernel
-    if kernel == "band":  # the piers are 2 (6 refine + 1) dofs across
-        assert pencil.pattern.ordering()[1] <= {1: 22, 2: 36, 3: 48}[refine]
+    if kernel == "band":  # the arch's piers are 2 (6 refine + 1) dofs across
+        max_kd = {("arch", 1): 22, ("arch", 2): 36, ("arch", 3): 48, ("vault", 1): 343}
+        assert pencil.pattern.ordering()[1] <= max_kd[name, refine]
+    # a mesh change that drifts toward the threshold fails here first
+    ratio = _cost_ratio(pencil.pattern) / sparse.BAND_COST_RATIO
+    assert (ratio <= 1.0) == (kernel == "band")
+    assert max(ratio, 1.0 / ratio) >= 1.3
+
+
+@pytest.mark.parametrize("name", ["arch", "vault"])
+def test_kernel_choice_is_a_pure_function_of_the_structure(name):
+    # byte-identical convergence.csv files need every assembly of one
+    # structure to get the same ordering, kernel and rounding
+    runs = []
+    for _ in range(2):
+        pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name))
+        k, m = pencil.evaluate(box.midpoint())
+        perm, kd, _ = k.pattern.ordering()
+        rhs = np.random.default_rng(0).standard_normal((k.n, 3))
+        x = cholesky_factorize(k).solve(rhs)
+        runs.append((k.pattern, perm, kd, x, lanczos_smallest(k, m, 10).eigenvalues))
+    (pa, perm_a, kd_a, xa, ea), (pb, perm_b, kd_b, xb, eb) = runs
+    assert pa is not pb and kd_a is not None  # both structures are band at r1
+    assert kd_a == kd_b and np.array_equal(perm_a, perm_b)
+    assert xa.tobytes() == xb.tobytes() and ea.tobytes() == eb.tobytes()
 
 
 def _strip_mask(short, long, rng):
@@ -238,8 +279,9 @@ def test_disconnected_pattern_orders_each_component():
     alone = [_band_kd(mask[np.ix_(p, p)]) for p in (np.sort(at[:m]), np.sort(at[m:]))]
     assert None not in alone
 
-    # a third component, a star, leaves kd >= 75 in any ordering: SuperLU
-    star = np.zeros((n + 151, n + 151), dtype=bool)
+    # a third component, a star of 401 leaves, leaves kd >= 200 in any
+    # ordering: n (kd + 1)² is 2.9 times BAND_COST_RATIO nnz(L+U), SuperLU
+    star = np.zeros((n + 401, n + 401), dtype=bool)
     star[:n, :n] = mask
     star[n, n:] = star[n:, n] = True
     for kernel, full in (("band", mask), ("superlu", star)):

@@ -10,6 +10,7 @@ from femupdate import (
     TrustRegionConfig,
     UpdatingProblem,
     MaxIterationsError,
+    NotPositiveDefiniteError,
     solve,
 )
 
@@ -226,3 +227,25 @@ def test_records_carry_the_inner_solve(arch_problem, monkeypatch):
         (res.iterations, res.status) for res in inner
     ]
     assert all(res.iterations >= 1 for res in inner)
+
+
+def test_indefinite_trial_point_rejects_the_step(arch_soft_pier):
+    # from the midpoint a unit radius reaches the pier's zero modulus
+    problem, truth = arch_soft_pier
+    config = TrustRegionConfig(delta0=1.0)
+    counter = EvalCounter()
+    result = solve(problem, config=config, counter=counter)
+    assert result.converged
+    assert np.all(np.abs(result.x - truth) / truth <= 1e-4)
+
+    hist = result.history
+    failed = [rec for rec in hist if rec.reason == "NotPositiveDefiniteError"]
+    assert failed and failed[0].k == 1
+    for rec in failed:
+        before = hist[rec.k - 1]
+        assert not rec.accepted and np.isnan(rec.rho) and rec.step_norm > 0.0
+        assert rec.value == before.value and np.array_equal(rec.x, before.x)
+        assert np.isclose(rec.delta, before.delta * config.gamma2)
+    # the failed factorizations are counted
+    trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
+    assert counter.factorizations == 1 + trials
