@@ -9,8 +9,8 @@ Subcommands::
     femupdate mesh <arch|vault> <path>  export a built-in benchmark mesh
 
 Exit codes: 0 on success, 1 when an update fails to converge, 2 on a
-configuration or usage error or a start point where K is not positive
-definite, 3 on a numerical failure (clustered eigenvalues, surrogate out
+configuration or usage error (unknown keys and invalid material values
+included) or a start point where K is not positive definite, 3 on a numerical failure (clustered eigenvalues, surrogate out
 of range, inconsistent model, Lanczos cap or exhausted subspace). A
 trial point where K is not positive definite is a rejected step.
 """
@@ -23,7 +23,8 @@ import sys
 from . import benchmarks
 from .config import load_config
 from .errors import ConfigError, NumericalError
-from .studies import eigenreport, run_noise_study, run_strategy_comparison, run_update
+from .objective import evaluate_full
+from .studies import run_noise_study, run_strategy_comparison, run_update
 
 
 def _build_parser():
@@ -72,17 +73,19 @@ def main(argv=None):
             return 0
 
         setup = load_config(args.config)
+        if args.output_dir is not None:
+            setup.output_dir = args.output_dir
+        out = setup.output_dir
 
         if args.command == "eigs":
-            freqs, lams = eigenreport(setup.problem, setup.start)
+            ev = evaluate_full(setup.problem, setup.start)
             print("frequencies at start point (Hz):")
-            for i, (f, lam) in enumerate(zip(freqs, lams)):
+            for i, (f, lam) in enumerate(zip(ev.frequencies, ev.lanczos.eigenvalues)):
                 print("  f%-2d = %12.6f   (eigenvalue %.6e)" % (i + 1, f, lam))
             return 0
 
         if args.command == "update":
-            result, iterations, _ = run_update(setup, out_dir=args.output_dir)
-            out = args.output_dir or setup.output_dir
+            result, iterations, _ = run_update(setup)
             print("strategy %s: %s after %d iterations" % (
                 setup.strategy,
                 "converged" if result.converged else "did not converge",
@@ -97,8 +100,7 @@ def main(argv=None):
             return 0 if result.converged else 1
 
         if args.command == "noise-study":
-            deltas, medians, slope = run_noise_study(setup, out_dir=args.output_dir)
-            out = args.output_dir or setup.output_dir
+            deltas, medians, slope = run_noise_study(setup)
             print("noise level -> median max relative parameter error")
             for d, m in zip(deltas, medians):
                 print("  %8.1e -> %.3e" % (d, m))
@@ -107,8 +109,7 @@ def main(argv=None):
             return 0
 
         if args.command == "compare":
-            results = run_strategy_comparison(setup, out_dir=args.output_dir)
-            out = args.output_dir or setup.output_dir
+            results = run_strategy_comparison(setup)
             print("strategy  factorizations  objective      criticality")
             for name in ("RM", "AD", "A"):
                 r = results[name]

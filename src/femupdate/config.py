@@ -1,63 +1,14 @@
 """Run configuration: a single INI file with named sections.
 
-Schema (version 1)::
-
-    [run]
-    schema_version = 1
-    benchmark = arch            ; arch | vault | mesh:<path>
-    refine = 1                  ; mesh refinement of built-in benchmarks
-    modes = 5                   ; number of matched frequencies s
-    weight_mode = relative      ; uniform | relative | custom
-    custom_weights =            ; s values, custom mode only
-    lanczos_tol = 1e-5
-    criticality_tol = 1e-4
-    seed = 11                   ; Lanczos start-vector seed (per run)
-    strategy = RM               ; RM | A | AD  (update command)
-    start = midpoint            ; 'midpoint' or free-parameter values
-    record_wall_time = false    ; real times in the convergence CSV
-    output_dir = out
-
-    [trust_region]              ; optional, defaults shown in the docs
-    eta1 = 0.05
-    eta2 = 0.9
-    gamma2 = 0.5
-    growth = 2.0
-    delta0 = 0.1
-    delta_max = 1.0
-    max_outer = 100
-    inner_tol = 1e-8
-
-    [targets]
-    mode = generate             ; generate | measured
-    values = 5000 2200 4800     ; generate: true free-parameter values
-                                ; measured: s frequencies in Hz
-    noise = 0.0                 ; relative noise on generated targets
-    noise_seed = 1
-
-    [noise_study]               ; noise-study command only
-    deltas = 1e-4 1e-3 1e-2 1e-1 1
-    trials = 5
-    seed = 2024
-
-    [material.<name>]           ; override/declare region materials
-    region = 2                  ; required for external meshes
-    young = 5000                ; MPa
-    density = 2200              ; kg/m^3
-    poisson = 0.2
-    free = young density        ; properties to treat as parameters
-    young_bounds = 1000 9000
-    density_bounds = 1000 3000
-
-For the built-in benchmarks every material section is optional and
-matched by name; unspecified entries keep their benchmark defaults.
-External meshes (``benchmark = mesh:<path>``) must declare one section
-per region with an explicit ``region`` id.
+The README's "Config schema (version 1)" lists every section and key
+with its default; ``KEYS`` below is the same table, and any other
+section or key is a ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,11 +16,28 @@ from . import benchmarks
 from .errors import ConfigError
 from .fem import Material, Mesh, assemble_parametric
 from .objective import UpdatingProblem, evaluate_full
+from .studies import perturbed_targets
 from .trustregion import TrustRegionConfig
 
 SCHEMA_VERSION = 1
 STRATEGIES = ("RM", "A", "AD")
 UNSUPPORTED_STRATEGIES = ("BB",)
+
+# accepted keys per section; every [material.<name>] shares one set
+KEYS = {
+    "run": (
+        "schema_version", "benchmark", "refine", "modes", "weight_mode",
+        "custom_weights", "lanczos_tol", "criticality_tol", "seed", "strategy",
+        "start", "record_wall_time", "output_dir",
+    ),
+    "trust_region": tuple(f.name for f in fields(TrustRegionConfig)),
+    "targets": ("mode", "values", "noise", "noise_seed"),
+    "noise_study": ("deltas", "trials", "seed"),
+    "material.<name>": (
+        "region", "young", "density", "poisson", "free", "young_bounds",
+        "density_bounds",
+    ),
+}
 
 
 @dataclass
@@ -83,8 +51,6 @@ class RunSetup:
     output_dir: str
     record_wall_time: bool
     benchmark: str
-    mesh: Mesh
-    materials: list
     parameter_names: list
     true_values: np.ndarray  # None when targets are measured
     noise_deltas: np.ndarray
@@ -159,10 +125,19 @@ def _apply_material_overrides(parser, materials, need_region):
                 )
             mat.free_young = "young" in props
             mat.free_density = "density" in props
-        for key in ("young_bounds", "density_bounds"):
+        for prop in ("young", "density"):
+            key = prop + "_bounds"
             if parser.has_option(section, key):
                 bounds = _floats(parser.get(section, key), section, key, 2)
                 setattr(mat, key, tuple(bounds))
+            value, (lower, upper) = getattr(mat, prop), getattr(mat, key)
+            if not 0.0 < value < np.inf:
+                raise ConfigError("must be positive and finite, got %r" % value, section, prop)
+            if getattr(mat, "free_" + prop) and not 0.0 < lower < upper < np.inf:
+                raise ConfigError(
+                    "a free property needs finite bounds 0 < lower < upper, got %r %r"
+                    % (lower, upper), section, key,
+                )
     if need_region:
         for rid, mat in enumerate(out, start=1):
             if mat is None:
@@ -185,6 +160,13 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError("malformed config: %s" % exc)
 
+    for section in parser.sections():
+        known = KEYS.get("material.<name>" if section.startswith("material.") else section)
+        if known is None:
+            raise ConfigError("unknown section", section)
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError("unknown key", section, key)
     if not parser.has_section("run"):
         raise ConfigError("missing section", "run")
     version = _get(parser, "run", "schema_version", int, SCHEMA_VERSION)
@@ -289,9 +271,7 @@ def load_config(path):
             rng = np.random.default_rng(
                 [_get(parser, "targets", "noise_seed", int, 1), 0]
             )
-            measured = np.sort(
-                measured * (1.0 + noise * rng.uniform(-1.0, 1.0, measured.size))
-            )
+            measured = perturbed_targets(measured, noise, rng)
     elif mode == "measured":
         measured = _floats(
             _get(parser, "targets", "values", str, _REQUIRED), "targets", "values", s
@@ -312,15 +292,10 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError("invalid problem: %s" % exc)
 
-    tr_kwargs = {}
-    for key, cast in (
-        ("eta1", float), ("eta2", float), ("gamma2", float),
-        ("growth", float), ("delta0", float), ("delta_max", float),
-        ("max_outer", int), ("inner_tol", float),
-    ):
-        if parser.has_option("trust_region", key):
-            tr_kwargs[key] = _get(parser, "trust_region", key, cast, _REQUIRED)
-    tr_config = TrustRegionConfig(**tr_kwargs)
+    tr_config = TrustRegionConfig(**{
+        f.name: _get(parser, "trust_region", f.name, type(f.default), f.default)
+        for f in fields(TrustRegionConfig)
+    })
 
     deltas = _floats(
         _get(parser, "noise_study", "deltas", str, "1e-4 1e-3 1e-2 1e-1 1"),
@@ -338,8 +313,6 @@ def load_config(path):
         output_dir=_get(parser, "run", "output_dir", str, "out"),
         record_wall_time=_get(parser, "run", "record_wall_time", bool, False),
         benchmark=bench,
-        mesh=mesh,
-        materials=materials,
         parameter_names=list(pencil.names),
         true_values=true_values,
         noise_deltas=deltas,

@@ -161,6 +161,16 @@ def evaluate_full(problem, x, counter=None):
     )
 
 
+def require_separated(values, what):
+    """Raise ClusteredEigenvaluesError when two consecutive values are
+    closer than GAP_TOL relative to the first of the two."""
+    rel_gaps = np.abs(np.diff(values)) / np.abs(values[:-1])
+    if np.any(rel_gaps < GAP_TOL):
+        raise ClusteredEigenvaluesError(
+            "%s nearly coincide (relative gap %g)" % (what, float(rel_gaps.min()))
+        )
+
+
 def eigenvalue_derivatives(pencil, eigenvalues, vectors):
     """d lambda_i / d x_j for the pencil, given eigenpairs at a point.
 
@@ -174,12 +184,7 @@ def eigenvalue_derivatives(pencil, eigenvalues, vectors):
     eigenvalue has no derivative, only directional ones.
     """
     lam = np.asarray(eigenvalues)
-    rel_gaps = np.abs(np.diff(lam)) / np.abs(lam[:-1])
-    if np.any(rel_gaps < GAP_TOL):
-        raise ClusteredEigenvaluesError(
-            "eigenvalues to differentiate nearly coincide (relative gap %g)"
-            % float(rel_gaps.min())
-        )
+    require_separated(lam, "eigenvalues to differentiate")
     out = np.zeros((len(eigenvalues), pencil.n_parameters))
     for j in range(pencil.n_parameters):
         dk, dm = pencil.derivative(j)

@@ -49,9 +49,6 @@ class FeasibleBox:
             np.all(x >= self.lower - slack) and np.all(x <= self.upper + slack)
         )
 
-    def project(self, x):
-        return np.clip(x, self.lower, self.upper)
-
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
 
@@ -136,27 +133,6 @@ class ParametricPencil:
     @property
     def n_parameters(self):
         return len(self._k.increments)
-
-    @property
-    def k0(self):
-        return self._k.base
-
-    @property
-    def m0(self):
-        return self._m.base
-
-    @property
-    def k_increments(self):
-        return self._k.increments
-
-    @property
-    def m_increments(self):
-        return self._m.increments
-
-    @property
-    def pattern(self):
-        """Pattern of every K(x); its ordering serves all factorizations."""
-        return self._k.pattern
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -58,18 +58,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    ClusteredEigenvaluesError,
-    ModelConsistencyError,
-    SurrogateOutOfRangeError,
-)
+from .errors import ModelConsistencyError, SurrogateOutOfRangeError
 from .lanczos import descending_eigh
 from .objective import (
-    GAP_TOL,
     TWO_PI,
     frequencies_from_eigenvalues,
     full_gradient,
     mismatch_gradient,
+    require_separated,
     weighted_mismatch,
 )
 
@@ -241,13 +237,7 @@ def evaluate_reduced_with_gradient(model, x, hessian=False):
     """
     delta, mu, l, v = _eigensystem(model, x)
     s, p, m = model.s, model.n_parameters, model.m
-    check = mu[: s + 1]  # the first s are positive
-    rel_gaps = (check[:-1] - check[1:]) / check[:-1]
-    if np.any(rel_gaps < GAP_TOL):
-        raise ClusteredEigenvaluesError(
-            "leading reduced eigenvalues nearly coincide (relative gap %g)"
-            % float(rel_gaps.min())
-        )
+    require_separated(mu[: s + 1], "leading reduced eigenvalues")
     value, f_hat = _value(model, delta, mu)
 
     # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i

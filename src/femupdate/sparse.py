@@ -275,9 +275,6 @@ class SparseSymMatrix:
             )
         return self.to_scipy() @ x
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
     def scaled(self, c):
         """New matrix c * A on the same pattern."""
         return SparseSymMatrix(self.pattern, self.data * float(c))

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import solve_baseline
-from .objective import EvalCounter, evaluate_full
+from .objective import EvalCounter
 from .trustregion import solve
 
 
@@ -76,20 +76,19 @@ def run_strategy(setup, strategy, counter):
     return result, result.iterations, result.status
 
 
-def run_update(setup, out_dir=None):
+def run_update(setup):
     """Run one model update and write convergence.csv plus summary.txt.
 
     Returns ``run_strategy``'s (result, iterations, status).
     """
-    out_dir = setup.output_dir if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(setup.output_dir, exist_ok=True)
     counter = EvalCounter()
     t0 = time.perf_counter()
     result, iterations, status = run_strategy(setup, setup.strategy, counter)
     wall = time.perf_counter() - t0
     if setup.strategy == "RM":
         write_convergence_csv(
-            os.path.join(out_dir, "convergence.csv"),
+            os.path.join(setup.output_dir, "convergence.csv"),
             result.history,
             setup.problem.s,
             record_wall_time=setup.record_wall_time,
@@ -117,7 +116,7 @@ def run_update(setup, out_dir=None):
             lines.append(("rel_error:%s" % name, _fmt(e)))
         lines.append(("rel_error:max", _fmt(float(err.max()))))
         lines.append(("rel_error:mean", _fmt(float(err.mean()))))
-    write_summary(os.path.join(out_dir, "summary.txt"), lines)
+    write_summary(os.path.join(setup.output_dir, "summary.txt"), lines)
     return result, iterations, status
 
 
@@ -127,7 +126,7 @@ def perturbed_targets(clean, delta, rng):
     return np.sort(clean * factors)
 
 
-def run_noise_study(setup, out_dir=None):
+def run_noise_study(setup):
     """Parameter error versus target noise level.
 
     For each noise level delta and each trial, the clean targets are
@@ -135,14 +134,13 @@ def run_noise_study(setup, out_dir=None):
     configured start, and the largest relative parameter error against
     the known true values is recorded. Writes noise_study.csv (one row
     per trial) and noise_summary.txt with per-level medians and the
-    log-log slope fitted through them.
+    log-log slope fitted through them (nan with fewer than two levels).
 
     Returns (deltas, medians, slope).
     """
     if setup.true_values is None:
         raise ValueError("noise study needs generated targets (known true values)")
-    out_dir = setup.output_dir if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(setup.output_dir, exist_ok=True)
 
     clean = setup.problem.measured
     rows = []
@@ -159,27 +157,29 @@ def run_noise_study(setup, out_dir=None):
             errors[a, b] = err
             rows.append((float(delta), b, err, result.converged, result.n_outer))
 
-    with open(os.path.join(out_dir, "noise_study.csv"), "w", newline="") as fh:
+    with open(os.path.join(setup.output_dir, "noise_study.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["delta", "trial", "max_rel_error", "converged", "iterations"])
         for delta, b, err, conv, n in rows:
             writer.writerow([_fmt(delta), str(b), _fmt(err), _fmt(conv), str(n)])
 
     medians = np.median(errors, axis=1)
-    slope = float(
-        np.polyfit(np.log10(setup.noise_deltas), np.log10(medians), 1)[0]
-    )
+    slope = np.nan  # a single noise level has no slope
+    if np.unique(setup.noise_deltas).size > 1:
+        slope = float(
+            np.polyfit(np.log10(setup.noise_deltas), np.log10(medians), 1)[0]
+        )
     lines = [("trials", str(setup.noise_trials)), ("slope", _fmt(slope))]
     for delta, med in zip(setup.noise_deltas, medians):
         lines.append(("median:%s" % _fmt(float(delta)), _fmt(float(med))))
-    write_summary(os.path.join(out_dir, "noise_summary.txt"), lines)
+    write_summary(os.path.join(setup.output_dir, "noise_summary.txt"), lines)
     return setup.noise_deltas, medians, slope
 
 
 COMPARE_STRATEGIES = ("RM", "AD", "A")
 
 
-def run_strategy_comparison(setup, out_dir=None):
+def run_strategy_comparison(setup):
     """Run the same update with each strategy and tabulate the cost.
 
     Writes comparison.csv with one row per strategy: factorization and
@@ -190,8 +190,7 @@ def run_strategy_comparison(setup, out_dir=None):
 
     Returns {strategy: result} for the supported strategies.
     """
-    out_dir = setup.output_dir if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(setup.output_dir, exist_ok=True)
     results = {}
     rows = []
     for strategy in COMPARE_STRATEGIES:
@@ -216,7 +215,7 @@ def run_strategy_comparison(setup, out_dir=None):
         )
     rows.append(["BB", "unsupported", "", "", "", "", "", "", "", ""])
 
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as fh:
+    with open(os.path.join(setup.output_dir, "comparison.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [
@@ -226,9 +225,3 @@ def run_strategy_comparison(setup, out_dir=None):
         )
         writer.writerows(rows)
     return results
-
-
-def eigenreport(problem, x):
-    """Frequencies and eigenvalues of the pencil at x, as (f, lam)."""
-    ev = evaluate_full(problem, x)
-    return ev.frequencies, ev.lanczos.eigenvalues

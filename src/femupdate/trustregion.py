@@ -58,7 +58,6 @@ class TrustRegionConfig:
     delta_max: float = 1.0
     max_outer: int = 100
     inner_tol: float = 1e-8
-    inner_max_iter: int = 400
 
 
 @dataclass
@@ -91,7 +90,6 @@ class OuterRecord:
 @dataclass
 class SolveResult:
     x: np.ndarray  # physical units
-    x_scaled: np.ndarray
     value: float
     frequencies: np.ndarray
     chi: float
@@ -157,7 +155,6 @@ def solve(problem, x0=None, config=None, counter=None):
             np.maximum(box.lower, x - delta),
             np.minimum(box.upper, x + delta),
             tol=config.inner_tol,
-            max_iter=config.inner_max_iter,
             reject=(SurrogateOutOfRangeError, ClusteredEigenvaluesError),
             hess=lambda out: out[3],
         )
@@ -200,7 +197,6 @@ def solve(problem, x0=None, config=None, counter=None):
 
     return SolveResult(
         x=x * reference,
-        x_scaled=x.copy(),
         value=ev.value,
         frequencies=ev.frequencies.copy(),
         chi=chi,

@@ -1,11 +1,12 @@
 """INI configuration loading, study writers, and the command line."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
 
-from femupdate import ConfigError, load_config
+from femupdate import ConfigError, NotPositiveDefiniteError, benchmarks, load_config
 from femupdate.cli import main
 from femupdate.studies import run_strategy_comparison, run_update
 
@@ -79,23 +80,83 @@ def test_material_override_reduces_parameters(tmp_path):
     assert np.array_equal(setup.start, setup.problem.box.midpoint())
 
 
+MEASURED = BASE.replace("mode = generate", "mode = measured").replace(
+    "values = 5000 2200 4800", "values = 18 28 49 50 65"
+)
+
+
 def test_config_error_cases(tmp_path):
+    mesh_path = tmp_path / "arch.mesh"
+    benchmarks.benchmark("arch")[0].save(mesh_path)
+    external = (
+        "[run]\nbenchmark = mesh:%s\nmodes = 5\n\n"
+        "[targets]\nmode = measured\nvalues = 18 28 49 50 65\n\n"
+        "[material.arch]\nregion = 1\nfree = young\n\n"
+        "[material.pier_left]\nregion = 2\n\n[material.pier_right]\nregion = 3\n"
+        % mesh_path
+    )
     cases = [
-        ("missing_targets", BASE.replace("[targets]", "[nottargets]")),
-        ("bad_strategy", BASE.replace("strategy = RM", "strategy = BB")),
-        ("bad_benchmark", BASE.replace("benchmark = arch", "benchmark = tower")),
-        ("bad_weights", BASE.replace("weight_mode = uniform", "weight_mode = wild")),
-        ("bad_schema", BASE.replace("schema_version = 1", "schema_version = 9")),
-        ("start_outside", BASE.replace("start = 2000 1100 1100", "start = 10 1100 1100")),
+        ("missing_targets", BASE.replace("[targets]", "[nottargets]"), None),
+        ("bad_strategy", BASE.replace("strategy = RM", "strategy = BB"), None),
+        ("bad_benchmark", BASE.replace("benchmark = arch", "benchmark = tower"), None),
+        ("bad_weights", BASE.replace("weight_mode = uniform", "weight_mode = wild"), None),
+        ("bad_schema", BASE.replace("schema_version = 1", "schema_version = 9"), None),
+        (
+            "start_outside",
+            BASE.replace("start = 2000 1100 1100", "start = 10 1100 1100"),
+            None,
+        ),
         (
             "values_outside",
             BASE.replace("values = 5000 2200 4800", "values = 99999 2200 4800"),
+            None,
         ),
-        ("bad_floats", BASE.replace("values = 5000 2200 4800", "values = a b c")),
+        ("bad_floats", BASE.replace("values = 5000 2200 4800", "values = a b c"), None),
+        # material values: every region, fixed or free
+        ("negative_young", BASE + "[material.arch]\nyoung = -100\n", r"\[material\.arch\] young:"),
+        ("zero_young", MEASURED + "[material.arch]\nyoung = 0\n", r"\[material\.arch\] young:"),
+        ("zero_density", BASE + "[material.arch]\ndensity = 0\n", r"\[material\.arch\] density:"),
+        (
+            "free_density_negative",
+            BASE + "[material.pier_left]\ndensity = -1\n",
+            r"\[material\.pier_left\] density:",
+        ),
+        # bounds of a free property: finite, 0 < lower < upper
+        ("free_unbounded", BASE + "[material.arch]\nfree = young\n", r"\[material\.arch\] young_bounds:"),
+        (
+            "bounds_at_zero",
+            BASE + "[material.pier_left]\nyoung_bounds = 0 9000\n",
+            r"\[material\.pier_left\] young_bounds:",
+        ),
+        (
+            "bounds_reversed",
+            BASE + "[material.pier_left]\ndensity_bounds = 3000 1000\n",
+            r"\[material\.pier_left\] density_bounds:",
+        ),
+        (
+            "bounds_infinite",
+            BASE + "[material.pier_right]\nyoung_bounds = 1000 inf\n",
+            r"\[material\.pier_right\] young_bounds:",
+        ),
+        ("external_unbounded", external, r"\[material\.arch\] young_bounds:"),
+        # unknown sections and keys
+        ("unknown_tr_key", BASE + "[trust_region]\ndelta_0 = 5\n", r"\[trust_region\] delta_0:"),
+        (
+            "removed_tr_key",
+            BASE + "[trust_region]\ninner_max_iter = 1\n",
+            r"\[trust_region\] inner_max_iter:",
+        ),
+        ("unknown_section", BASE + "[run2]\nmodes = 3\n", r"\[run2\]: unknown section"),
+        ("unknown_run_key", BASE.replace("modes = 5", "mode = 5"), r"\[run\] mode:"),
+        (
+            "unknown_material_key",
+            BASE + "[material.arch]\nyoungs = 3000\n",
+            r"\[material\.arch\] youngs:",
+        ),
     ]
-    for name, text in cases:
+    for name, text, match in cases:
         path = write(tmp_path, text.format(out=tmp_path / "out"), name + ".ini")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=match):
             load_config(path)
 
 
@@ -208,6 +269,19 @@ def test_cli_update_and_determinism(tmp_path, capsys):
     assert "converged" in out
 
 
+@pytest.mark.parametrize("command, files", [
+    ("update", ["convergence.csv", "summary.txt"]),
+    ("compare", ["comparison.csv"]),
+    ("noise-study", ["noise_study.csv", "noise_summary.txt"]),
+])
+def test_cli_output_dir_overrides_config(tmp_path, command, files):
+    text = TWO_PARAM.format(strategy="RM", out=tmp_path / "config_out")
+    path = write(tmp_path, text + "\n[noise_study]\ndeltas = 1e-3\ntrials = 1\n")
+    assert main([command, path, "--output-dir", str(tmp_path / "cli_out")]) in (0, 1)
+    assert sorted(os.listdir(tmp_path / "cli_out")) == files
+    assert not (tmp_path / "config_out").exists()
+
+
 def test_cli_eigs(tmp_path, capsys):
     path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "out"))
     assert main(["eigs", path]) == 0
@@ -229,14 +303,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["update", str(tmp_path / "missing.ini")]) == 2
 
 
-def test_cli_indefinite_start_exits_2(tmp_path, capsys):
-    # a fixed region with zero modulus leaves K singular at the start
-    text = BASE.format(out=tmp_path / "out").replace(
-        "mode = generate", "mode = measured"
-    ).replace("values = 5000 2200 4800", "values = 18 28 49 50 65")
-    path = write(tmp_path, text + "\n[material.arch]\nyoung = 0\n")
+def test_cli_indefinite_start_exits_2(tmp_path, capsys, monkeypatch):
+    # a start where K(x) is not positive definite is a usage error
+    import femupdate.cli as cli
+
+    def failing(setup):
+        raise NotPositiveDefiniteError(462)
+
+    monkeypatch.setattr(cli, "run_update", failing)
+    path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "out"))
     assert main(["update", path]) == 2
-    assert "not positive definite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not positive definite" in err
 
 
 def test_cli_nonconvergence_exit_1(tmp_path, capsys):
@@ -251,7 +329,7 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys, monkeypatch):
     import femupdate.cli as cli
     from femupdate import SurrogateOutOfRangeError
 
-    def failing(setup, out_dir=None):
+    def failing(setup):
         raise SurrogateOutOfRangeError("metric Z lost definiteness")
 
     monkeypatch.setattr(cli, "run_update", failing)

@@ -19,12 +19,11 @@ def test_box_validation():
         FeasibleBox([1.0, 5.0], [3.0, 5.0])  # needs strict lower < upper
 
 
-def test_box_contains_and_project():
+def test_box_contains():
     box = box23()
     assert box.contains([2.0, 15.0])
     assert not box.contains([0.5, 15.0])
     assert box.contains([0.999, 15.0], rtol=1e-2)
-    assert np.array_equal(box.project([0.0, 25.0]), [1.0, 20.0])
 
 
 def test_box_midpoint_and_default_start():
@@ -53,11 +52,13 @@ def test_pencil_evaluate_matches_manual_combination():
     pencil = _toy_pencil(rng)
     x = np.array([0.7, 1.3])
     k, m = pencil.evaluate(x)
-    k_expected = pencil.k0.to_dense() + sum(
-        xj * dk.to_dense() for xj, dk in zip(x, pencil.k_increments)
+    k0, m0 = pencil.evaluate(np.zeros(2))
+    increments = [pencil.derivative(j) for j in range(2)]
+    k_expected = k0.to_dense() + sum(
+        xj * dk.to_dense() for xj, (dk, _) in zip(x, increments)
     )
-    m_expected = pencil.m0.to_dense() + sum(
-        xj * dm.to_dense() for xj, dm in zip(x, pencil.m_increments)
+    m_expected = m0.to_dense() + sum(
+        xj * dm.to_dense() for xj, (_, dm) in zip(x, increments)
     )
     assert np.allclose(k.to_dense(), k_expected, atol=1e-13)
     assert np.allclose(m.to_dense(), m_expected, atol=1e-13)
@@ -67,8 +68,11 @@ def test_pencil_derivative_returns_increments():
     rng = np.random.default_rng(22)
     pencil = _toy_pencil(rng)
     dk, dm = pencil.derivative(1)
-    assert dk is pencil.k_increments[1]
-    assert dm is pencil.m_increments[1]
+    assert pencil.derivative(1)[0] is dk and pencil.derivative(1)[1] is dm
+    k0, m0 = pencil.evaluate([0.0, 0.0])
+    k1, m1 = pencil.evaluate([0.0, 1.0])
+    assert np.allclose(k1.to_dense() - k0.to_dense(), dk.to_dense(), rtol=0, atol=1e-13)
+    assert np.allclose(m1.to_dense() - m0.to_dense(), dm.to_dense(), rtol=0, atol=1e-13)
 
 
 def test_pencil_shape_and_names():
@@ -132,7 +136,7 @@ def test_pencil_evaluate_matches_dense_reference_with_disjoint_increments():
     dk = [_block(n, 0, 5, rng), empty, _block(n, 11, 16, rng)]
     dm = [empty, _block(n, 5, 11, rng), _block(n, 12, 14, rng)]
     pencil = ParametricPencil(k0, m0, dk, dm)
-    assert pencil.k_increments[1].pattern.nnz == 0
+    assert pencil.derivative(1)[0].pattern.nnz == 0
     x = np.array([2.0, -0.5, 1.25])
 
     def reference(y):
@@ -164,6 +168,6 @@ def test_pencil_matrices_share_one_pattern():
     scaled = pencil.scaled_by(np.array([2.0, 0.5]))
     k1, m1 = pencil.evaluate(np.array([0.5, 1.5]))
     k2, m2 = scaled.evaluate(np.array([1.0, 2.0]))
-    assert k1.pattern is k2.pattern is pencil.pattern is scaled.pattern
-    assert m1.pattern is m2.pattern
-    assert pencil.k0.pattern is pencil.pattern
+    k0, m0 = pencil.evaluate(np.zeros(2))
+    assert k1.pattern is k2.pattern is k0.pattern
+    assert m1.pattern is m2.pattern is m0.pattern

@@ -428,7 +428,9 @@ def test_projections_skip_empty_increments_and_full_products(monkeypatch):
     # block, and the empty ones not at all
     problem = _mixed_problem(24, 3, 2, seed=61)
     pencil = problem.pencil
-    increments = {id(a): a for a in pencil.k_increments + pencil.m_increments}
+    increments = {
+        id(a): a for j in range(pencil.n_parameters) for a in pencil.derivative(j)
+    }
     nonempty = [id(a) for a in increments.values() if a.pattern.nnz]
     assert len(nonempty) < len(increments)  # the both-empty parameter at least
     ev = evaluate_full(problem, np.ones(pencil.n_parameters))

@@ -4,8 +4,10 @@ import ast
 from pathlib import Path
 
 import femupdate
+from femupdate.config import KEYS
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "femupdate"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "femupdate"
 
 
 def test_package_has_no_assert_statements():
@@ -25,3 +27,19 @@ def test_every_public_name_resolves():
     missing = [name for name in femupdate.__all__ if not hasattr(femupdate, name)]
     assert len(femupdate.__all__) > 1
     assert missing == []
+
+
+def test_readme_config_schema_matches_accepted_keys():
+    # the README's schema block is the one documented copy of KEYS
+    text = (ROOT / "README.md").read_text()
+    block = text.split("### Config schema (version 1)", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, keys = {}, None
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            keys = documented.setdefault(line.strip("[]"), [])
+        elif "=" in line:
+            keys.append(line.split("=", 1)[0].strip())
+    accepted = {section: sorted(names) for section, names in KEYS.items()}
+    assert {section: sorted(names) for section, names in documented.items()} == accepted

@@ -53,7 +53,6 @@ def test_matvec_matches_dense():
     assert np.allclose(m.matvec(v), dense @ v, rtol=0, atol=1e-13)
     block = rng.standard_normal((40, 3))
     assert np.allclose(m.matvec(block), dense @ block, rtol=0, atol=1e-13)
-    assert np.allclose(m @ v, dense @ v, rtol=0, atol=1e-13)
 
 
 def test_to_scipy_round_trip():
@@ -214,13 +213,14 @@ def _cost_ratio(pattern):
     ("vault", 1, "band"), ("vault", 2, "superlu"),
 ])
 def test_builtin_structures_keep_their_kernel(name, refine, kernel):
-    pencil, _, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
-    assert _kernel(pencil.pattern) == kernel
+    pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
+    pattern = pencil.evaluate(box.midpoint())[0].pattern
+    assert _kernel(pattern) == kernel
     if kernel == "band":  # the arch's piers are 2 (6 refine + 1) dofs across
         max_kd = {("arch", 1): 22, ("arch", 2): 36, ("arch", 3): 48, ("vault", 1): 343}
-        assert pencil.pattern.ordering()[1] <= max_kd[name, refine]
+        assert pattern.ordering()[1] <= max_kd[name, refine]
     # a mesh change that drifts toward the threshold fails here first
-    ratio = _cost_ratio(pencil.pattern) / sparse.BAND_COST_RATIO
+    ratio = _cost_ratio(pattern) / sparse.BAND_COST_RATIO
     assert (ratio <= 1.0) == (kernel == "band")
     assert max(ratio, 1.0 / ratio) >= 1.3
 
