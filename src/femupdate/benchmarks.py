@@ -32,48 +32,24 @@ ARCH_FAR_START = np.array([2000.0, 1100.0, 1100.0])
 VAULT_TRUE = np.array([3000.0, 1800.0, 4000.0, 2000.0, 3500.0, 5000.0, 2200.0])
 
 
-class _MeshBuilder:
-    """Accumulates nodes (deduplicated by rounded coordinates) and cells."""
+def _merge_nodes(points):
+    """Merge candidate nodes that coincide to 1e-9 m.
 
-    def __init__(self, dim):
-        self.dim = dim
-        self._ids = {}  # rounded coordinates -> node
-        self._seen = {}  # exact coordinates -> node
-        self.coords = []
-        self.elements = []
-        self.regions = []
-        self.fixed = set()
+    Keys are the coordinates in units of 1e-9, rounded half to even;
+    nodes are numbered by first appearance and keep the coordinates of
+    their first candidate. Returns (coords, node of each candidate).
+    """
+    keys = np.rint(points * 1e9).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return points[first[order]], number[inverse.reshape(-1)]
 
-    def node(self, *xyz):
-        nid = self._seen.get(xyz)  # exact repeats skip the rounding
-        if nid is None:
-            key = tuple([round(v * 1e9) for v in xyz])  # in units of 1e-9
-            nid = self._ids.get(key)
-            if nid is None:
-                nid = len(self.coords)
-                self._ids[key] = nid
-                self.coords.append(xyz)
-            self._seen[xyz] = nid
-        return nid
 
-    def element(self, nodes, region):
-        self.elements.append(nodes)
-        self.regions.append(region)
-
-    def fix(self, node, axis):
-        self.fixed.add(node * self.dim + axis)
-
-    def nearest(self, *xyz):
-        pts = np.asarray(self.coords)
-        return int(np.argmin(np.sum((pts - np.asarray(xyz)) ** 2, axis=1)))
-
-    def build(self):
-        return Mesh(
-            np.asarray(self.coords, dtype=np.float64),
-            np.asarray(self.elements, dtype=np.int64),
-            np.asarray(self.regions, dtype=np.int64),
-            np.asarray(sorted(self.fixed), dtype=np.int64),
-        )
+def _quads(ids):
+    """Counterclockwise quads of a structured grid of node numbers, row-major."""
+    return np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]], axis=-1).reshape(-1, 4)
 
 
 def generate_arch_on_piers(refine=1):
@@ -96,42 +72,21 @@ def generate_arch_on_piers(refine=1):
         raise ValueError("refine must be a positive integer")
     ntheta, nr = 76 * r, 3 * r
     nx, ny = 6 * r, 9 * r
-    b = _MeshBuilder(dim=2)
-
-    radii = np.linspace(2.0, 2.5, nr + 1)
+    radii = np.linspace(2.0, 2.5, nr + 1)[:, None]
     thetas = np.linspace(0.0, np.pi, ntheta + 1)
-    ring = {}
-    for k, rho in enumerate(radii):
-        for i, th in enumerate(thetas):
-            ring[(k, i)] = b.node(rho * np.cos(th), 4.0 + rho * np.sin(th))
-    for k in range(nr):
-        for i in range(ntheta):
-            b.element(
-                [ring[(k, i)], ring[(k + 1, i)], ring[(k + 1, i + 1)], ring[(k, i + 1)]],
-                region=1,
-            )
-
-    for region, x0, x1 in ((2, -3.0, -2.0), (3, 2.0, 3.0)):
-        xs = np.linspace(x0, x1, nx + 1)
-        ys = np.linspace(0.0, 4.0, ny + 1)
-        grid = {
-            (j, l): b.node(xs[j], ys[l])
-            for j in range(nx + 1)
-            for l in range(ny + 1)
-        }
-        for j in range(nx):
-            for l in range(ny):
-                b.element(
-                    [grid[(j, l)], grid[(j + 1, l)], grid[(j + 1, l + 1)], grid[(j, l + 1)]],
-                    region,
-                )
-        for j in range(nx + 1):  # clamped base
-            b.fix(grid[(j, 0)], 0)
-            b.fix(grid[(j, 0)], 1)
-
-    b.fix(b.nearest(0.0, 6.5), 0)  # crown tie: horizontal restraint
-
-    mesh = b.build()
+    blocks = [np.stack([radii * np.cos(thetas), 4.0 + radii * np.sin(thetas)], axis=-1)] + [
+        np.stack(np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(0.0, 4.0, ny + 1),
+                             indexing="ij"), axis=-1)
+        for x0, x1 in ((-3.0, -2.0), (2.0, 3.0))
+    ]  # ring[k, i] at (radius k, angle i), then each pier's grid[j, l] at (x j, y l)
+    coords, node = _merge_nodes(np.concatenate([g.reshape(-1, 2) for g in blocks]))
+    ends = np.cumsum([g.shape[0] * g.shape[1] for g in blocks])
+    grids = [ids.reshape(g.shape[:2]) for ids, g in zip(np.split(node, ends[:-1]), blocks)]
+    elements = np.concatenate([_quads(g) for g in grids])
+    regions = np.repeat([1, 2, 3], [nr * ntheta, nx * ny, nx * ny])
+    base = np.concatenate([g[:, 0] for g in grids[1:]])  # clamped pier bases
+    crown = np.argmin(np.sum((coords - [0.0, 6.5]) ** 2, axis=1))  # crown tie: horizontal restraint
+    mesh = Mesh(coords, elements, regions, np.append((2 * base[:, None] + [0, 1]).ravel(), 2 * crown))
     materials = [
         Material("arch", young=3250.0, density=1800.0, poisson=0.2),
         Material(
@@ -157,22 +112,11 @@ def generate_arch_on_piers(refine=1):
 
 
 def _vault_region(cx, cy, lz):
-    """Region id of coarse cell (cx, cy, lz), or 0 if void."""
-    corner = cx in (0, 1, 4, 5) and cy in (0, 1, 4, 5)
-    ring = cx in (0, 5) or cy in (0, 5)
-    if lz <= 3:
-        return 4 if corner else 0
-    if lz <= 5:
-        return 3 if ring else 0
-    if lz <= 7:
-        return 2 if ring else 0
-    if lz == 8:
-        return 1
-    if lz == 9:
-        return 1 if 1 <= cx <= 4 and 1 <= cy <= 4 else 0
-    if lz == 10:
-        return 1 if 2 <= cx <= 3 and 2 <= cy <= 3 else 0
-    return 0
+    """Region id of each coarse cell (cx, cy, lz) of the 6x6x11 grid, 0 if void."""
+    ex, ey = np.minimum(cx, 5 - cx), np.minimum(cy, 5 - cy)  # cells from the plan's edge
+    corner, ring = (ex <= 1) & (ey <= 1), np.minimum(ex, ey) == 0
+    cap = np.minimum(ex, ey) >= lz - 8  # the cap steps in one cell per level
+    return np.select([lz <= 3, lz <= 5, lz <= 7, lz <= 10], [4 * corner, 3 * ring, 2 * ring, cap])
 
 
 def generate_pillared_vault(refine=1):
@@ -186,31 +130,18 @@ def generate_pillared_vault(refine=1):
     r = int(refine)
     if r < 1:
         raise ValueError("refine must be a positive integer")
-    dx, dy, dz = 1.5 / r, 1.6 / r, 1.5 / r
-    cells = []
-    for lz in range(11 * r):
-        for cy in range(6 * r):
-            for cx in range(6 * r):
-                reg = _vault_region(cx // r, cy // r, lz // r)
-                if reg:
-                    cells.append((cx, cy, lz, reg))
-
-    corner_offsets = [
+    lz, cy, cx = np.indices((11 * r, 6 * r, 6 * r)).reshape(3, -1)
+    regions = _vault_region(cx // r, cy // r, lz // r)
+    cells = np.column_stack([cx, cy, lz])[regions > 0]
+    corner_offsets = np.array([
         (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
         (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
-    ]
-    b = _MeshBuilder(dim=3)
-    for cx, cy, lz, reg in cells:
-        b.element(
-            [b.node((cx + i) * dx, (cy + j) * dy, (lz + k) * dz) for i, j, k in corner_offsets],
-            reg,
-        )
-    for nid, (_, _, z) in enumerate(b.coords):
-        if z == 0.0:  # clamped pillar base
-            for axis in range(3):
-                b.fix(nid, axis)
-
-    mesh = b.build()
+    ])
+    corners = (cells[:, None, :] + corner_offsets) * np.array([1.5 / r, 1.6 / r, 1.5 / r])
+    coords, node = _merge_nodes(corners.reshape(-1, 3))
+    base = np.flatnonzero(coords[:, 2] == 0.0)  # clamped pillar base
+    mesh = Mesh(coords, node.reshape(-1, 8), regions[regions > 0],
+                (3 * base[:, None] + [0, 1, 2]).ravel())
     materials = [
         Material(
             "vault", young=3000.0, density=1800.0, poisson=0.25,

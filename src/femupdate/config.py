@@ -302,7 +302,11 @@ def load_config(path):
         "noise_study",
         "deltas",
     )
+    if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas > 0.0)):
+        raise ConfigError("needs positive, finite noise levels", "noise_study", "deltas")
     trials = _get(parser, "noise_study", "trials", int, 5)
+    if trials < 1:
+        raise ConfigError("needs at least one trial, got %d" % trials, "noise_study", "trials")
     noise_seed = _get(parser, "noise_study", "seed", int, 2024)
 
     return RunSetup(

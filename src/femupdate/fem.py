@@ -233,10 +233,8 @@ def isotropic_elasticity(young, poisson, dim):
 def _gauss_points(dim):
     pts = np.array([-_GP1D, _GP1D])
     if dim == 2:
-        grid = np.array([[x, y] for y in pts for x in pts])
-    else:
-        grid = np.array([[x, y, z] for z in pts for y in pts for x in pts])
-    return grid, np.ones(len(grid))
+        return np.array([[x, y] for y in pts for x in pts])
+    return np.array([[x, y, z] for z in pts for y in pts for x in pts])
 
 
 def _corner_signs(dim):
@@ -272,20 +270,6 @@ def _shape_gradients(xi, dim):
     return grads / (2.0**dim)
 
 
-def _batched_jacobians(coords, dndxi):
-    """Jacobians, determinants and physical gradients for all elements."""
-    jac = coords.transpose(0, 2, 1) @ dndxi
-    det = np.linalg.det(jac)
-    if np.any(det <= 0.0):
-        raise ValueError(
-            "singular element geometry (nonpositive Jacobian in element %d)"
-            % int(np.flatnonzero(det <= 0.0)[0])
-        )
-    inv = np.linalg.inv(jac)
-    dndx = dndxi @ inv
-    return det, dndx
-
-
 def _strain_matrix(dndx, dim):
     n_el, nn, _ = dndx.shape
     if dim == 2:
@@ -308,6 +292,38 @@ def _strain_matrix(dndx, dim):
     return b
 
 
+def _element_matrices(coords, young, poisson, density):
+    """Stiffness and consistent mass matrices of a batch of elements.
+
+    One pass over the Gauss points: each point's Jacobian, determinant
+    and physical gradients serve both matrices. The mass couples each
+    displacement component only to itself, with the same values for all.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    n_el, nn, dim = coords.shape
+    d = isotropic_elasticity(young * MPA, poisson, dim)
+    ke, term = np.zeros((2, n_el, nn * dim, nn * dim))
+    m, m_term = np.zeros((2, n_el, nn, nn))  # of one displacement component
+    for xi in _gauss_points(dim):  # unit weights
+        dndxi = _shape_gradients(xi, dim)
+        jac = coords.transpose(0, 2, 1) @ dndxi
+        det = np.linalg.det(jac)
+        if np.any(det <= 0.0):
+            raise ValueError(
+                "singular element geometry (nonpositive Jacobian in the element "
+                "with nodes at %s)" % coords[np.flatnonzero(det <= 0.0)[0]].tolist()
+            )
+        b = _strain_matrix(dndxi @ np.linalg.inv(jac), dim)
+        ke += np.multiply(np.matmul(b.transpose(0, 2, 1), d @ b, out=term), det[:, None, None], out=term)
+        shape = _shape_values(xi, dim)
+        m += np.multiply(float(density) * np.outer(shape, shape), det[:, None, None], out=m_term)
+    np.multiply(np.add(ke, ke.transpose(0, 2, 1), out=term), 0.5, out=ke)  # symmetric part
+    me = np.zeros_like(ke)
+    for axis in range(dim):
+        me[:, axis::dim, axis::dim] = m
+    return ke, me
+
+
 def element_stiffness(coords, young, poisson):
     """Stiffness matrices for a batch of elements.
 
@@ -324,34 +340,12 @@ def element_stiffness(coords, young, poisson):
     -------
     (n_el, nn*dim, nn*dim) array of symmetric element matrices.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    dim = coords.shape[2]
-    d = isotropic_elasticity(young * MPA, poisson, dim)
-    points, weights = _gauss_points(dim)
-    nn = coords.shape[1]
-    ke = np.zeros((coords.shape[0], nn * dim, nn * dim))
-    for xi, w in zip(points, weights):
-        det, dndx = _batched_jacobians(coords, _shape_gradients(xi, dim))
-        b = _strain_matrix(dndx, dim)
-        ke += b.transpose(0, 2, 1) @ (d @ b) * (w * det)[:, None, None]
-    return (ke + ke.transpose(0, 2, 1)) * 0.5
+    return _element_matrices(coords, young, poisson, 0.0)[0]
 
 
 def element_mass(coords, density):
     """Consistent mass matrices for a batch of elements (density in kg/m^3)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    dim = coords.shape[2]
-    points, weights = _gauss_points(dim)
-    nn = coords.shape[1]
-    me = np.zeros((coords.shape[0], nn * dim, nn * dim))
-    eye = np.eye(dim)
-    for xi, w in zip(points, weights):
-        det, _ = _batched_jacobians(coords, _shape_gradients(xi, dim))
-        nvals = _shape_values(xi, dim)
-        nmat = np.kron(nvals[None, :], eye)  # (dim, nn*dim)
-        block = nmat.T @ nmat
-        me += float(density) * block[None] * (w * det)[:, None, None]
-    return (me + me.transpose(0, 2, 1)) * 0.5
+    return _element_matrices(coords, 0.0, 0.0, density)[1]
 
 
 class _Scatter:
@@ -365,49 +359,62 @@ class _Scatter:
 
     def __init__(self, mesh):
         self.mesh = mesh
+        conn, dim, axes = mesh.elements, mesh.dim, np.arange(mesh.dim)
+        n_el, nn = conn.shape
+        # node pairs (a, b) that share an element, ascending, and each element's
+        keys = np.repeat(conn, nn, axis=1) * mesh.n_nodes + np.tile(conn, (1, nn))
+        pairs, pair = np.unique(keys, return_inverse=True)
+        a, b = np.divmod(pairs, mesh.n_nodes)
+        first = np.searchsorted(a, np.arange(mesh.n_nodes + 1))
+        start, deg = first[a], np.diff(first)[a]
+        # dof pair ((a, p), (b, q)) is entry pos[pair, p, q] of the all-dof
+        # pattern, whose row (a, p) runs over a's pairs and then over q
+        pos = (dim * (dim - 1) * start + dim * np.arange(pairs.size))[:, None, None]
+        pos = pos + (dim * deg)[:, None, None] * axes[:, None] + axes
         free = mesh.free_dofs()
-        n = free.size
         index = np.full(mesh.n_dofs, -1, dtype=np.int64)
-        index[free] = np.arange(n)
-        conn = mesh.elements
-        dofs = index[conn[:, :, None] * mesh.dim + np.arange(mesh.dim)].reshape(conn.shape[0], -1)
-        nd = dofs.shape[1]
-        rows = np.repeat(dofs, nd, axis=1)
-        cols = np.tile(dofs, (1, nd))
-        keep = (rows >= 0) & (cols >= 0)
-        keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        index[free] = np.arange(free.size)
+        rows, cols = np.empty((2, pos.size), dtype=np.int64)  # free dof numbers, -1 if fixed
+        rows[pos] = index[(dim * a)[:, None, None] + axes[:, None]]
+        cols[pos] = index[(dim * b)[:, None, None] + axes]
+        # the pattern keeps the entries whose row and column are free
+        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
         self.pattern = SymmetricPattern(
-            n, np.searchsorted(keys, np.arange(n + 1) * n), keys % n
+            free.size, np.searchsorted(rows[kept], np.arange(free.size + 1)), cols[kept]
         )
-        self.slots = np.full(rows.shape, -1, dtype=np.int64)
-        self.slots[keep] = slot
+        slot = np.full(pos.size, -1, dtype=np.int64)
+        slot[kept] = np.arange(kept.size)
+        slot = slot[pos]  # of each pair's dof pairs
+        self.slots = slot[pair.reshape(n_el, nn, 1, nn, 1), axes[:, None, None], axes].reshape(n_el, -1)
 
-    def assemble(self, which, element_matrices):
-        """Values on the pattern of the sum of the given elements' matrices."""
+    def assemble(self, which, *element_matrices):
+        """Values on the pattern of the sum of the given elements' matrices,
+        for each stack of matrices given."""
         slots = self.slots[which]
         keep = slots >= 0
-        return np.bincount(
-            slots[keep],
-            weights=element_matrices.reshape(slots.shape)[keep],
-            minlength=self.pattern.nnz,
-        )
+        return [
+            np.bincount(slots[keep], weights=m.reshape(slots.shape)[keep], minlength=self.pattern.nnz)
+            for m in element_matrices
+        ]
 
     def matrix(self, values):
         """The matrix with these values, on the entries where they are nonzero."""
         nonzero = values != 0.0
         return SparseSymMatrix(self.pattern.restrict(nonzero), values[nonzero])
 
-    def region_values(self, region_id, poisson):
-        """Unit-parameter stiffness and mass values of one region."""
+    def region_values(self, poissons):
+        """Unit-parameter [stiffness, mass] values of each region, given the
+        regions' Poisson ratios: one element pass per distinct ratio."""
         mesh = self.mesh
-        which = np.flatnonzero(mesh.regions == region_id)
-        if which.size == 0:
-            raise ValueError("region %d has no elements" % region_id)
-        coords = mesh.coords[mesh.elements[which]]
-        return (
-            self.assemble(which, element_stiffness(coords, 1.0, poisson)),
-            self.assemble(which, element_mass(coords, 1.0)),
-        )
+        nu = np.asarray(poissons, dtype=np.float64)[mesh.regions - 1]
+        values = [None] * mesh.n_regions
+        for value in np.unique(nu):
+            which = np.flatnonzero(nu == value)
+            ke, me = _element_matrices(mesh.coords[mesh.elements[which]], 1.0, value, 1.0)
+            for rid in np.unique(mesh.regions[which]):
+                sel = mesh.regions[which] == rid
+                values[rid - 1] = self.assemble(which[sel], ke[sel], me[sel])
+        return values
 
 
 def assemble_parametric(mesh, materials):
@@ -444,8 +451,8 @@ def assemble_parametric(mesh, materials):
     k0 = np.zeros(scatter.pattern.nnz)
     m0 = np.zeros(scatter.pattern.nnz)
     k_inc, m_inc, names, start, lo, hi = [], [], [], [], [], []
-    for rid, mat in enumerate(materials, start=1):
-        k_r, m_r = scatter.region_values(rid, mat.poisson)
+    values = scatter.region_values([mat.poisson for mat in materials])
+    for mat, (k_r, m_r) in zip(materials, values):
         if mat.free_young:
             k_inc.append(scatter.matrix(k_r))
             m_inc.append(empty)

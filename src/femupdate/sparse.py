@@ -50,8 +50,8 @@ class SymmetricPattern:
 
     def restrict(self, mask):
         """The sub-pattern of the entries where ``mask`` (length nnz) holds."""
-        kept = np.concatenate(([0], np.cumsum(mask)))
-        return SymmetricPattern(self.n, kept[self.indptr], self.indices[mask])
+        kept = np.flatnonzero(mask)
+        return SymmetricPattern(self.n, np.searchsorted(kept, self.indptr), self.indices[kept])
 
     def keys(self):
         """Entry keys row * n + col, ascending in storage order."""
@@ -74,23 +74,26 @@ class SymmetricPattern:
         (``_band_ordering``, half-bandwidth kd) is used when its cost is
         estimated lower, n (kd + 1)² <= BAND_COST_RATIO nnz(L+U) for the
         fill of a minimum-degree SuperLU probe factorization; SuperLU
-        otherwise (kd is None). ``pack`` maps a matrix's values into
-        P A Pᵀ: (src, dst) scatter them into LAPACK's lower band storage,
-        transposed and flattened; (gather, indptr, indices) store them
-        column-wise for SuperLU.
+        otherwise (kd is None). Fill only adds entries, so the probe is
+        skipped when the band kernel wins at zero fill, nnz(L+U) = nnz(A).
+        ``pack`` maps a matrix's values into P A Pᵀ: (src, dst) scatter
+        them into LAPACK's lower band storage, transposed and flattened;
+        (gather, indptr, indices) store them column-wise for SuperLU.
         """
         if self._ordering is None:
             ones = sp.csr_array(
                 (np.ones(self.nnz), self.indices, self.indptr), shape=(self.n, self.n)
             )
-            dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
-            lu = _splu(dominant.tocsc(), "MMD_AT_PLUS_A")
             perm = _band_ordering(ones)
             # entry (r, c) of A is entry (at[r], at[c]) of P A Pᵀ
             rows, at = self.keys() // self.n, np.argsort(perm)
             i, j = at[rows], at[self.indices]
             kd = int(np.max(i - j, initial=0))
-            if self.n * (kd + 1) ** 2 <= BAND_COST_RATIO * lu.nnz:
+            lu = None
+            if self.n * (kd + 1) ** 2 > BAND_COST_RATIO * self.nnz:
+                dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
+                lu = _splu(dominant.tocsc(), "MMD_AT_PLUS_A")
+            if lu is None or self.n * (kd + 1) ** 2 <= BAND_COST_RATIO * lu.nnz:
                 src = np.flatnonzero(i >= j)
                 self._ordering = (perm, kd, (src, i[src] - j[src] + (kd + 1) * j[src]))
             else:
@@ -178,17 +181,16 @@ def union_pattern(patterns):
     Returns the union and, per input pattern, the positions of its
     entries among the union's.
     """
-    distinct = list({id(p): p for p in patterns}.values())
-    n = distinct[0].n
-    total = reduce(add, [
-        sp.csr_array((np.ones(p.nnz), p.indices, p.indptr), shape=(n, n))
-        for p in distinct
-    ])
+    n = patterns[0].n
+    ones = {
+        id(p): sp.csr_array((np.ones(p.nnz), p.indices, p.indptr), shape=(n, n))
+        for p in patterns
+    }
+    total = reduce(add, ones.values())  # how many patterns hold each entry
     total.sum_duplicates()
-    union = SymmetricPattern(n, total.indptr, total.indices)
-    keys = union.keys()
-    where = {id(p): np.searchsorted(keys, p.keys()) for p in distinct}
-    return union, [where[id(p)] for p in patterns]
+    # adding a pattern's ones keeps the union's entries in place and raises its own
+    where = {key: np.flatnonzero((total + a).data > total.data) for key, a in ones.items()}
+    return SymmetricPattern(n, total.indptr, total.indices), [where[id(p)] for p in patterns]
 
 
 class SparseSymMatrix:

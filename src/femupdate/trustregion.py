@@ -39,6 +39,7 @@ import numpy as np
 from .boxmin import minimize_box, projected_gradient_norm
 from .errors import (
     ClusteredEigenvaluesError,
+    ConfigError,
     MaxIterationsError,
     NotPositiveDefiniteError,
     SubspaceExhaustedError,
@@ -58,6 +59,21 @@ class TrustRegionConfig:
     delta_max: float = 1.0
     max_outer: int = 100
     inner_tol: float = 1e-8
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it is rejected too
+        for key, valid, rule in (
+            ("eta2", 0.0 < self.eta2 < 1.0, "0 < eta2 < 1"),
+            ("eta1", 0.0 < self.eta1 <= self.eta2, "0 < eta1 <= eta2"),
+            ("gamma2", 0.0 < self.gamma2 < 1.0, "0 < gamma2 < 1"),
+            ("growth", self.growth >= 1.0, "growth >= 1"),
+            ("delta_max", self.delta_max > 0.0, "delta_max > 0"),
+            ("delta0", 0.0 < self.delta0 <= self.delta_max, "0 < delta0 <= delta_max"),
+            ("max_outer", self.max_outer >= 0, "max_outer >= 0"),
+            ("inner_tol", self.inner_tol > 0.0, "inner_tol > 0"),
+        ):
+            if not valid:
+                raise ConfigError("needs %s, got %r" % (rule, getattr(self, key)), "trust_region", key)
 
 
 @dataclass

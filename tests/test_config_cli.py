@@ -153,6 +153,33 @@ def test_config_error_cases(tmp_path):
             BASE + "[material.arch]\nyoungs = 3000\n",
             r"\[material\.arch\] youngs:",
         ),
+        # trust-region values the solver cannot use: 0 < eta1 <= eta2 < 1,
+        # 0 < gamma2 < 1, growth >= 1, 0 < delta0 <= delta_max,
+        # max_outer >= 0, inner_tol > 0; NaN fails every rule
+        *[
+            ("tr_" + key, BASE + "[trust_region]\n%s = %s\n" % (key, value),
+             r"\[trust_region\] %s:" % key)
+            for key, value in (
+                ("delta0", "0"), ("delta0", "-0.1"), ("delta0", "2"), ("eta1", "2"),
+                ("eta1", "0"), ("eta2", "1"), ("eta2", "nan"), ("gamma2", "1.5"),
+                ("gamma2", "0"), ("growth", "0.5"), ("delta_max", "0"),
+                ("max_outer", "-1"), ("inner_tol", "-1"), ("inner_tol", "0"),
+            )
+        ],
+        (
+            "tr_eta1_above_eta2",
+            BASE + "[trust_region]\neta1 = 0.5\neta2 = 0.4\n",
+            r"\[trust_region\] eta1:",
+        ),
+        # noise-study values the study cannot use
+        *[
+            ("noise_" + key, BASE + "[noise_study]\n%s = %s\n" % (key, value),
+             r"\[noise_study\] %s:" % key)
+            for key, value in (
+                ("deltas", "0 1e-3"), ("deltas", "-1e-3"), ("deltas", "1e-3 inf"),
+                ("deltas", "nan"), ("deltas", ""), ("trials", "0"), ("trials", "-2"),
+            )
+        ],
     ]
     for name, text, match in cases:
         path = write(tmp_path, text.format(out=tmp_path / "out"), name + ".ini")
@@ -301,6 +328,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["update", bad]) == 2
     assert "not supported" in capsys.readouterr().err
     assert main(["update", str(tmp_path / "missing.ini")]) == 2
+    tr = write(tmp_path, BASE.format(out=tmp_path) + "[trust_region]\ngamma2 = 1.5\n", "tr.ini")
+    assert main(["update", tr]) == 2
+    assert "[trust_region] gamma2:" in capsys.readouterr().err
 
 
 def test_cli_indefinite_start_exits_2(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from femupdate import Material, Mesh, UpdatingProblem, assemble_parametric, evaluate_full
-from femupdate.fem import MPA, element_mass, element_stiffness
+from femupdate import (
+    Material,
+    Mesh,
+    UpdatingProblem,
+    assemble_parametric,
+    benchmarks,
+    evaluate_full,
+)
+from femupdate.fem import MPA, _Scatter, element_mass, element_stiffness
 
 from conftest import ARCH_TRUE, dense_smallest
 
@@ -85,6 +92,32 @@ def test_degenerate_element_raises():
     bad[0, [1, 3]] = bad[0, [3, 1]]  # reversed orientation flips the Jacobian
     with pytest.raises(ValueError, match="singular element geometry"):
         element_stiffness(bad, young=1.0, poisson=0.0)
+    # in a mesh the message names the element by its nodes, whichever
+    # Poisson-ratio batch computed it
+    coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]]
+    mesh = Mesh(coords, [[0, 1, 2, 3], [1, 2, 5, 4]], [1, 2], [0, 1])  # second is clockwise
+    materials = [Material("a", 1.0, 1.0, 0.2), Material("b", 1.0, 1.0, 0.3)]
+    with pytest.raises(ValueError, match=r"nodes at \[\[1.0, 0.0\], \[1.0, 1.0\], \[2.0, 1.0\]"):
+        assemble_parametric(mesh, materials)
+
+
+@pytest.mark.parametrize("name, poissons", [
+    ("arch", None), ("vault", None), ("arch", [0.2, 0.3, 0.2]), ("vault", [0.25, 0.1, 0.3, 0.25]),
+])
+def test_region_values_match_the_public_element_matrices_bit_for_bit(name, poissons):
+    # one Gauss-point pass per Poisson ratio, over all its regions at once,
+    # gives each region the bits of element_stiffness and element_mass
+    mesh, materials = benchmarks.benchmark(name)
+    poissons = poissons or [mat.poisson for mat in materials]
+    scatter = _Scatter(mesh)
+    values = scatter.region_values(poissons)
+    for rid, nu in enumerate(poissons, start=1):
+        which = np.flatnonzero(mesh.regions == rid)
+        coords = mesh.coords[mesh.elements[which]]
+        ke, me = element_stiffness(coords, 1.0, nu), element_mass(coords, 1.0)
+        k, m = scatter.assemble(which, ke, me)
+        assert k.tobytes() == values[rid - 1][0].tobytes()
+        assert m.tobytes() == values[rid - 1][1].tobytes()
 
 
 def bar_mesh_2d(nx=40, ny=2, length=10.0, height=1.0):

@@ -43,3 +43,11 @@ def test_readme_config_schema_matches_accepted_keys():
             keys.append(line.split("=", 1)[0].strip())
     accepted = {section: sorted(names) for section, names in KEYS.items()}
     assert {section: sorted(names) for section, names in documented.items()} == accepted
+
+
+def test_package_stays_under_its_line_ceiling():
+    # ROADMAP aim 2 tracks design quality as fewer lines in the package;
+    # a change that needs more must first take some out
+    lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert len(list(PACKAGE.glob("*.py"))) > 1  # the glob saw the package
+    assert lines <= 3300

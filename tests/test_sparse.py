@@ -225,6 +225,30 @@ def test_builtin_structures_keep_their_kernel(name, refine, kernel):
     assert max(ratio, 1.0 / ratio) >= 1.3
 
 
+@pytest.mark.parametrize("name, probes", [("arch", 0), ("vault", 1)])
+def test_ordering_probes_fill_only_when_zero_fill_leaves_the_choice_open(
+    name, probes, monkeypatch
+):
+    # arch r1: n (kd + 1)² = 26.5 nnz(A), within BAND_COST_RATIO nnz(A) <=
+    # BAND_COST_RATIO nnz(L+U), so the band kernel wins without a probe;
+    # vault r1's 2375 nnz(A) needs the probe's fill to decide
+    pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name))
+    pattern = pencil.evaluate(box.midpoint())[0].pattern
+    calls = []
+
+    def counting(a, permc_spec):
+        calls.append(permc_spec)
+        return splu(a, permc_spec)
+
+    splu = sparse._splu
+    monkeypatch.setattr(sparse, "_splu", counting)
+    perm, kd, _ = pattern.ordering()
+    assert calls == ["MMD_AT_PLUS_A"] * probes
+    assert kd is not None  # both are band at r1
+    monkeypatch.undo()
+    assert _cost_ratio(pattern) <= sparse.BAND_COST_RATIO  # the probe agrees
+
+
 @pytest.mark.parametrize("name", ["arch", "vault"])
 def test_kernel_choice_is_a_pure_function_of_the_structure(name):
     # byte-identical convergence.csv files need every assembly of one
