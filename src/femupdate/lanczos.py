@@ -4,16 +4,22 @@ Finds the s smallest eigenvalues of K v = lambda M v by running the
 Lanczos iteration on the operator K^{-1} M, which is self-adjoint in the
 M-inner product. One sparse Cholesky factorization of K is performed;
 each iteration costs one triangular back-substitution pair, one
-multiplication by M, and full M-reorthogonalization against the basis.
-The smallest pencil eigenvalues are the reciprocals of the largest Ritz
-values of the projected tridiagonal matrix.
+multiplication by M, and full M-orthogonalization of the solve against
+the basis by classical Gram-Schmidt run twice. The first pass also
+removes the three-term recurrence's alpha u_k and beta u_{k-1}, and
+alpha is the sum of both passes' coefficients on u_k. The smallest
+pencil eigenvalues are the reciprocals of the largest Ritz values of
+the projected tridiagonal matrix.
 
 Each step's raw shift-invert solve K^{-1} M u_k is recorded before it is
 orthogonalized and returned as ``LanczosResult.solves``: the reduced
 models need exactly Y = K^{-1} M U, so they take it from here instead of
-back-substituting again. The basis and its M-products are kept in
-column-major workspaces, so writing a column and the reorthogonalization
-products read contiguous memory.
+back-substituting again. The basis U, M U and the solves are column
+blocks of one column-major array that the run borrows from K's pattern
+(``SymmetricPattern.workspace``) and gives back when it ends, so runs
+on one pattern, scaled copies of K included, reuse its pages; a nested
+or concurrent run gets an array of its own. The result holds copies of
+the columns it uses, never views of that array.
 
 Termination: a Ritz pair (mu_i, y_i) of the basis-size-k tridiagonal
 T_k has residual norm beta_k * |e_k^T s_i| in the M-norm; the iteration
@@ -110,11 +116,6 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     factor = cholesky_factorize(k_matrix)
     cap = min(n, max(4 * s + 20, 100) if max_basis is None else int(max_basis))
     rng = np.random.default_rng(seed)
-
-    # column-major, so each column and each leading block is contiguous
-    basis = np.empty((n, cap), order="F")  # column k is written before any read
-    mbasis = np.empty((n, cap), order="F")  # columns M u_k, for reorthogonalization
-    solves = []  # K^{-1} M u_k, kept for the reduced model
     t = np.zeros((cap + 1, cap + 1))  # T_k = t[:k, :k]; beta_k in row/column k
 
     v = rng.standard_normal(n)
@@ -122,58 +123,65 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     norm = np.sqrt(v @ mv)
     scale = 0.0  # running magnitude of the projected operator
 
-    k = 0
-    while k < cap:
-        basis[:, k] = v / norm
-        mbasis[:, k] = mv / norm
-        w = factor.solve(mbasis[:, k])
-        solves.append(w.copy())
-        alpha = t[k, k] = mbasis[:, k] @ w
-        scale = max(scale, abs(alpha))
-        w -= alpha * basis[:, k]
-        if k > 0:
-            w -= t[k, k - 1] * basis[:, k - 1]
-        for _ in range(2):  # full reorthogonalization, two passes
-            w -= basis[:, : k + 1] @ (mbasis[:, : k + 1].T @ w)
-        mw = m_matrix.matvec(w)
-        beta = float(np.sqrt(max(w @ mw, 0.0)))
-        k += 1
+    # basis U, M U and K^{-1} M U as column blocks of one column-major
+    # array, lent by K's pattern; column k is written before any read
+    with k_matrix.pattern.workspace(3 * cap) as work:
+        basis, mbasis, solves = work[:, :cap], work[:, cap : 2 * cap], work[:, 2 * cap : 3 * cap]
+        k = 0
+        while k < cap:
+            np.divide(v, norm, out=basis[:, k])
+            np.divide(mv, norm, out=mbasis[:, k])
+            w = factor.solve(mbasis[:, k])
+            solves[:, k] = w
+            # classical Gram-Schmidt, twice; the first pass also removes
+            # the three-term recurrence's alpha u_k and beta u_{k-1}
+            h = mbasis[:, : k + 1].T @ w
+            w -= basis[:, : k + 1] @ h
+            h2 = mbasis[:, : k + 1].T @ w
+            w -= basis[:, : k + 1] @ h2
+            alpha = t[k, k] = h[k] + h2[k]
+            scale = max(scale, abs(alpha))
+            mw = m_matrix.matvec(w)
+            beta = float(np.sqrt(max(w @ mw, 0.0)))
+            k += 1
 
-        broke = beta <= _BREAKDOWN_REL * max(scale, 1e-300)
-        if broke:
-            beta = 0.0
-        t[k, k - 1] = t[k - 1, k] = beta
+            broke = beta <= _BREAKDOWN_REL * max(scale, 1e-300)
+            if broke:
+                beta = 0.0
+            t[k, k - 1] = t[k - 1, k] = beta
 
-        if k >= s:
-            mu, vec = descending_eigh(t[:k, :k])
-            mu, vec = mu[:s], vec[:, :s]  # the leading Ritz pairs
-            bounds = np.abs(beta * vec[-1])
-            if np.all(mu > 0.0) and np.all(bounds <= tol * mu):
-                # a copy of the used columns, so the result does not keep
-                # the whole (n, cap) workspace alive
-                basis = basis[:, :k].copy(order="F")
-                return LanczosResult(
-                    eigenvalues=1.0 / mu,  # descending mu -> ascending lambda
-                    vectors=basis @ vec,
-                    basis=basis,
-                    tridiagonal=t[:k, :k].copy(),
-                    solves=np.stack(solves, axis=1),
-                )
+            if k >= s:
+                mu, vec = descending_eigh(t[:k, :k])
+                mu, vec = mu[:s], vec[:, :s]  # the leading Ritz pairs
+                bounds = np.abs(beta * vec[-1])
+                if np.all(mu > 0.0) and np.all(bounds <= tol * mu):
+                    # copies of the used columns: nothing returned aliases
+                    # the workspace, which the next run overwrites
+                    kept = basis[:, :k].copy(order="F")
+                    return LanczosResult(
+                        eigenvalues=1.0 / mu,  # descending mu -> ascending lambda
+                        vectors=kept @ vec,
+                        basis=kept,
+                        tridiagonal=t[:k, :k].copy(),
+                        solves=solves[:, :k].copy(),
+                    )
 
-        if broke:
-            # invariant subspace: continue with a fresh direction
-            v = rng.standard_normal(n)
-            for _ in range(2):
-                v -= basis[:, :k] @ (mbasis[:, :k].T @ v)
-            mv = m_matrix.matvec(v)
-            norm2 = float(v @ mv)
-            if norm2 <= n * 1e-28:
-                raise SubspaceExhaustedError(
-                    "Krylov space exhausted with %d of %d pairs available" % (k, s)
-                )
-            norm = np.sqrt(norm2)
-        else:
-            v, mv, norm = w, mw, beta
+            if broke:
+                # invariant subspace: continue with a fresh direction
+                v = rng.standard_normal(n)
+                drawn = float(v @ m_matrix.matvec(v))
+                for _ in range(2):
+                    v -= basis[:, :k] @ (mbasis[:, :k].T @ v)
+                mv = m_matrix.matvec(v)
+                norm2 = float(v @ mv)
+                # relative, as the breakdown test, so M's units do not matter
+                if norm2 <= _BREAKDOWN_REL**2 * drawn:
+                    raise SubspaceExhaustedError(
+                        "Krylov space exhausted with %d of %d pairs available" % (k, s)
+                    )
+                norm = np.sqrt(norm2)
+            else:
+                v, mv, norm = w, mw, beta
 
     # k = cap >= s here, so the last iteration computed the Ritz data
     raise MaxIterationsError(

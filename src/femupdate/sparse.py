@@ -11,6 +11,7 @@ the kernel once per pattern, from its structure alone, by estimated cost.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import reduce
 from operator import add
 
@@ -33,8 +34,8 @@ class SymmetricPattern:
     """Structurally symmetric sparsity pattern of an n-by-n matrix.
 
     Full CSR layout: ``indices[indptr[i]:indptr[i + 1]]`` are the sorted
-    columns of row i. The pattern caches its ordering and kernel, and its
-    row support.
+    columns of row i. The pattern caches its ordering and kernel, its
+    row support, and a scratch workspace it lends out (``workspace``).
     """
 
     def __init__(self, n, indptr, indices):
@@ -43,6 +44,7 @@ class SymmetricPattern:
         self.indices = np.asarray(indices, dtype=np.int32)
         self._ordering = None
         self._support = None
+        self._spare = []  # the workspace, while no loan holds it
 
     @property
     def nnz(self):
@@ -66,6 +68,26 @@ class SymmetricPattern:
             rows, local = np.flatnonzero(held), np.cumsum(held, dtype=np.int32) - 1
             self._support = (rows, self.indptr[np.append(rows, self.n)], local[self.indices])
         return self._support
+
+    @contextmanager
+    def workspace(self, cols):
+        """Lend an F-order (n, >= cols) float array for the ``with`` block.
+
+        The array is kept here between loans, so repeated calls reuse its
+        pages instead of having the allocator map them afresh. A nested or
+        concurrent loan finds none here and gets a new array; so does one
+        that needs more columns. The array last handed back is kept.
+        """
+        try:
+            work = self._spare.pop()  # atomic: no two loans get one array
+        except IndexError:
+            work = None
+        if work is None or work.shape[1] < cols:
+            work = np.empty((self.n, cols), order="F")
+        try:
+            yield work
+        finally:
+            self._spare = [work]
 
     def ordering(self):
         """(perm, kd, pack): the pattern's ordering P and Cholesky kernel.

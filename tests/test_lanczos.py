@@ -1,5 +1,8 @@
 """Shift-invert Lanczos against dense oracles and its error contract."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -191,3 +194,153 @@ def test_descending_eigh_matches_sorted_eigvalsh(m, seed, repeat):
     assert np.all(np.diff(mu) <= 0.0)
     assert np.allclose(a @ vec, vec * mu, atol=1e-10 * m)
     assert np.allclose(vec.T @ vec, np.eye(m), atol=1e-12 * m)
+
+
+def lent_workspace(matrix):
+    """The array the matrix's pattern lends next: a loan of no columns
+    takes whatever the pattern holds, and gives it back."""
+    with matrix.pattern.workspace(0) as work:
+        return work
+
+
+def test_a_second_run_leaves_the_first_result_alone():
+    rng = np.random.default_rng(41)
+    k, m = random_spd_pencil(80, rng)
+    first = lanczos_smallest(k, m, s=3, tol=1e-9, seed=1)
+    kept = {name: getattr(first, name).copy()
+            for name in ("basis", "solves", "vectors", "tridiagonal")}
+    lanczos_smallest(k.scaled(2.0), m, s=5, tol=1e-9, seed=2)  # same pattern
+    for name, before in kept.items():
+        assert np.array_equal(getattr(first, name), before), name
+
+
+def test_runs_on_one_pattern_borrow_one_workspace_and_grow_it():
+    rng = np.random.default_rng(42)
+    k, m = random_spd_pencil(200, rng)
+    lanczos_smallest(k, m, s=2, tol=1e-8, max_basis=40)
+    held = lent_workspace(k)
+    assert held.shape == (200, 3 * 40) and held.flags.f_contiguous
+    lanczos_smallest(k.scaled(3.0), m, s=2, tol=1e-8, max_basis=40)
+    assert lent_workspace(k) is held
+    lanczos_smallest(k, m, s=2, tol=1e-8)  # default cap max(4 s + 20, 100)
+    assert lent_workspace(k).shape == (200, 3 * 100)
+    lanczos_smallest(k, m, s=30, tol=1e-6)  # cap 4 s + 20
+    grown = lent_workspace(k)
+    assert grown.shape == (200, 3 * 140)
+    lanczos_smallest(k, m, s=2, tol=1e-8, max_basis=40)  # fits: no new array
+    assert lent_workspace(k) is grown
+
+
+def test_errors_give_the_workspace_back(monkeypatch):
+    rng = np.random.default_rng(36)
+    k, m = random_spd_pencil(200, rng)
+    lanczos_smallest(k, m, s=5, tol=1e-8)
+    held = lent_workspace(k)
+    with pytest.raises(MaxIterationsError):
+        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
+    assert lent_workspace(k) is held
+    matvec, calls = m.matvec, []
+
+    def interrupted(x):  # fails in the middle of the loop
+        calls.append(x)
+        if len(calls) > 3:
+            raise KeyboardInterrupt
+        return matvec(x)
+
+    monkeypatch.setattr(m, "matvec", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        lanczos_smallest(k, m, s=5, tol=1e-8)
+    assert lent_workspace(k) is held
+
+
+def test_a_run_during_a_loan_uses_its_own_array():
+    rng = np.random.default_rng(43)
+    k, m = random_spd_pencil(80, rng)
+    alone = lanczos_smallest(k, m, s=3, tol=1e-9, seed=4)
+    with k.pattern.workspace(0) as lent:
+        lent[:] = np.nan
+        nested = lanczos_smallest(k, m, s=3, tol=1e-9, seed=4)
+        assert np.isnan(lent).all()
+    assert np.array_equal(nested.basis, alone.basis)
+
+
+def test_fresh_and_reused_workspaces_give_the_same_bits():
+    rng = np.random.default_rng(44)
+    k, m = random_spd_pencil(90, rng)
+    fresh = lanczos_smallest(k, m, s=4, tol=1e-9, seed=9)  # the pattern's first run
+    held = lent_workspace(k)
+    lanczos_smallest(k, m, s=6, tol=1e-10, seed=3)  # leaves other values behind
+    reused = lanczos_smallest(k, m, s=4, tol=1e-9, seed=9)
+    assert lent_workspace(k) is held
+    for name in ("eigenvalues", "vectors", "basis", "tridiagonal", "solves"):
+        assert np.array_equal(getattr(fresh, name), getattr(reused, name)), name
+
+
+def test_threads_sharing_a_pattern_never_share_a_workspace():
+    rng = np.random.default_rng(45)
+    k, m = random_spd_pencil(120, rng)
+    seeds = list(range(6))
+    expected = {seed: lanczos_smallest(k, m, s=3, tol=1e-9, seed=seed).basis for seed in seeds}
+    errors = []
+
+    def work(offset):
+        for i in range(12):
+            seed = seeds[(i + offset) % len(seeds)]
+            try:  # a clobbered basis can also fail to converge
+                basis = lanczos_smallest(k, m, s=3, tol=1e-9, seed=seed).basis
+            except Exception as exc:
+                errors.append(repr(exc))
+            else:
+                want = expected[seed]
+                if basis.shape != want.shape or np.abs(basis - want).max() > 1e-10:
+                    errors.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def _separated_pencil(n, rng):
+    """Dense SPD pencil K = B W Bᵀ, M = B Bᵀ whose eigenvalues, W's,
+    differ pairwise by at least 0.2."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = q * np.sqrt(rng.uniform(0.5, 2.0, n))
+    w = 1.0 + np.cumsum(rng.uniform(0.2, 1.0, n))
+    return SparseSymMatrix.from_full((b * w) @ b.T), SparseSymMatrix.from_full(b @ b.T)
+
+
+@given(n=st.integers(20, 120), s=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_gram_schmidt_twice_keeps_the_lanczos_relations(n, s, seed):
+    rng = np.random.default_rng(seed)
+    k, m = _separated_pencil(n, rng)
+    tol = 1e-8
+    result = lanczos_smallest(k, m, s=s, tol=tol, seed=seed)
+    oracle = sla.eigh(k.to_dense(), m.to_dense(), eigvals_only=True,
+                      subset_by_index=[0, s - 1])
+    assert np.all(np.abs(result.eigenvalues - oracle) <= (tol + 1e-12) * oracle)
+    u = result.basis
+    mu_ = m.matvec(u)
+    assert np.abs(u.T @ mu_ - np.eye(result.m)).max() <= 1e-12
+    fresh = np.linalg.solve(k.to_dense(), mu_)
+    assert np.abs(result.solves - fresh).max() <= 1e-10 * np.abs(fresh).max()
+    projected = mu_.T @ fresh
+    assert np.abs(result.tridiagonal - projected).max() <= 1e-10 * np.abs(projected).max()
+
+
+@pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
+def test_restarts_do_not_depend_on_the_units_of_m(c):
+    # K v = lambda c v: eigenvalues 1/c and 2/c, three times each; one
+    # start vector's Krylov space holds two, so reaching s = 4 restarts
+    k = diagonal([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    m = diagonal(np.full(6, c))
+    result = lanczos_smallest(k, m, s=4, tol=1e-10)
+    assert np.allclose(result.eigenvalues * c, [1.0, 1.0, 2.0, 2.0], rtol=1e-9)
