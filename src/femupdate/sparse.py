@@ -7,6 +7,12 @@ P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a Gibbs-Poole-Stockmeyer level
 ordering, or SuperLU in symmetric mode without pivoting (U = diag(d) Lᵀ,
 d > 0 for an SPD input) on a minimum-degree ordering. ``ordering`` picks
 the kernel once per pattern, from its structure alone, by estimated cost.
+The band factor is stored at half-bandwidth kd rounded up to a multiple
+of 16 diagonals when that adds at most 10% storage (arch r3 44 -> 48,
+vault r1 343 -> 352), else at kd: the back-solve's transposed sweep is
+a chain of dependent kd-long dot products, which OpenBLAS runs fastest
+at multiples of 16. One arch r3 ``dpbtrs`` took 0.46-0.50 ms at 44 and
+0.33-0.37 ms at 48.
 """
 
 from __future__ import annotations
@@ -28,6 +34,19 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 # per fill entry. Band wins at 906 (vault r1) and is no faster at 2168
 # (vault r2), where it needs more memory; 1400 is their geometric mean.
 BAND_COST_RATIO = 1400.0
+
+# Grain of the band factor's stored half-bandwidth and the largest storage
+# share padding to it may add (see the module docstring). Added diagonals stay
+# zero, as Cholesky fill stays inside the envelope. One BLAS thread, arch r3
+# at 44 -> 48: dpbtrs 0.46-0.50 -> 0.33-0.37 ms, dpbtrf 2.1-2.2 -> 2.5-2.8 ms;
+# arch r1 (19 -> 32) and r2 (33 -> 48) solved no faster, factored ~20% slower.
+BAND_GRAIN, BAND_PAD = 16, 0.1
+
+
+def _band_width(kd):
+    """Stored half-bandwidth of a band factor of half-bandwidth kd."""
+    w = -(-kd // BAND_GRAIN) * BAND_GRAIN
+    return w if w - kd <= BAND_PAD * (kd + 1) else kd
 
 
 class SymmetricPattern:
@@ -98,9 +117,10 @@ class SymmetricPattern:
         fill of a minimum-degree SuperLU probe factorization; SuperLU
         otherwise (kd is None). Fill only adds entries, so the probe is
         skipped when the band kernel wins at zero fill, nnz(L+U) = nnz(A).
-        ``pack`` maps a matrix's values into P A Pᵀ: (src, dst) scatter
-        them into LAPACK's lower band storage, transposed and flattened;
-        (gather, indptr, indices) store them column-wise for SuperLU.
+        ``pack`` maps a matrix's values into P A Pᵀ: (src, dst, w) scatter
+        them into LAPACK's lower band storage of half-bandwidth
+        w = ``_band_width(kd)``, transposed and flattened; (gather,
+        indptr, indices) store them column-wise for SuperLU.
         """
         if self._ordering is None:
             ones = sp.csr_array(
@@ -116,8 +136,8 @@ class SymmetricPattern:
                 dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
                 lu = _splu(dominant.tocsc(), "MMD_AT_PLUS_A")
             if lu is None or self.n * (kd + 1) ** 2 <= BAND_COST_RATIO * lu.nnz:
-                src = np.flatnonzero(i >= j)
-                self._ordering = (perm, kd, (src, i[src] - j[src] + (kd + 1) * j[src]))
+                src, w = np.flatnonzero(i >= j), _band_width(kd)
+                self._ordering = (perm, kd, (src, i[src] - j[src] + (w + 1) * j[src], w))
             else:
                 perm, at = np.argsort(lu.perm_c), lu.perm_c
                 i, j = at[rows], at[self.indices]
@@ -335,8 +355,8 @@ class CholeskyFactor:
                 raise NotPositiveDefiniteError(perm[bad[0]])
             self._solve = lu.solve
         else:
-            src, dst = pack
-            band = np.zeros((matrix.n, kd + 1))
+            src, dst, w = pack
+            band = np.zeros((matrix.n, w + 1))
             band.reshape(-1)[dst] = matrix.data[src]
             cb, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
             if info > 0:

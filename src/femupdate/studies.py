@@ -131,8 +131,9 @@ def run_noise_study(setup):
 
     For each noise level delta and each trial, the clean targets are
     perturbed multiplicatively, the model is updated from the
-    configured start, and the largest relative parameter error against
-    the known true values is recorded. Writes noise_study.csv (one row
+    configured start with relative weights, whatever ``weight_mode`` the
+    setup holds, and the largest relative parameter error against the
+    known true values is recorded. Writes noise_study.csv (one row
     per trial) and noise_summary.txt with per-level medians and the
     log-log slope fitted through them (nan with fewer than two levels).
 

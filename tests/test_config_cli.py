@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from femupdate import ConfigError, NotPositiveDefiniteError, benchmarks, load_config
+from femupdate import ConfigError, NotPositiveDefiniteError, benchmarks, load_config, studies
 from femupdate.cli import main
-from femupdate.studies import run_strategy_comparison, run_update
+from femupdate.objective import make_weights
+from femupdate.studies import run_noise_study, run_strategy_comparison, run_update
 
 BASE = """
 [run]
@@ -307,6 +308,25 @@ def test_cli_output_dir_overrides_config(tmp_path, command, files):
     assert main([command, path, "--output-dir", str(tmp_path / "cli_out")]) in (0, 1)
     assert sorted(os.listdir(tmp_path / "cli_out")) == files
     assert not (tmp_path / "config_out").exists()
+
+
+def test_noise_study_solves_with_relative_weights(tmp_path, monkeypatch):
+    text = TWO_PARAM.format(strategy="RM", out=tmp_path / "out")
+    setup = load_config(write(tmp_path, text + "\n[noise_study]\ndeltas = 1e-3\ntrials = 2\n"))
+    problem = setup.problem  # weight_mode left at its default
+    assert np.array_equal(problem.weights, make_weights("uniform", problem.measured))
+    solved = []
+
+    def recording(problem, **kwargs):
+        solved.append(problem)
+        return solve(problem, **kwargs)
+
+    solve = studies.solve
+    monkeypatch.setattr(studies, "solve", recording)
+    run_noise_study(setup)
+    assert len(solved) == 2
+    for problem in solved:
+        assert np.array_equal(problem.weights, make_weights("relative", problem.measured))
 
 
 def test_cli_eigs(tmp_path, capsys):

@@ -44,6 +44,21 @@ def test_identity_pencil_repeated_eigenvalue():
     assert np.allclose(result.eigenvalues, [1.0, 1.0], atol=1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="one start vector finds a double eigenvalue "
+                   "once (ROADMAP item 5)")
+def test_both_copies_of_a_double_smallest_eigenvalue_come_back():
+    # K = Q diag(λ) Qᵀ, M = I, λ uniform on [1, 100] with λ₂ = λ₁ exactly
+    n = 200
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        lam = np.sort(rng.uniform(1.0, 100.0, n))
+        lam[1] = lam[0]
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        k = SparseSymMatrix.from_full((q * lam) @ q.T)
+        result = lanczos_smallest(k, identity(n), s=3)
+        assert np.allclose(result.eigenvalues[:2], lam[0], rtol=1e-6, atol=0), seed
+
+
 def test_matches_dense_oracle_random_pencil():
     rng = np.random.default_rng(31)
     k, m = random_spd_pencil(120, rng)

@@ -153,28 +153,31 @@ def _random_spd_on(n, pairs, rng):
     return SparseSymMatrix.from_full(a)
 
 
-@given(wide=st.booleans(), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_both_kernels_solve_and_locate_pivots(wide, data, seed):
+@given(kind=st.sampled_from(("hubs", "band", "wide band")), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_both_kernels_solve_and_locate_pivots(kind, data, seed):
     # Hubs coupled to every dof give kd >= (n - 1) / 2 in any ordering, so
     # n (kd + 1)² >= n (n + 1)² / 4, while these patterns fill only
     # nnz(L+U) <= 6.9 n (100 draws each at n = 240 and 320). So from
     # n = 240 up the cost ratio n (kd + 1)² / nnz(L+U) is at least 1.5
     # times BAND_COST_RATIO (least 2173 in those draws), which forces
     # SuperLU. At n = 150 it is only 0.6 times; a band of half-width <= 4
-    # stays far below it.
-    n = data.draw(st.integers(240, 320) if wide else st.integers(30, 80), label="n")
+    # stays far below it. Bands of half-width 17-70 order to kd of about
+    # 20-110, on both sides of the rule that pads the stored width.
+    sizes = {"hubs": (240, 320), "band": (30, 80), "wide band": (150, 240)}
+    n = data.draw(st.integers(*sizes[kind]), label="n")
     rng = np.random.default_rng(seed)
-    if wide:  # hubs coupled to every dof
+    if kind == "hubs":  # hubs coupled to every dof
         hubs = rng.choice(n, rng.integers(1, 3), replace=False)
         extra = rng.integers(0, n, (n // 4, 2))
         pairs = [(h, j) for h in hubs for j in range(n)] + list(extra)
-    else:  # a random band of half-width <= 4 under a random relabelling
-        width = rng.integers(1, 5)
+    else:  # a random band under a random relabelling
+        width = rng.integers(1, 5) if kind == "band" else rng.integers(17, 71)
         label = rng.permutation(n)
         pairs = [(label[i], label[i - off]) for off in range(1, width + 1)
                  for i in range(off, n) if off == 1 or rng.random() < 0.6]
     a = _random_spd_on(n, pairs, rng)
-    assert _kernel(a.pattern) == ("superlu" if wide else "band")
+    assert _kernel(a.pattern) == ("superlu" if kind == "hubs" else "band")
 
     data = a.data.copy()
     data[_diagonal_slots(a.pattern)] += rng.uniform(0.5, 2.0, n)
@@ -223,6 +226,17 @@ def test_builtin_structures_keep_their_kernel(name, refine, kernel):
     ratio = _cost_ratio(pattern) / sparse.BAND_COST_RATIO
     assert (ratio <= 1.0) == (kernel == "band")
     assert max(ratio, 1.0 / ratio) >= 1.3
+
+
+def test_builtin_band_factors_are_stored_at_the_grain_where_it_is_cheap():
+    # arch r3 and vault r1 pad to a multiple of 16 diagonals (+9% and +3%
+    # storage); arch r1 and r2 would need +65% and +44%, so stay at kd
+    stored = {("arch", 1): (19, 19), ("arch", 2): (33, 33),
+              ("arch", 3): (44, 48), ("vault", 1): (343, 352)}
+    for (name, refine), (kd, width) in stored.items():
+        pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
+        _, order_kd, (_, _, w) = pencil.evaluate(box.midpoint())[0].pattern.ordering()
+        assert (order_kd, w) == (kd, width), (name, refine)
 
 
 @pytest.mark.parametrize("name, probes", [("arch", 0), ("vault", 1)])
