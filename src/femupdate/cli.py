@@ -9,10 +9,11 @@ Subcommands::
     femupdate mesh <arch|vault> <path>  export a built-in benchmark mesh
 
 Exit codes: 0 on success, 1 when an update fails to converge, 2 on a
-configuration or usage error (unknown keys and invalid material values
-included) or a start point where K is not positive definite, 3 on a numerical failure (clustered eigenvalues, surrogate out
-of range, inconsistent model, Lanczos cap or exhausted subspace). A
-trial point where K is not positive definite is a rejected step.
+configuration or usage error (unknown keys and invalid or non-finite
+values included) or a start point where K is not positive definite, 3 on
+a numerical failure (clustered eigenvalues, surrogate out of range,
+inconsistent model, Lanczos cap or exhausted subspace). A trial point
+where K is not positive definite is a rejected step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import benchmarks
 from .config import load_config
 from .errors import ConfigError, NumericalError
 from .objective import evaluate_full
-from .studies import run_noise_study, run_strategy_comparison, run_update
+from .studies import STRATEGIES, run_noise_study, run_strategy_comparison, run_update
 
 
 def _build_parser():
@@ -111,7 +112,7 @@ def main(argv=None):
         if args.command == "compare":
             results = run_strategy_comparison(setup)
             print("strategy  factorizations  objective      criticality")
-            for name in ("RM", "AD", "A"):
+            for name in STRATEGIES:
                 r = results[name]
                 print(
                     "%-8s  %14d  %-12.4e  %.3e"

@@ -16,12 +16,12 @@ from . import benchmarks
 from .errors import ConfigError
 from .fem import Material, Mesh, assemble_parametric
 from .objective import UpdatingProblem, evaluate_full
-from .studies import perturbed_targets
+from .studies import STRATEGIES, perturbed_targets
 from .trustregion import TrustRegionConfig
 
 SCHEMA_VERSION = 1
-STRATEGIES = ("RM", "A", "AD")
 UNSUPPORTED_STRATEGIES = ("BB",)
+_REQUIRED = object()  # default of a key that must be given
 
 # accepted keys per section; every [material.<name>] shares one set
 KEYS = {
@@ -83,13 +83,6 @@ def _get(parser, section, key, cast, default):
         return cast(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError("cannot parse %r" % raw, section, key) from exc
-
-
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
 
 
 def _apply_material_overrides(parser, materials, need_region):

@@ -324,30 +324,6 @@ def _element_matrices(coords, young, poisson, density):
     return ke, me
 
 
-def element_stiffness(coords, young, poisson):
-    """Stiffness matrices for a batch of elements.
-
-    Parameters
-    ----------
-    coords : (n_el, nn, dim) array
-        Node coordinates per element.
-    young : float
-        Young modulus in MPa.
-    poisson : float
-        Poisson ratio.
-
-    Returns
-    -------
-    (n_el, nn*dim, nn*dim) array of symmetric element matrices.
-    """
-    return _element_matrices(coords, young, poisson, 0.0)[0]
-
-
-def element_mass(coords, density):
-    """Consistent mass matrices for a batch of elements (density in kg/m^3)."""
-    return _element_matrices(coords, 0.0, 0.0, density)[1]
-
-
 class _Scatter:
     """Where every element matrix entry lands in the assembled operators.
 

@@ -1,9 +1,10 @@
 """Frequency-mismatch objective on a parametric pencil.
 
-phi(x) = sum_i w_i^2 (f_i(x) - fbar_i)^2, where f_i(x) are the s
-smallest natural frequencies of the pencil at x, fbar are the measured
-targets, and the weight vector w has unit Euclidean norm. Frequencies
-derive from pencil eigenvalues as f = sqrt(lambda) / (2 pi).
+phi(x) = r^T r with residuals r_i = w_i (f_i(x) - fbar_i), where f_i(x)
+are the s smallest natural frequencies of the pencil at x, fbar are the
+measured targets, and the weight vector w has unit Euclidean norm.
+Frequencies derive from pencil eigenvalues as f = sqrt(lambda) / (2 pi).
+The gradient is 2 J^T r, J = d r / d x (s x p, ``residual_jacobian``).
 """
 
 from __future__ import annotations
@@ -50,17 +51,22 @@ def make_weights(mode, measured, custom=None):
         w = np.asarray(custom, dtype=np.float64)
         if w.shape != f.shape:
             raise DimensionMismatchError("custom weights must match target length")
-        if np.any(w < 0.0) or not np.any(w > 0.0):
-            raise ValueError("custom weights must be nonnegative and not all zero")
+        if not (np.all(np.isfinite(w) & (w >= 0.0)) and np.any(w > 0.0)):
+            raise ValueError("custom weights must be finite, nonnegative and not all zero")
     else:
         raise ValueError("unknown weight mode '%s'" % mode)
     return w / np.linalg.norm(w)
 
 
+def residuals(f_computed, f_measured, weights):
+    """The weighted frequency residuals r_i = w_i (f_i - fbar_i)."""
+    return weights * (np.asarray(f_computed) - np.asarray(f_measured))
+
+
 def weighted_mismatch(f_computed, f_measured, weights):
-    """The objective value sum_i (w_i (f_i - fbar_i))^2."""
-    d = weights * (np.asarray(f_computed) - np.asarray(f_measured))
-    return float(d @ d)
+    """The objective value r^T r."""
+    r = residuals(f_computed, f_measured, weights)
+    return float(r @ r)
 
 
 @dataclass
@@ -68,7 +74,7 @@ class UpdatingProblem:
     """A model-updating instance: pencil, feasible box, and targets.
 
     Parameters are validated on construction: at least one free
-    parameter, strictly positive nondecreasing targets, box matching
+    parameter, finite positive nondecreasing targets, box matching
     the parameter count. ``weights`` may be a mode name or a vector.
     """
 
@@ -81,7 +87,7 @@ class UpdatingProblem:
     seed: int = 0
 
     def __post_init__(self):
-        self.measured = np.asarray(self.measured, dtype=np.float64)
+        m = self.measured = np.asarray(self.measured, dtype=np.float64)
         if self.pencil.n_parameters == 0:
             raise ValueError("empty free-parameter set: nothing to update")
         if len(self.box) != self.pencil.n_parameters:
@@ -89,14 +95,14 @@ class UpdatingProblem:
                 "box has %d bounds for %d parameters"
                 % (len(self.box), self.pencil.n_parameters)
             )
-        if self.measured.ndim != 1 or self.measured.size == 0:
+        if m.ndim != 1 or m.size == 0:
             raise ValueError("measured frequencies must be a nonempty vector")
-        if np.any(self.measured <= 0.0) or np.any(np.diff(self.measured) < 0.0):
-            raise ValueError("measured frequencies must be positive and nondecreasing")
+        if not (np.all(np.isfinite(m) & (m > 0.0)) and np.all(np.diff(m) >= 0.0)):
+            raise ValueError("measured frequencies must be finite, positive and nondecreasing")
         if isinstance(self.weights, str):
-            self.weights = make_weights(self.weights, self.measured)
+            self.weights = make_weights(self.weights, m)
         else:
-            self.weights = make_weights("custom", self.measured, self.weights)
+            self.weights = make_weights("custom", m, self.weights)
 
     @property
     def s(self):
@@ -196,16 +202,18 @@ def eigenvalue_derivatives(pencil, eigenvalues, vectors):
     return out
 
 
-def mismatch_gradient(frequencies, eigenvalues, dlam, measured, weights):
-    """Chain rule from eigenvalue derivatives to the objective gradient."""
-    coef = weights**2 * (frequencies - measured) / (TWO_PI * np.sqrt(eigenvalues))
-    return coef @ dlam
+def residual_jacobian(eigenvalues, dlam, weights):
+    """Jacobian J of r from d lambda_i (row i of ``dlam``) by r_i' = d r_i /
+    d lambda_i = w_i / (4 pi sqrt(lambda_i)), and, for second-order terms,
+    r_i'' = -r_i' / (2 lambda_i): the one place where f = sqrt(lambda) /
+    (2 pi) is differentiated."""
+    slope = weights / (2.0 * TWO_PI * np.sqrt(eigenvalues))
+    return slope[:, None] * dlam, -0.5 * slope / eigenvalues
 
 
 def full_gradient(problem, evaluation):
-    """Gradient of phi at the point of a converged full evaluation."""
+    """Gradient 2 J^T r of phi at the point of a converged full evaluation."""
     lam, vectors = evaluation.lanczos.eigenvalues, evaluation.lanczos.vectors
     dlam = eigenvalue_derivatives(problem.pencil, lam, vectors)
-    return mismatch_gradient(
-        evaluation.frequencies, lam, dlam, problem.measured, problem.weights
-    )
+    r = residuals(evaluation.frequencies, problem.measured, problem.weights)
+    return 2.0 * r @ residual_jacobian(lam, dlam, problem.weights)[0]

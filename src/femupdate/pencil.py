@@ -36,7 +36,7 @@ class FeasibleBox:
         self.upper = np.asarray(upper, dtype=np.float64)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise DimensionMismatchError("bounds must be 1-d arrays of equal length")
-        if np.any(self.lower >= self.upper):
+        if not np.all(self.lower < self.upper):  # NaN fails too
             raise ValueError("every lower bound must be strictly below the upper")
 
     def __len__(self):

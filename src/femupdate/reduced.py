@@ -37,11 +37,14 @@ c_i[k, j] = u_k^T (G_j - mu_i S_j) u_i (c_i[i, j] = d mu_i / d delta_j)
         = 2 sum_{k != i} c_i[k, j] c_i[k, l] / (mu_i - mu_k)
           - c_i[i, j] u_i^T S_l u_i - c_i[i, l] u_i^T S_j u_i,
 
-and the chain rule through f_i = mu_i^{-1/2} / (2 pi) gives the Hessian
-of the surrogate objective (the correction g_corr^T delta is linear and
-adds nothing). Weighted by d phi / d mu_i, the sums over k and i
-collapse into one product of p x (m s) matrices, so the Hessian adds a
-few small dense products to an evaluation.
+Each residual r_i = w_i (f_i - fbar_i) moves with mu_i = 1 / lambda_i
+alone. ``objective.residual_jacobian`` differentiates it in lambda_i and
+the chain rule through lambda_i = 1 / mu_i gives r_i' and r_i'' in mu_i,
+so J = diag(r') d mu / d delta, the gradient is 2 J^T r + g_corr and the
+Hessian 2 J^T J + sum_i 2 r_i (r_i' d2 mu_i + r_i'' grad mu_i grad mu_i^T)
+(the linear g_corr^T delta adds nothing). The sums over k and i in
+d2 mu_i collapse into one product of p x (m s) matrices, so the Hessian
+adds a few small dense products to an evaluation.
 
 The s largest mu approximate the reciprocals of the s smallest pencil
 eigenvalues; the surrogate objective adds a linear correction
@@ -61,11 +64,11 @@ from scipy.linalg import lapack
 from .errors import ModelConsistencyError, SurrogateOutOfRangeError
 from .lanczos import descending_eigh
 from .objective import (
-    TWO_PI,
     frequencies_from_eigenvalues,
     full_gradient,
-    mismatch_gradient,
     require_separated,
+    residual_jacobian,
+    residuals,
     weighted_mismatch,
 )
 
@@ -252,23 +255,17 @@ def evaluate_reduced_with_gradient(model, x, hessian=False):
     coupled = gu - su * lead  # (G_j - mu_i S_j) u_i
     dmu = np.einsum("ai,jai->ij", u, coupled)
 
-    dlam = -dmu / lead[:, None] ** 2
-    grad = mismatch_gradient(
-        f_hat, 1.0 / lead, dlam, model.measured, model.weights
-    ) + model.g_corr
+    # r_i' = d r_i / d mu_i through lambda_i = 1 / mu_i, one column
+    dr, curv = residual_jacobian(1.0 / lead, -1.0 / lead[:, None] ** 2, model.weights)
+    jac = dr * dmu
+    r = residuals(f_hat, model.measured, model.weights)
+    grad = 2.0 * r @ jac + model.g_corr
     if not hessian:
         return value, f_hat, grad
 
-    # phi = sum_i w_i^2 (f_i - fbar_i)^2 with f_i = mu_i^{-1/2} / (2 pi):
-    # d phi / d mu_i = a_i, d2 phi / d mu_i^2 = b_i
-    resid = model.weights**2 * (f_hat - model.measured)
-    df = -0.5 * lead**-1.5 / TWO_PI
-    d2f = 0.75 * lead**-2.5 / TWO_PI
-    a = 2.0 * resid * df
-    b = 2.0 * (model.weights**2 * df**2 + resid * d2f)
-
     # couplings c[j, k, i] = u_k^T (G_j - mu_i S_j) u_i over all m u_k,
-    # weighted by 2 a_i / (mu_i - mu_k) off the diagonal k = i
+    # weighted by 2 a_i / (mu_i - mu_k) off the diagonal k = i, a = 2 r r'
+    a = 2.0 * r * dr[:, 0]
     c = np.matmul(u_all.T, coupled).reshape(p, m * s)
     gaps = lead[None, :] - mu[:, None]
     np.fill_diagonal(gaps, np.inf)  # k = i
@@ -277,5 +274,6 @@ def evaluate_reduced_with_gradient(model, x, hessian=False):
     sdiag = np.einsum("ai,jai->ij", u, su)  # u_i^T S_j u_i
     cross = (a[:, None] * dmu).T @ sdiag
     hess -= cross + cross.T
-    hess += (b[:, None] * dmu).T @ dmu
+    ddr = curv / lead**4 - 2.0 * dr[:, 0] / lead  # r'' = curv lambda'^2 + r' lambda'' / lambda'
+    hess += 2.0 * jac.T @ jac + ((2.0 * r * ddr)[:, None] * dmu).T @ dmu
     return value, f_hat, grad, _sym(hess)

@@ -250,26 +250,6 @@ class SparseSymMatrix:
         self._local = None
 
     @classmethod
-    def _from_scipy(cls, full):
-        """Matrix with the values of a full symmetric scipy matrix."""
-        full = sp.csr_array(full)
-        full.sum_duplicates()
-        return cls(SymmetricPattern(full.shape[0], full.indptr, full.indices), full.data)
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, values):
-        """Build from lower-triangle COO triplets (duplicates are summed)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if np.any(rows < cols):
-            raise ValueError("triplets must address the lower triangle")
-        off = rows > cols  # mirrored into the upper triangle
-        ij = (np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off])))
-        full = sp.coo_array((np.concatenate((values, values[off])), ij), shape=(n, n))
-        return cls._from_scipy(full)
-
-    @classmethod
     def from_full(cls, a, sym_tol=1e-10):
         """Build from a full symmetric matrix (dense or scipy sparse).
 
@@ -281,7 +261,8 @@ class SparseSymMatrix:
         scale = abs(a).max() if a.nnz else 0.0
         if a.nnz and gap.nnz and gap.max() > sym_tol * max(scale, 1e-300):
             raise ValueError("matrix is not symmetric to tolerance %g" % sym_tol)
-        return cls._from_scipy((a + a.T) * 0.5)
+        full = sp.csr_array((a + a.T) * 0.5)  # a sum of CSC arrays: sorted, no duplicates
+        return cls(SymmetricPattern(full.shape[0], full.indptr, full.indices), full.data)
 
     @property
     def n(self):
@@ -318,10 +299,6 @@ class SparseSymMatrix:
                 "operand has leading dimension %d, expected %d" % (x.shape[0], self.n)
             )
         return self.to_scipy() @ x
-
-    def scaled(self, c):
-        """New matrix c * A on the same pattern."""
-        return SparseSymMatrix(self.pattern, self.data * float(c))
 
 
 def _splu(a, permc_spec):

@@ -19,6 +19,8 @@ from .baselines import solve_baseline
 from .objective import EvalCounter
 from .trustregion import solve
 
+STRATEGIES = ("RM", "AD", "A")  # the supported ones, in comparison.csv's order
+
 
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
@@ -177,9 +179,6 @@ def run_noise_study(setup):
     return setup.noise_deltas, medians, slope
 
 
-COMPARE_STRATEGIES = ("RM", "AD", "A")
-
-
 def run_strategy_comparison(setup):
     """Run the same update with each strategy and tabulate the cost.
 
@@ -194,7 +193,7 @@ def run_strategy_comparison(setup):
     os.makedirs(setup.output_dir, exist_ok=True)
     results = {}
     rows = []
-    for strategy in COMPARE_STRATEGIES:
+    for strategy in STRATEGIES:
         counter = EvalCounter()
         t0 = time.perf_counter()
         result, iterations, status = run_strategy(setup, strategy, counter)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import settings
 
 from femupdate import (
@@ -119,10 +120,8 @@ def random_banded_spd(n, rng, bandwidth=3, shift=None):
         diag[:-off] += np.abs(v)
     base = rng.uniform(0.5, 2.0, n) if shift is None else shift
     diag += base
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    return SparseSymMatrix.from_triplets(n, rows, cols, vals)
+    lower = sp.coo_array((vals, (rows, cols)), shape=(n, n))
+    return SparseSymMatrix.from_full(lower + lower.T + sp.diags_array(diag))
 
 
 def random_spd_pencil(n, rng, bandwidth=3):

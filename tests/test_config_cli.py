@@ -351,6 +351,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     tr = write(tmp_path, BASE.format(out=tmp_path) + "[trust_region]\ngamma2 = 1.5\n", "tr.ini")
     assert main(["update", tr]) == 2
     assert "[trust_region] gamma2:" in capsys.readouterr().err
+    # non-finite targets and weights are validation errors, not numerical ones
+    generated = "mode = generate\nvalues = 5000 2200 4800"
+    for values in ("nan 20 30 40 50", "10 20 30 40 inf"):
+        text = BASE.format(out=tmp_path).replace(generated, "mode = measured\nvalues = " + values)
+        assert main(["update", write(tmp_path, text, "targets.ini")]) == 2
+        assert "measured frequencies must be finite" in capsys.readouterr().err
+    for weights in ("nan 1 1 1 1", "1 1 inf 1 1"):
+        text = BASE.format(out=tmp_path).replace(
+            "weight_mode = uniform", "weight_mode = custom\ncustom_weights = " + weights)
+        assert main(["update", write(tmp_path, text, "weights.ini")]) == 2
+        assert "custom weights must be finite" in capsys.readouterr().err
 
 
 def test_cli_indefinite_start_exits_2(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from femupdate import (
     benchmarks,
     evaluate_full,
 )
-from femupdate.fem import MPA, _Scatter, element_mass, element_stiffness
+from femupdate.fem import MPA, _Scatter, _element_matrices
 
 from conftest import ARCH_TRUE, dense_smallest
 
@@ -30,7 +30,7 @@ def unit_cube():
 
 
 def test_quad_stiffness_rigid_body_modes():
-    k = element_stiffness(unit_square(), young=3000.0, poisson=0.3)[0]
+    k = _element_matrices(unit_square(), 3000.0, 0.3, 0.0)[0][0]
     tx = np.tile([1.0, 0.0], 4)
     ty = np.tile([0.0, 1.0], 4)
     coords = unit_square()[0]
@@ -42,7 +42,7 @@ def test_quad_stiffness_rigid_body_modes():
 
 def test_quad_stiffness_symmetric_positive_semidefinite():
     coords = np.array([[[0.0, 0.0], [2.0, 0.1], [1.9, 1.2], [-0.1, 1.0]]])
-    k = element_stiffness(coords, young=100.0, poisson=0.25)[0]
+    k = _element_matrices(coords, 100.0, 0.25, 0.0)[0][0]
     assert np.allclose(k, k.T, atol=0)
     eigs = np.linalg.eigvalsh(k)
     assert eigs.min() >= -1e-9 * eigs.max()
@@ -51,7 +51,7 @@ def test_quad_stiffness_symmetric_positive_semidefinite():
 
 def test_quad_mass_total_equals_density_times_area():
     rho = 2345.0
-    m = element_mass(unit_square(), density=rho)[0]
+    m = _element_matrices(unit_square(), 0.0, 0.0, rho)[1][0]
     tx = np.tile([1.0, 0.0], 4)
     ty = np.tile([0.0, 1.0], 4)
     assert np.isclose(tx @ m @ tx, rho * 1.0, rtol=1e-13)
@@ -60,7 +60,7 @@ def test_quad_mass_total_equals_density_times_area():
 
 
 def test_hex_stiffness_rigid_body_modes():
-    k = element_stiffness(unit_cube(), young=5000.0, poisson=0.2)[0]
+    k = _element_matrices(unit_cube(), 5000.0, 0.2, 0.0)[0][0]
     coords = unit_cube()[0]
     modes = []
     for axis in range(3):
@@ -82,7 +82,7 @@ def test_hex_stiffness_rigid_body_modes():
 
 def test_hex_mass_total_equals_density_times_volume():
     rho = 1789.0
-    m = element_mass(unit_cube(), density=rho)[0]
+    m = _element_matrices(unit_cube(), 0.0, 0.0, rho)[1][0]
     tz = np.tile([0.0, 0.0, 1.0], 8)
     assert np.isclose(tz @ m @ tz, rho * 1.0, rtol=1e-13)
 
@@ -91,7 +91,7 @@ def test_degenerate_element_raises():
     bad = unit_square()
     bad[0, [1, 3]] = bad[0, [3, 1]]  # reversed orientation flips the Jacobian
     with pytest.raises(ValueError, match="singular element geometry"):
-        element_stiffness(bad, young=1.0, poisson=0.0)
+        _element_matrices(bad, 1.0, 0.0, 0.0)
     # in a mesh the message names the element by its nodes, whichever
     # Poisson-ratio batch computed it
     coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]]
@@ -106,7 +106,7 @@ def test_degenerate_element_raises():
 ])
 def test_region_values_match_the_public_element_matrices_bit_for_bit(name, poissons):
     # one Gauss-point pass per Poisson ratio, over all its regions at once,
-    # gives each region the bits of element_stiffness and element_mass
+    # gives each region the bits of one batch's element matrices
     mesh, materials = benchmarks.benchmark(name)
     poissons = poissons or [mat.poisson for mat in materials]
     scatter = _Scatter(mesh)
@@ -114,7 +114,7 @@ def test_region_values_match_the_public_element_matrices_bit_for_bit(name, poiss
     for rid, nu in enumerate(poissons, start=1):
         which = np.flatnonzero(mesh.regions == rid)
         coords = mesh.coords[mesh.elements[which]]
-        ke, me = element_stiffness(coords, 1.0, nu), element_mass(coords, 1.0)
+        ke, me = _element_matrices(coords, 1.0, nu, 1.0)
         k, m = scatter.assemble(which, ke, me)
         assert k.tobytes() == values[rid - 1][0].tobytes()
         assert m.tobytes() == values[rid - 1][1].tobytes()

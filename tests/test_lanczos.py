@@ -20,12 +20,11 @@ from conftest import random_spd_pencil
 
 
 def identity(n):
-    return SparseSymMatrix.from_triplets(n, range(n), range(n), np.ones(n))
+    return SparseSymMatrix.from_full(np.eye(n))
 
 
 def diagonal(values):
-    n = len(values)
-    return SparseSymMatrix.from_triplets(n, range(n), range(n), values)
+    return SparseSymMatrix.from_full(np.diag(values))
 
 
 def test_diagonal_pencil_known_eigenvalues():
@@ -224,7 +223,8 @@ def test_a_second_run_leaves_the_first_result_alone():
     first = lanczos_smallest(k, m, s=3, tol=1e-9, seed=1)
     kept = {name: getattr(first, name).copy()
             for name in ("basis", "solves", "vectors", "tridiagonal")}
-    lanczos_smallest(k.scaled(2.0), m, s=5, tol=1e-9, seed=2)  # same pattern
+    doubled = SparseSymMatrix(k.pattern, 2.0 * k.data)  # same pattern
+    lanczos_smallest(doubled, m, s=5, tol=1e-9, seed=2)
     for name, before in kept.items():
         assert np.array_equal(getattr(first, name), before), name
 
@@ -235,7 +235,7 @@ def test_runs_on_one_pattern_borrow_one_workspace_and_grow_it():
     lanczos_smallest(k, m, s=2, tol=1e-8, max_basis=40)
     held = lent_workspace(k)
     assert held.shape == (200, 3 * 40) and held.flags.f_contiguous
-    lanczos_smallest(k.scaled(3.0), m, s=2, tol=1e-8, max_basis=40)
+    lanczos_smallest(SparseSymMatrix(k.pattern, 3.0 * k.data), m, s=2, tol=1e-8, max_basis=40)
     assert lent_workspace(k) is held
     lanczos_smallest(k, m, s=2, tol=1e-8)  # default cap max(4 s + 20, 100)
     assert lent_workspace(k).shape == (200, 3 * 100)

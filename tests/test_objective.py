@@ -18,7 +18,7 @@ from femupdate import (
     make_weights,
     weighted_mismatch,
 )
-from femupdate.objective import eigenvalue_derivatives
+from femupdate.objective import eigenvalue_derivatives, residual_jacobian, residuals
 
 from conftest import random_banded_spd, random_spd_pencil
 
@@ -52,8 +52,9 @@ def test_custom_weights_normalized_and_validated():
     assert np.allclose(w, [0.6, 0.8])
     with pytest.raises(DimensionMismatchError):
         make_weights("custom", f, custom=[1.0])
-    with pytest.raises(ValueError):
-        make_weights("custom", f, custom=[-1.0, 1.0])
+    for bad in ([-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            make_weights("custom", f, custom=bad)
     with pytest.raises(ValueError):
         make_weights("bogus", f)
 
@@ -69,8 +70,10 @@ def test_weighted_mismatch_hand_value():
 
 def small_problem(rng, ell=2, n=30, s=3):
     k0, m0 = random_spd_pencil(n, rng)
-    dk = [random_banded_spd(n, rng, bandwidth=1).scaled(0.3) for _ in range(ell)]
-    dm = [random_banded_spd(n, rng, bandwidth=1).scaled(0.01) for _ in range(ell)]
+    dk = [SparseSymMatrix(a.pattern, 0.3 * a.data)
+          for a in (random_banded_spd(n, rng, bandwidth=1) for _ in range(ell))]
+    dm = [SparseSymMatrix(a.pattern, 0.01 * a.data)
+          for a in (random_banded_spd(n, rng, bandwidth=1) for _ in range(ell))]
     pencil = ParametricPencil(k0, m0, dk, dm, ["p%d" % j for j in range(ell)])
     box = FeasibleBox(np.full(ell, 0.1), np.full(ell, 4.0))
     x = np.full(ell, 1.0)
@@ -87,6 +90,11 @@ def test_problem_validation():
         UpdatingProblem(pencil, box, measured=measured[::-1])  # not ascending
     with pytest.raises(ValueError):
         UpdatingProblem(pencil, box, measured=-measured)
+    for bad, i in ((np.nan, 0), (np.nan, -1), (np.inf, -1)):
+        targets = measured.copy()
+        targets[i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            UpdatingProblem(pencil, box, measured=targets)
     with pytest.raises(ValueError):
         UpdatingProblem(pencil, FeasibleBox([0.1], [4.0]), measured=measured)
 
@@ -147,9 +155,11 @@ def test_unused_parameter_has_exactly_zero_gradient():
     rng = np.random.default_rng(46)
     k0, m0 = random_spd_pencil(25, rng)
     n = 25
-    empty = SparseSymMatrix.from_triplets(n, [], [], [])
-    live_k = random_banded_spd(n, rng, bandwidth=1).scaled(0.2)
-    live_m = random_banded_spd(n, rng, bandwidth=1).scaled(0.01)
+    empty = SparseSymMatrix.from_full(np.zeros((n, n)))
+    live_k = random_banded_spd(n, rng, bandwidth=1)
+    live_k = SparseSymMatrix(live_k.pattern, 0.2 * live_k.data)
+    live_m = random_banded_spd(n, rng, bandwidth=1)
+    live_m = SparseSymMatrix(live_m.pattern, 0.01 * live_m.data)
     pencil = ParametricPencil(k0, m0, [live_k, empty], [live_m, empty], ["live", "dead"])
     box = FeasibleBox([0.1, 0.1], [4.0, 4.0])
     x = np.ones(2)
@@ -170,14 +180,29 @@ def test_full_gradient_matches_finite_differences_small():
     x = np.array([1.2, 0.9])
     ev = evaluate_full(problem, x)
     g = full_gradient(problem, ev)
+    lam = ev.lanczos.eigenvalues
+    dlam = eigenvalue_derivatives(pencil, lam, ev.lanczos.vectors)
+    jac, curv = residual_jacobian(lam, dlam, problem.weights)
+    r = residuals(ev.frequencies, problem.measured, problem.weights)
+    assert jac.shape == (problem.s, 2)
+    assert np.allclose(g, 2.0 * jac.T @ r, rtol=1e-13, atol=0)
 
-    def phi(y):
+    # r_i'' against central differences of r_i' = d r_i / d lambda_i
+    h, unit = 1e-4 * lam, np.eye(problem.s)
+    up, down = (np.diag(residual_jacobian(lam + t, unit, problem.weights)[0]) for t in (h, -h))
+    assert np.allclose((up - down) / (2.0 * h), curv, rtol=1e-6, atol=0)
+
+    def frequencies(y):
         k, m = pencil.evaluate(y)
         lam = sla.eigh(k.to_dense(), m.to_dense(), eigvals_only=True,
                        subset_by_index=[0, problem.s - 1])
-        return weighted_mismatch(
-            frequencies_from_eigenvalues(lam), problem.measured, problem.weights
-        )
+        return frequencies_from_eigenvalues(lam)
+
+    def phi(y):
+        return weighted_mismatch(frequencies(y), problem.measured, problem.weights)
+
+    def resid(y):  # r(x) = w (f(x) - fbar)
+        return problem.weights * (frequencies(y) - problem.measured)
 
     h = 1e-6
     fd = np.array([
@@ -185,6 +210,9 @@ def test_full_gradient_matches_finite_differences_small():
         for j in range(2)
     ])
     assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
+    for j in range(2):  # each column of J
+        fd_j = (resid(x + h * np.eye(2)[j]) - resid(x - h * np.eye(2)[j])) / (2 * h)
+        assert np.linalg.norm(fd_j - jac[:, j]) <= 1e-6 * np.linalg.norm(jac[:, j])
 
 
 def test_repeated_eigenvalue_has_no_gradient():
@@ -192,8 +220,7 @@ def test_repeated_eigenvalue_has_no_gradient():
     # orthonormal pair spanning their eigenspace is a valid eigenbasis,
     # so the sensitivity formula would return an arbitrary answer
     def diagonal(values):
-        n = len(values)
-        return SparseSymMatrix.from_triplets(n, range(n), range(n), values)
+        return SparseSymMatrix.from_full(np.diag(values))
 
     lam = np.array([1.0, 2.0, 2.0, 5.0])
     dk = diagonal([1.0, 0.0, 1.0, 0.0])

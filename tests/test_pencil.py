@@ -17,6 +17,10 @@ def test_box_validation():
         FeasibleBox([1.0, 2.0], [3.0])
     with pytest.raises(ValueError):
         FeasibleBox([1.0, 5.0], [3.0, 5.0])  # needs strict lower < upper
+    for lower, upper in (([np.nan, 1.0, 1.0], [2.0, 2.0, 2.0]), ([1.0, 1.0], [2.0, np.nan])):
+        with pytest.raises(ValueError):
+            FeasibleBox(lower, upper)
+    assert np.isinf(FeasibleBox([1.0], [np.inf]).upper).all()  # an open upper end is legal
 
 
 def test_box_contains():
@@ -42,7 +46,8 @@ def _toy_pencil(rng, n=12, ell=2):
     k0 = random_banded_spd(n, rng)
     m0 = random_banded_spd(n, rng, bandwidth=1)
     dk = [random_banded_spd(n, rng, bandwidth=1) for _ in range(ell)]
-    dm = [random_banded_spd(n, rng, bandwidth=1).scaled(0.01) for _ in range(ell)]
+    dm = [SparseSymMatrix(a.pattern, 0.01 * a.data)
+          for a in (random_banded_spd(n, rng, bandwidth=1) for _ in range(ell))]
     names = ["p%d" % j for j in range(ell)]
     return ParametricPencil(k0, m0, dk, dm, names)
 
@@ -128,7 +133,7 @@ def _block(n, lo, hi, rng):
 def test_pencil_evaluate_matches_dense_reference_with_disjoint_increments():
     rng = np.random.default_rng(28)
     n = 16
-    empty = SparseSymMatrix.from_triplets(n, [], [], [])
+    empty = SparseSymMatrix.from_full(np.zeros((n, n)))
     k0 = random_banded_spd(n, rng, bandwidth=1)
     m0 = random_banded_spd(n, rng, bandwidth=1)
     # increments on disjoint index blocks, plus the all-zero increments

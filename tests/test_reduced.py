@@ -33,8 +33,10 @@ from conftest import random_banded_spd, random_spd_pencil
 
 def make_problem(rng, ell=2, n=40, s=3, lanczos_tol=1e-9):
     k0, m0 = random_spd_pencil(n, rng)
-    dk = [random_banded_spd(n, rng, bandwidth=1).scaled(0.3) for _ in range(ell)]
-    dm = [random_banded_spd(n, rng, bandwidth=1).scaled(0.02) for _ in range(ell)]
+    dk = [SparseSymMatrix(a.pattern, 0.3 * a.data)
+          for a in (random_banded_spd(n, rng, bandwidth=1) for _ in range(ell))]
+    dm = [SparseSymMatrix(a.pattern, 0.02 * a.data)
+          for a in (random_banded_spd(n, rng, bandwidth=1) for _ in range(ell))]
     pencil = ParametricPencil(k0, m0, dk, dm, ["p%d" % j for j in range(ell)])
     box = FeasibleBox(np.full(ell, 0.05), np.full(ell, 5.0))
     k, m = pencil.evaluate(np.ones(ell))
@@ -370,7 +372,7 @@ def _mixed_problem(n, s, extra, seed):
     and then K, M or both on random rows (``extra`` of them)."""
     rng = np.random.default_rng(seed)
     k0, m0 = random_spd_pencil(n, rng)
-    empty = SparseSymMatrix.from_triplets(n, [], [], [])
+    empty = SparseSymMatrix.from_full(np.zeros((n, n)))
 
     def rows(size):
         return np.sort(rng.choice(n, size, replace=False))

@@ -22,25 +22,11 @@ from femupdate import (
 from conftest import random_banded_spd
 
 
-def test_from_triplets_accumulates_duplicates():
-    # entries below the diagonal, with (2,0) given twice
-    m = SparseSymMatrix.from_triplets(
-        3, [0, 1, 2, 2, 2], [0, 1, 0, 0, 2], [2.0, 3.0, 0.5, 0.25, 4.0]
-    )
-    expected = np.array([[2.0, 0.0, 0.75], [0.0, 3.0, 0.0], [0.75, 0.0, 4.0]])
-    assert np.array_equal(m.to_dense(), expected)
-    assert m.n == 3 and m.shape == (3, 3)
-
-
-def test_from_triplets_rejects_upper_entries():
-    with pytest.raises(ValueError):
-        SparseSymMatrix.from_triplets(2, [0, 0, 1], [0, 1, 1], [1.0, 5.0, 2.0])
-
-
 def test_from_full_requires_symmetry():
     full = np.array([[1.0, 2.0], [2.0, 3.0]])
     m = SparseSymMatrix.from_full(full)
     assert np.array_equal(m.to_dense(), full)
+    assert m.n == 2 and m.shape == (2, 2)
     with pytest.raises(ValueError):
         SparseSymMatrix.from_full(np.array([[1.0, 2.0], [0.0, 3.0]]))
 
@@ -59,12 +45,6 @@ def test_to_scipy_round_trip():
     rng = np.random.default_rng(6)
     m = random_banded_spd(25, rng)
     assert np.allclose(m.to_scipy().toarray(), m.to_dense(), atol=0)
-
-
-def test_scaled():
-    rng = np.random.default_rng(8)
-    m = random_banded_spd(10, rng)
-    assert np.allclose(m.scaled(3.0).to_dense(), 3.0 * m.to_dense(), atol=0)
 
 
 def test_cholesky_solve_matches_dense_oracle():
