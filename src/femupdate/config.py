@@ -240,6 +240,13 @@ def load_config(path):
         if not box.contains(start):
             raise ConfigError("start lies outside the feasible box", "run", "start")
 
+    def make_problem(measured, weights="uniform"):
+        try:
+            return UpdatingProblem(pencil, box, measured=measured, weights=weights,
+                                   lanczos_tol=tau, criticality_tol=eps, seed=seed)
+        except ValueError as exc:
+            raise ConfigError("invalid problem: %s" % exc)
+
     # targets
     if not parser.has_section("targets"):
         raise ConfigError("missing section", "targets")
@@ -254,12 +261,10 @@ def load_config(path):
         )
         if not box.contains(true_values):
             raise ConfigError("values lie outside the feasible box", "targets", "values")
-        gen_problem = UpdatingProblem(
-            pencil, box, measured=np.arange(1.0, s + 1.0), weights="uniform",
-            lanczos_tol=tau, criticality_tol=eps, seed=seed,
-        )
-        measured = evaluate_full(gen_problem, true_values).frequencies
         noise = _get(parser, "targets", "noise", float, 0.0)
+        if not 0.0 <= noise < np.inf:  # NaN fails too
+            raise ConfigError("must be nonnegative and finite, got %r" % noise, "targets", "noise")
+        measured = evaluate_full(make_problem(np.arange(1.0, s + 1.0)), true_values).frequencies
         if noise > 0.0:
             rng = np.random.default_rng(
                 [_get(parser, "targets", "noise_seed", int, 1), 0]
@@ -272,18 +277,7 @@ def load_config(path):
     else:
         raise ConfigError("mode must be 'generate' or 'measured'", "targets", "mode")
 
-    try:
-        problem = UpdatingProblem(
-            pencil,
-            box,
-            measured=measured,
-            weights=weight_mode if custom is None else custom,
-            lanczos_tol=tau,
-            criticality_tol=eps,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError("invalid problem: %s" % exc)
+    problem = make_problem(measured, weight_mode if custom is None else custom)
 
     tr_config = TrustRegionConfig(**{
         f.name: _get(parser, "trust_region", f.name, type(f.default), f.default)

@@ -16,6 +16,7 @@ Eigenvalues of the assembled pencil are squared circular frequencies in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from .sparse import SparseSymMatrix, SymmetricPattern
 
 MPA = 1.0e6  # Young modulus unit, Pa per MPa
 
-_GP1D = 1.0 / np.sqrt(3.0)
+# Voigt ordering: the (a, b) component pair of each strain and stress row
+_VOIGT = {2: ((0, 0), (1, 1), (0, 1)), 3: ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))}
 
 
 @dataclass
@@ -71,8 +73,9 @@ class Mesh:
         self.fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
         if self.coords.ndim != 2 or self.coords.shape[1] not in (2, 3):
             raise ValueError("coords must be (n_nodes, 2) or (n_nodes, 3)")
-        nn = self.elements.shape[1] if self.elements.ndim == 2 else 0
-        if (self.dim, nn) not in ((2, 4), (3, 8)):
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError("node coordinates must be finite")
+        if self.elements.ndim != 2 or self.elements.shape[1] != 2**self.dim:
             raise ValueError("expected quad4 (dim 2) or hex8 (dim 3) connectivity")
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= self.n_nodes:
             raise ValueError("element connectivity references unknown nodes")
@@ -81,9 +84,7 @@ class Mesh:
         ids = np.unique(self.regions)
         if ids.size and not np.array_equal(ids, np.arange(1, ids.size + 1)):
             raise ValueError("region ids must be contiguous starting at 1")
-        if self.fixed_dofs.size and (
-            self.fixed_dofs.min() < 0 or self.fixed_dofs.max() >= self.n_dofs
-        ):
+        if np.any((self.fixed_dofs < 0) | (self.fixed_dofs >= self.n_dofs)):
             raise ValueError("fixed dof index out of range")
 
     @property
@@ -145,73 +146,56 @@ class Mesh:
             <n1> ... <n4|n8> <region>  (E lines)
             constraints <C>
             <node> <x|y|z>           (C lines)
+
+        Every line has exactly the fields shown. Any error is a
+        ValueError that names the line where there is one.
         """
         with open(path) as fh:
-            lines = [
-                (i + 1, ln.strip())
-                for i, ln in enumerate(fh)
-                if ln.strip() and not ln.strip().startswith("#")
-            ]
-        pos = 0
+            rows = iter([
+                (i, fields) for i, text in enumerate(fh, start=1)
+                if (fields := text.split()) and not fields[0].startswith("#")
+            ])
+        lineno = None
 
-        def take(expected):
-            nonlocal pos
-            if pos >= len(lines):
-                raise ValueError("mesh file ended early, expected '%s'" % expected)
-            lineno, text = lines[pos]
-            pos += 1
-            parts = text.split()
-            if parts[0] != expected:
-                raise ValueError(
-                    "line %d: expected '%s', found '%s'" % (lineno, expected, parts[0])
-                )
-            return lineno, parts[1:]
+        def line(width, keyword=None):
+            """The next line's fields after ``keyword``: exactly ``width``."""
+            nonlocal lineno
+            lineno, fields = next(rows, (None, None))
+            if fields is None:
+                raise ValueError("mesh file ended early, expected %s" % (keyword or "another row"))
+            if keyword is not None:
+                head, *fields = fields
+                if head != keyword:
+                    raise ValueError("expected '%s', found '%s'" % (keyword, head))
+            if len(fields) != width:
+                raise ValueError("expected %d fields, found %d" % (width, len(fields)))
+            return fields
 
-        def data_rows(count, width, what):
-            nonlocal pos
-            rows = []
-            for _ in range(count):
-                if pos >= len(lines):
-                    raise ValueError("mesh file ended early inside %s" % what)
-                lineno, text = lines[pos]
-                pos += 1
-                parts = text.split()
-                if len(parts) != width:
-                    raise ValueError(
-                        "line %d: expected %d fields in %s row, found %d"
-                        % (lineno, width, what, len(parts))
-                    )
-                rows.append((lineno, parts))
-            return rows
-
-        _, args = take("dim")
-        dim = int(args[0])
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        _, args = take("nodes")
-        n_nodes = int(args[0])
-        coords = np.array(
-            [[float(v) for v in parts] for _, parts in data_rows(n_nodes, dim, "node")]
-        )
-        lineno, args = take("elements")
-        n_el, kind = int(args[0]), args[1]
-        nn = {"quad4": 4, "hex8": 8}.get(kind)
-        if nn is None or (dim == 2) != (kind == "quad4"):
-            raise ValueError("line %d: element kind '%s' invalid for dim %d" % (lineno, kind, dim))
-        elements = np.empty((n_el, nn), dtype=np.int64)
-        regions = np.empty(n_el, dtype=np.int64)
-        for e, (lineno, parts) in enumerate(data_rows(n_el, nn + 1, "element")):
-            elements[e] = [int(v) - 1 for v in parts[:nn]]
-            regions[e] = int(parts[nn])
-        _, args = take("constraints")
-        n_con = int(args[0])
-        axes = "xyz"[:dim]
-        fixed = []
-        for lineno, parts in data_rows(n_con, 2, "constraint"):
-            if parts[1] not in axes:
-                raise ValueError("line %d: unknown axis '%s'" % (lineno, parts[1]))
-            fixed.append((int(parts[0]) - 1) * dim + axes.index(parts[1]))
-        return cls(coords, elements, regions, np.asarray(fixed, dtype=np.int64))
+        try:
+            dim = int(line(1, "dim")[0])
+            if dim not in (2, 3):
+                raise ValueError("dim must be 2 or 3")
+            coords = []
+            for _ in range(int(line(1, "nodes")[0])):
+                coords.append([float(v) for v in line(dim)])
+                if not np.all(np.isfinite(coords[-1])):
+                    raise ValueError("node coordinates must be finite")
+            n_el, kind = line(2, "elements")
+            nn = {"quad4": 4, "hex8": 8}.get(kind)
+            if nn != 2**dim:
+                raise ValueError("element kind '%s' invalid for dim %d" % (kind, dim))
+            table = [[int(v) for v in line(nn + 1)] for _ in range(int(n_el))]
+            axes = "xyz"[:dim]
+            fixed = []
+            for _ in range(int(line(1, "constraints")[0])):
+                node, axis = line(2)
+                if axis not in axes:
+                    raise ValueError("unknown axis '%s'" % axis)
+                fixed.append((int(node) - 1) * dim + axes.index(axis))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc) if lineno else str(exc)) from None
+        table = np.array(table, dtype=np.int64).reshape(-1, nn + 1)
+        return cls(coords, table[:, :nn] - 1, table[:, nn], np.asarray(fixed, dtype=np.int64))
 
 
 def isotropic_elasticity(young, poisson, dim):
@@ -219,76 +203,43 @@ def isotropic_elasticity(young, poisson, dim):
     e, nu = float(young), float(poisson)
     if not 0.0 <= nu < 0.5:
         raise ValueError("Poisson ratio must lie in [0, 0.5)")
-    c = e / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    g = (1.0 - 2.0 * nu) / 2.0
-    if dim == 2:
-        return c * np.array([[1.0 - nu, nu, 0.0], [nu, 1.0 - nu, 0.0], [0.0, 0.0, g]])
-    d = np.zeros((6, 6))
-    d[:3, :3] = nu
-    np.fill_diagonal(d[:3, :3], 1.0 - nu)
-    d[3:, 3:] = np.eye(3) * g
-    return c * d
+    normal = np.array([a == b for a, b in _VOIGT[dim]])
+    d = np.where(np.outer(normal, normal), nu, 0.0)
+    np.fill_diagonal(d, np.where(normal, 1.0 - nu, (1.0 - 2.0 * nu) / 2.0))
+    return e / ((1.0 + nu) * (1.0 - 2.0 * nu)) * d
 
 
 def _gauss_points(dim):
-    pts = np.array([-_GP1D, _GP1D])
-    if dim == 2:
-        return np.array([[x, y] for y in pts for x in pts])
-    return np.array([[x, y, z] for z in pts for y in pts for x in pts])
+    """The 2**dim points of the 2-point Gauss rule, x varying fastest."""
+    g = 1.0 / np.sqrt(3.0)
+    return np.array([xi[::-1] for xi in itertools.product((-g, g), repeat=dim)])
 
 
 def _corner_signs(dim):
-    if dim == 2:
-        return np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=np.float64)
-    return np.array(
-        [
-            [-1, -1, -1],
-            [1, -1, -1],
-            [1, 1, -1],
-            [-1, 1, -1],
-            [-1, -1, 1],
-            [1, -1, 1],
-            [1, 1, 1],
-            [-1, 1, 1],
-        ],
-        dtype=np.float64,
-    )
+    """Reference corners: the counterclockwise square, in 3D bottom face first."""
+    square = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+    faces = itertools.product((-1, 1), repeat=dim - 2)
+    return np.array([xy + z for z in faces for xy in square], dtype=np.float64)
 
 
-def _shape_values(xi, dim):
-    signs = _corner_signs(dim)
-    return np.prod(1.0 + signs * xi, axis=1) / (2.0**dim)
-
-
-def _shape_gradients(xi, dim):
+def _shape(xi, dim):
+    """Shape function values and their reference gradients at xi."""
     signs = _corner_signs(dim)
     terms = 1.0 + signs * xi  # (nn, dim)
     grads = np.empty_like(signs)
     for a in range(dim):
-        others = [b for b in range(dim) if b != a]
-        grads[:, a] = signs[:, a] * np.prod(terms[:, others], axis=1)
-    return grads / (2.0**dim)
+        grads[:, a] = signs[:, a] * np.prod(np.delete(terms, a, axis=1), axis=1)
+    return np.prod(terms, axis=1) / (2.0**dim), grads / (2.0**dim)
 
 
-def _strain_matrix(dndx, dim):
-    n_el, nn, _ = dndx.shape
-    if dim == 2:
-        b = np.zeros((n_el, 3, 2 * nn))
-        b[:, 0, 0::2] = dndx[:, :, 0]
-        b[:, 1, 1::2] = dndx[:, :, 1]
-        b[:, 2, 0::2] = dndx[:, :, 1]
-        b[:, 2, 1::2] = dndx[:, :, 0]
-        return b
-    b = np.zeros((n_el, 6, 3 * nn))
-    b[:, 0, 0::3] = dndx[:, :, 0]
-    b[:, 1, 1::3] = dndx[:, :, 1]
-    b[:, 2, 2::3] = dndx[:, :, 2]
-    b[:, 3, 0::3] = dndx[:, :, 1]
-    b[:, 3, 1::3] = dndx[:, :, 0]
-    b[:, 4, 1::3] = dndx[:, :, 2]
-    b[:, 4, 2::3] = dndx[:, :, 1]
-    b[:, 5, 0::3] = dndx[:, :, 2]
-    b[:, 5, 2::3] = dndx[:, :, 0]
+def _strain_matrix(dndx):
+    """Voigt row (a, b) takes d/dx_b of the a-displacements and d/dx_a of
+    the b-displacements."""
+    n_el, nn, dim = dndx.shape
+    b = np.zeros((n_el, len(_VOIGT[dim]), dim * nn))
+    for row, (p, q) in enumerate(_VOIGT[dim]):
+        b[:, row, p::dim] = dndx[:, :, q]
+        b[:, row, q::dim] = dndx[:, :, p]
     return b
 
 
@@ -305,17 +256,16 @@ def _element_matrices(coords, young, poisson, density):
     ke, term = np.zeros((2, n_el, nn * dim, nn * dim))
     m, m_term = np.zeros((2, n_el, nn, nn))  # of one displacement component
     for xi in _gauss_points(dim):  # unit weights
-        dndxi = _shape_gradients(xi, dim)
+        shape, dndxi = _shape(xi, dim)
         jac = coords.transpose(0, 2, 1) @ dndxi
         det = np.linalg.det(jac)
-        if np.any(det <= 0.0):
+        if not np.all(det > 0.0):  # NaN fails too
             raise ValueError(
                 "singular element geometry (nonpositive Jacobian in the element "
-                "with nodes at %s)" % coords[np.flatnonzero(det <= 0.0)[0]].tolist()
+                "with nodes at %s)" % coords[np.flatnonzero(~(det > 0.0))[0]].tolist()
             )
-        b = _strain_matrix(dndxi @ np.linalg.inv(jac), dim)
+        b = _strain_matrix(dndxi @ np.linalg.inv(jac))
         ke += np.multiply(np.matmul(b.transpose(0, 2, 1), d @ b, out=term), det[:, None, None], out=term)
-        shape = _shape_values(xi, dim)
         m += np.multiply(float(density) * np.outer(shape, shape), det[:, None, None], out=m_term)
     np.multiply(np.add(ke, ke.transpose(0, 2, 1), out=term), 0.5, out=ke)  # symmetric part
     me = np.zeros_like(ke)
@@ -424,31 +374,20 @@ def assemble_parametric(mesh, materials):
         raise ValueError("mesh has no constrained dofs; rigid modes present")
     scatter = _Scatter(mesh)
     empty = scatter.matrix(np.zeros(scatter.pattern.nnz))
-    k0 = np.zeros(scatter.pattern.nnz)
-    m0 = np.zeros(scatter.pattern.nnz)
-    k_inc, m_inc, names, start, lo, hi = [], [], [], [], [], []
-    values = scatter.region_values([mat.poisson for mat in materials])
-    for mat, (k_r, m_r) in zip(materials, values):
-        if mat.free_young:
-            k_inc.append(scatter.matrix(k_r))
-            m_inc.append(empty)
-            names.append("young:%s" % mat.name)
-            start.append(float(mat.young))
-            lo.append(float(mat.young_bounds[0]))
-            hi.append(float(mat.young_bounds[1]))
-        else:
-            k0 += float(mat.young) * k_r
-        if mat.free_density:
-            k_inc.append(empty)
-            m_inc.append(scatter.matrix(m_r))
-            names.append("density:%s" % mat.name)
-            start.append(float(mat.density))
-            lo.append(float(mat.density_bounds[0]))
-            hi.append(float(mat.density_bounds[1]))
-        else:
-            m0 += float(mat.density) * m_r
-    k0 = scatter.matrix(k0)
-    m0 = scatter.matrix(m0)
-    pencil = ParametricPencil(k0, m0, k_inc, m_inc, names)
-    box = FeasibleBox(np.asarray(lo), np.asarray(hi))
-    return pencil, box, np.asarray(start, dtype=np.float64)
+    bases = np.zeros((2, scatter.pattern.nnz))  # of K0 and M0
+    increments, names, start, bounds = [], [], [], []
+    for mat, region in zip(materials, scatter.region_values([m.poisson for m in materials])):
+        for which, prop in enumerate(("young", "density")):
+            if getattr(mat, "free_" + prop):
+                pair = [empty, empty]
+                pair[which] = scatter.matrix(region[which])
+                increments.append(pair)
+                names.append("%s:%s" % (prop, mat.name))
+                start.append(float(getattr(mat, prop)))
+                bounds.append(getattr(mat, prop + "_bounds"))
+            else:
+                bases[which] += float(getattr(mat, prop)) * region[which]
+    k_inc, m_inc = [[pair[which] for pair in increments] for which in (0, 1)]
+    pencil = ParametricPencil(*map(scatter.matrix, bases), k_inc, m_inc, names)
+    lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T.copy()
+    return pencil, FeasibleBox(lower, upper), np.asarray(start, dtype=np.float64)

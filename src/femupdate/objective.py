@@ -75,7 +75,8 @@ class UpdatingProblem:
 
     Parameters are validated on construction: at least one free
     parameter, finite positive nondecreasing targets, box matching
-    the parameter count. ``weights`` may be a mode name or a vector.
+    the parameter count, finite positive tolerances. ``weights`` may
+    be a mode name or a vector.
     """
 
     pencil: object
@@ -90,6 +91,10 @@ class UpdatingProblem:
         m = self.measured = np.asarray(self.measured, dtype=np.float64)
         if self.pencil.n_parameters == 0:
             raise ValueError("empty free-parameter set: nothing to update")
+        for key in ("lanczos_tol", "criticality_tol"):
+            tol = getattr(self, key)
+            if not 0.0 < tol < np.inf:  # NaN fails too
+                raise ValueError("%s must be positive and finite, got %r" % (key, tol))
         if len(self.box) != self.pencil.n_parameters:
             raise DimensionMismatchError(
                 "box has %d bounds for %d parameters"

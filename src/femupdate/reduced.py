@@ -157,7 +157,7 @@ def build_reduced_model(problem, evaluation):
 
     # at x0 the term g_corr^T delta is zero, so one evaluation with
     # g_corr = 0 gives both the value check and the correction
-    value0, _, grad0 = evaluate_reduced_with_gradient(model, x0)
+    value0, _, grad0, _ = evaluate_reduced_with_gradient(model, x0)
     if value0 != phi0:
         raise ModelConsistencyError(
             "surrogate value %r differs from the full value %r at its own "
@@ -227,12 +227,9 @@ def reduced_gradient(model, x):
     return evaluate_reduced_with_gradient(model, x)[2]
 
 
-def evaluate_reduced_with_gradient(model, x, hessian=False):
-    """Surrogate value, frequencies, and gradient in one pass.
-
-    With ``hessian=True`` the exact p x p Hessian of the surrogate
-    objective is returned as a fourth element (see the module
-    docstring); value and gradient are the same bits either way.
+def evaluate_reduced_with_gradient(model, x):
+    """Surrogate value, frequencies, gradient and exact p x p Hessian
+    (see the module docstring) in one pass.
 
     Raises ClusteredEigenvaluesError when two of the s + 1 leading
     reduced eigenvalues nearly coincide: the sensitivity formulas need
@@ -243,10 +240,8 @@ def evaluate_reduced_with_gradient(model, x, hessian=False):
     require_separated(mu[: s + 1], "leading reduced eigenvalues")
     value, f_hat = _value(model, delta, mu)
 
-    # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i
-    # all m of them, with or without the Hessian, so that the gradient
-    # is the same bits either way (the solve's blocking depends on the
-    # number of right-hand sides)
+    # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i;
+    # all m of them, since the Hessian's couplings run over every u_k
     lead = mu[:s]
     u_all, _ = lapack.dtrtrs(l, v, lower=1, trans=1)
     u = u_all[:, :s]
@@ -260,8 +255,6 @@ def evaluate_reduced_with_gradient(model, x, hessian=False):
     jac = dr * dmu
     r = residuals(f_hat, model.measured, model.weights)
     grad = 2.0 * r @ jac + model.g_corr
-    if not hessian:
-        return value, f_hat, grad
 
     # couplings c[j, k, i] = u_k^T (G_j - mu_i S_j) u_i over all m u_k,
     # weighted by 2 a_i / (mu_i - mu_k) off the diagonal k = i, a = 2 r r'

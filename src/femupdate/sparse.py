@@ -42,6 +42,8 @@ BAND_COST_RATIO = 1400.0
 # arch r1 (19 -> 32) and r2 (33 -> 48) solved no faster, factored ~20% slower.
 BAND_GRAIN, BAND_PAD = 16, 0.1
 
+SYM_TOL = 1e-10  # asymmetry ``from_full`` accepts, relative to the largest entry
+
 
 def _band_width(kd):
     """Stored half-bandwidth of a band factor of half-bandwidth kd."""
@@ -250,17 +252,17 @@ class SparseSymMatrix:
         self._local = None
 
     @classmethod
-    def from_full(cls, a, sym_tol=1e-10):
+    def from_full(cls, a):
         """Build from a full symmetric matrix (dense or scipy sparse).
 
-        The input must be symmetric to ``sym_tol`` relative to its largest
+        The input must be symmetric to ``SYM_TOL`` relative to its largest
         entry; the stored matrix is its symmetric part (a + aᵀ) / 2.
         """
         a = sp.csc_array(a) if sp.issparse(a) else sp.csc_array(np.asarray(a))
         gap = abs(a - a.T)
         scale = abs(a).max() if a.nnz else 0.0
-        if a.nnz and gap.nnz and gap.max() > sym_tol * max(scale, 1e-300):
-            raise ValueError("matrix is not symmetric to tolerance %g" % sym_tol)
+        if a.nnz and gap.nnz and gap.max() > SYM_TOL * max(scale, 1e-300):
+            raise ValueError("matrix is not symmetric to tolerance %g" % SYM_TOL)
         full = sp.csr_array((a + a.T) * 0.5)  # a sum of CSC arrays: sorted, no duplicates
         return cls(SymmetricPattern(full.shape[0], full.indptr, full.indices), full.data)
 

@@ -154,7 +154,7 @@ def solve(problem, x0=None, config=None, counter=None):
         )
 
     def surrogate(y):
-        out = evaluate_reduced_with_gradient(model, y, hessian=True)
+        out = evaluate_reduced_with_gradient(model, y)
         return out[0], out
 
     x = np.ones(len(reference))

@@ -362,6 +362,29 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             "weight_mode = uniform", "weight_mode = custom\ncustom_weights = " + weights)
         assert main(["update", write(tmp_path, text, "weights.ini")]) == 2
         assert "custom weights must be finite" in capsys.readouterr().err
+    # tolerances and noise must be finite and in range; NaN included
+    for line, key in (("criticality_tol = nan", "criticality_tol"),
+                      ("criticality_tol = -1", "criticality_tol"),
+                      ("lanczos_tol = nan", "lanczos_tol")):
+        text = BASE.format(out=tmp_path).replace("strategy = RM", "strategy = RM\n" + line)
+        assert main(["update", write(tmp_path, text, "tol.ini")]) == 2
+        assert key + " must be positive and finite" in capsys.readouterr().err
+    for noise in ("nan", "-0.5"):
+        text = BASE.format(out=tmp_path) + "noise = %s\n" % noise
+        assert main(["update", write(tmp_path, text, "noise.ini")]) == 2
+        assert "[targets] noise: must be nonnegative and finite" in capsys.readouterr().err
+    # a malformed mesh file is a config error that names the line
+    mesh_path = tmp_path / "arch.mesh"
+    benchmarks.benchmark("arch")[0].save(mesh_path)
+    saved = mesh_path.read_text()
+    config = "[run]\nbenchmark = mesh:%s\n\n[targets]\nmode = measured\nvalues = 18\n" % mesh_path
+    for old, new, message in (("dim 2", "dim", "line 2: expected 1 fields, found 0"),
+                              ("\n2 4\n", "\n2 nan\n", "line 4: node coordinates must be finite")):
+        assert old in saved
+        mesh_path.write_text(saved.replace(old, new, 1))
+        assert main(["update", write(tmp_path, config, "mesh.ini")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
 
 
 def test_cli_indefinite_start_exits_2(tmp_path, capsys, monkeypatch):

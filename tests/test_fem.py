@@ -1,5 +1,7 @@
 """Element matrices and parametric assembly against physics oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -92,6 +94,10 @@ def test_degenerate_element_raises():
     bad[0, [1, 3]] = bad[0, [3, 1]]  # reversed orientation flips the Jacobian
     with pytest.raises(ValueError, match="singular element geometry"):
         _element_matrices(bad, 1.0, 0.0, 0.0)
+    nan = unit_square()
+    nan[0, 2, 0] = np.nan  # a NaN determinant fails the check too
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="singular element"):
+        _element_matrices(nan, 1.0, 0.0, 0.0)
     # in a mesh the message names the element by its nodes, whichever
     # Poisson-ratio batch computed it
     coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]]
@@ -250,12 +256,61 @@ def test_mesh_save_load_round_trip(tmp_path, arch):
 def test_mesh_validation_errors():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     elems = np.array([[0, 1, 2, 3]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Mesh(np.where(coords == 1.0, bad, coords), elems, np.array([1]), np.array([0]))
     with pytest.raises(ValueError):
         Mesh(coords, elems, np.array([2]), np.array([0]))  # region ids not from 1
     with pytest.raises(ValueError):
         Mesh(coords, elems, np.array([1]), np.array([99]))  # dof out of range
     with pytest.raises(ValueError):
         Mesh(coords, np.array([[0, 1, 2]]), np.array([1]), np.array([0]))
+
+
+ONE_QUAD = """# one unit square, clamped at node 1
+dim 2
+nodes 4
+0 0
+1 0
+1 1
+0 1
+elements 1 quad4
+1 2 3 4 1
+constraints 2
+1 x
+1 y
+"""
+
+
+def test_mesh_load_reads_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "one.mesh"
+    path.write_text(ONE_QUAD.replace("nodes 4\n", "\nnodes 4\n  # the corners\n"))
+    mesh = Mesh.load(path)
+    assert np.array_equal(mesh.coords, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(mesh.elements, [[0, 1, 2, 3]]) and np.array_equal(mesh.regions, [1])
+    assert np.array_equal(mesh.fixed_dofs, [0, 1])
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("dim 2", "dim", "line 2: expected 1 fields, found 0"),  # missing header field
+    ("elements 1 quad4", "elements 1", "line 8: expected 2 fields, found 1"),
+    ("nodes 4", "nodes 4 5", "line 3: expected 1 fields, found 2"),  # extra field
+    ("constraints 2", "fixed 2", "line 10: expected 'constraints', found 'fixed'"),
+    ("1 2 3 4 1", "1 2 3 4", "line 9: expected 5 fields, found 4"),  # short row
+    ("1 y\n", "", "mesh file ended early"),
+    ("1 y", "1 z", "line 12: unknown axis 'z'"),
+    ("quad4", "hex8", "line 8: element kind 'hex8' invalid for dim 2"),
+    ("dim 2", "dim 4", "line 2: dim must be 2 or 3"),
+    ("0 1", "0 one", "line 7: could not convert"),
+    ("1 1", "1 nan", "line 6: node coordinates must be finite"),
+    ("1 0", "inf 0", "line 5: node coordinates must be finite"),
+])
+def test_malformed_mesh_file_names_the_line(tmp_path, old, new, message):
+    path = tmp_path / "bad.mesh"
+    assert old in ONE_QUAD
+    path.write_text(ONE_QUAD.replace(old, new, 1))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        Mesh.load(path)
 
 
 def test_assembly_requires_constraints():

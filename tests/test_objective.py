@@ -97,6 +97,10 @@ def test_problem_validation():
             UpdatingProblem(pencil, box, measured=targets)
     with pytest.raises(ValueError):
         UpdatingProblem(pencil, FeasibleBox([0.1], [4.0]), measured=measured)
+    for key in ("lanczos_tol", "criticality_tol"):
+        for bad in (np.nan, -1.0, 0.0, np.inf):
+            with pytest.raises(ValueError, match=key + " must be positive and finite"):
+                UpdatingProblem(pencil, box, measured=measured, **{key: bad})
 
 
 def test_problem_rejects_parameterless_pencil():

@@ -101,7 +101,7 @@ def test_reduced_gradient_matches_finite_differences():
     ev = evaluate_full(problem, x0)
     model = build_reduced_model(problem, ev)
     x = x0 + np.array([0.02, -0.015])
-    value, freqs, grad = evaluate_reduced_with_gradient(model, x)
+    value, freqs, grad, _ = evaluate_reduced_with_gradient(model, x)
     assert value == evaluate_reduced(model, x)[0]
     h = 1e-6
     fd = np.zeros(2)
@@ -171,8 +171,8 @@ def test_value_mismatch_at_expansion_point_raises(monkeypatch):
     exact = reduced.evaluate_reduced_with_gradient
 
     def drifted(model, x):
-        value, freqs, grad = exact(model, x)
-        return np.nextafter(value, np.inf), freqs, grad
+        value, freqs, grad, hess = exact(model, x)
+        return np.nextafter(value, np.inf), freqs, grad, hess
 
     monkeypatch.setattr(reduced, "evaluate_reduced_with_gradient", drifted)
     with pytest.raises(ModelConsistencyError):
@@ -187,7 +187,7 @@ def test_model_keeps_the_full_gradient_at_its_expansion_point():
     assert np.array_equal(model.gradient, full_gradient(problem, ev))
     assert np.array_equal(model.x0, ev.x)
     # the gaps it keeps are those a surrogate evaluation at x0 would give
-    value, _, grad = evaluate_reduced_with_gradient(model, ev.x)
+    value, _, grad, _ = evaluate_reduced_with_gradient(model, ev.x)
     assert model.value_gap == abs(value - ev.value) == 0.0
     assert model.grad_gap == np.linalg.norm(grad - model.gradient)
 
@@ -291,7 +291,7 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
     grad = coef @ dlam + model.g_corr
 
     x = model.x0 + delta
-    value_r, f_r, grad_r = evaluate_reduced_with_gradient(model, x)
+    value_r, f_r, grad_r, _ = evaluate_reduced_with_gradient(model, x)
     assert np.allclose(f_r, f, rtol=1e-11, atol=0.0)
     assert abs(value_r - value) <= 1e-11 * max(1.0, abs(value))
     assert np.linalg.norm(grad_r - grad) <= 1e-9 * max(1.0, np.linalg.norm(grad))
@@ -315,11 +315,7 @@ def test_hessian_matches_central_difference_of_the_gradient(m, s_frac, p, seed):
     assume(np.min(-np.diff(check) / check[:-1]) > 1e-3)
 
     x = model.x0 + delta
-    value, f_hat, grad = evaluate_reduced_with_gradient(model, x)
-    value_h, f_h, grad_h, hess = evaluate_reduced_with_gradient(model, x, hessian=True)
-    # the flag adds the Hessian and changes no bit of the rest
-    assert value_h == value and np.array_equal(f_h, f_hat)
-    assert np.array_equal(grad_h, grad)
+    hess = evaluate_reduced_with_gradient(model, x)[3]
     assert hess.shape == (p, p) and np.array_equal(hess, hess.T)
 
     step = 1e-5

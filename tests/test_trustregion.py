@@ -128,12 +128,12 @@ def test_clustered_trial_point_shortens_the_inner_step(arch_problem, monkeypatch
     exact = trustregion.evaluate_reduced_with_gradient
     trials = []
 
-    def sometimes_clustered(model, x, **kwargs):
+    def sometimes_clustered(model, x):
         if not np.array_equal(x, model.x0):
             trials.append(x)
             if len(trials) % 3 == 1:
                 raise ClusteredEigenvaluesError("leading reduced eigenvalues coincide")
-        return exact(model, x, **kwargs)
+        return exact(model, x)
 
     monkeypatch.setattr(trustregion, "evaluate_reduced_with_gradient", sometimes_clustered)
     result = solve(arch_problem)

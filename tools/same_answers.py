@@ -9,15 +9,19 @@ and BLAS pinned to one thread. Both take their set-ups and true points
 from this checkout's ``perfbench/worker.py`` (``WORKLOADS``,
 ``true_points``, ``make_problem``), so they solve identical problems.
 
-Per workload it prints the largest relative change in x and in the
-final frequencies, and the number of solves whose factorization count
-and per-step inner-iteration counts are equal on both sides. Exits 1
-if any count, converged flag or raised error differs, else 0.
+Per workload it first compares the assembled pencil: a sha256 over the
+patterns and values of K0, M0 and every increment, plus the box, the
+start and the parameter names. Then it prints the largest relative
+change in x and in the final frequencies, and the number of solves
+whose factorization count and per-step inner-iteration counts are
+equal on both sides. Exits 1 if the pencil digests, any count, a
+converged flag or a raised error differ, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -32,9 +36,23 @@ GATED = ("arch-rm", "vault-rm")
 SEED = 41  # Sobol seed of the true points
 
 
+def pencil_digest(pencil, box, start):
+    """sha256 over the patterns and values of K0, M0 and every increment,
+    the box, the start and the names."""
+    digest = hashlib.sha256()
+    for family in (pencil._k, pencil._m):  # the pencil has no public view of its terms
+        for term in (family.base, *family.increments):
+            for array in (term.pattern.indptr, term.pattern.indices, term.data):
+                digest.update(np.ascontiguousarray(array).tobytes())
+    for array in (box.lower, box.upper, start):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update("\n".join(pencil.names).encode())
+    return digest.hexdigest()
+
+
 def run_tree(workload, solves):
     """Solve in this process with whatever ``femupdate`` is importable;
-    returns one record per solve."""
+    returns the pencil digest and one record per solve."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import femupdate as fu
     from worker import WORKLOADS, make_problem, true_points
@@ -44,7 +62,7 @@ def run_tree(workload, solves):
         raise SystemExit("femupdate imported from %s, not from %s" % (fu.__file__, src))
     spec = WORKLOADS[workload]
     mesh, materials = fu.benchmarks.benchmark(spec["structure"], spec["refine"])
-    pencil, box, _ = fu.assemble_parametric(mesh, materials)
+    pencil, box, start = fu.assemble_parametric(mesh, materials)
     truths = true_points(box, spec["spread"], SEED, max(0, math.ceil(math.log2(solves))))
     records = []
     for truth in truths[:solves]:
@@ -62,7 +80,7 @@ def run_tree(workload, solves):
             "factorizations": counter.factorizations,
             "inner": [rec.inner_iterations for rec in result.history],
         })
-    return records
+    return {"pencil": pencil_digest(pencil, box, start), "solves": records}
 
 
 def solve_in(tree, workload, solves):
@@ -81,7 +99,9 @@ def rel_change(old, new):
 
 
 def compare(workload, parent, this):
-    """Print one workload's report; True when every count agrees."""
+    """Print one workload's report; True when the pencils and every count agree."""
+    same_pencil = parent["pencil"] == this["pencil"]
+    parent, this = parent["solves"], this["solves"]
     equal, dx, df = 0, 0.0, 0.0
     for a, b in zip(parent, this):
         if "error" in a or "error" in b:
@@ -92,10 +112,11 @@ def compare(workload, parent, this):
         equal += all(a[k] == b[k] for k in ("converged", "factorizations", "inner"))
     converged = ["%d/%d" % (sum(r.get("converged", False) for r in side), len(side))
                  for side in (parent, this)]
-    print("%s: converged %s (other) %s (this); counts equal in %d/%d; "
+    print("%s: pencil %s; converged %s (other) %s (this); counts equal in %d/%d; "
           "max relative change x %.2e, frequencies %.2e"
-          % (workload, converged[0], converged[1], equal, len(this), dx, df))
-    return equal == len(this)
+          % (workload, "identical" if same_pencil else "DIFFERS", converged[0], converged[1],
+             equal, len(this), dx, df))
+    return same_pencil and equal == len(this)
 
 
 def main(argv=None):
