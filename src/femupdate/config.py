@@ -271,6 +271,9 @@ def load_config(path):
             )
             measured = perturbed_targets(measured, noise, rng)
     elif mode == "measured":
+        for key in ("noise", "noise_seed"):
+            if parser.has_option("targets", key):  # measured values carry their own noise
+                raise ConfigError("only applies to mode = generate", "targets", key)
         measured = _floats(
             _get(parser, "targets", "values", str, _REQUIRED), "targets", "values", s
         )

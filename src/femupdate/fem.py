@@ -303,10 +303,12 @@ class _Scatter:
         rows, cols = np.empty((2, pos.size), dtype=np.int64)  # free dof numbers, -1 if fixed
         rows[pos] = index[(dim * a)[:, None, None] + axes[:, None]]
         cols[pos] = index[(dim * b)[:, None, None] + axes]
-        # the pattern keeps the entries whose row and column are free
+        # the pattern keeps the entries whose row and column are free; its
+        # roots are the free dofs that share an element with a fixed one
         kept = np.flatnonzero((rows >= 0) & (cols >= 0))
         self.pattern = SymmetricPattern(
-            free.size, np.searchsorted(rows[kept], np.arange(free.size + 1)), cols[kept]
+            free.size, np.searchsorted(rows[kept], np.arange(free.size + 1)), cols[kept],
+            np.unique(rows[(rows >= 0) & (cols < 0)]),
         )
         slot = np.full(pos.size, -1, dtype=np.int64)
         slot[kept] = np.arange(kept.size)

@@ -3,13 +3,19 @@
 Matrices are stored in full compressed sparse row form on a shared
 ``SymmetricPattern``: matrices on one pattern share its index arrays and
 differ only in their values. The factorization is an unpivoted Cholesky
-P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a Gibbs-Poole-Stockmeyer level
-ordering, or SuperLU in symmetric mode without pivoting (U = diag(d) Lᵀ,
-d > 0 for an SPD input) on a minimum-degree ordering. ``ordering`` picks
-the kernel once per pattern, from its structure alone, by estimated cost.
+P A Pᵀ = L Lᵀ: LAPACK's banded kernel on a level ordering, or SuperLU in
+symmetric mode without pivoting (U = diag(d) Lᵀ, d > 0 for an SPD input)
+on a minimum-degree ordering. ``ordering`` picks the kernel once per
+pattern, from its structure alone, by estimated cost. The level ordering
+is Gibbs-Poole-Stockmeyer's, or, on a pattern that knows its roots (the
+rows next to a support) and where it is narrower, one on the distances
+from all roots at once (George & Liu, 1981): on a structure clamped at
+its footings, horizontal slices. vault r1-r3 go from kd 343, 898, 1871
+to 188, 624, 1291, which puts r2 on the band kernel; arch r1-r3 keep
+GPS's 19, 33, 44 (rooted: 59, 107, 155).
 The band factor is stored at half-bandwidth kd rounded up to a multiple
 of 16 diagonals when that adds at most 10% storage (arch r3 44 -> 48,
-vault r1 343 -> 352), else at kd: the back-solve's transposed sweep is
+vault r1 188 -> 192), else at kd: the back-solve's transposed sweep is
 a chain of dependent kd-long dot products, which OpenBLAS runs fastest
 at multiples of 16. One arch r3 ``dpbtrs`` took 0.46-0.50 ms at 44 and
 0.33-0.37 ms at 48.
@@ -24,15 +30,16 @@ from operator import add
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 # The cost ratio n (kd + 1)² / nnz(L+U) up to which ``ordering`` takes the
 # band kernel: dpbtrf took 0.03-0.04 ns per unit of n kd², SuperLU 50-80 ns
-# per fill entry. Band wins at 906 (vault r1) and is no faster at 2168
-# (vault r2), where it needs more memory; 1400 is their geometric mean.
+# per fill entry. On GPS orderings band won at 906 (vault r1) and was no
+# faster at 2168 (vault r2), where it needed more memory; 1400 is their
+# geometric mean. The rooted orderings put vault r1 and r2 at 273 and 1048.
 BAND_COST_RATIO = 1400.0
 
 # Grain of the band factor's stored half-bandwidth and the largest storage
@@ -59,10 +66,11 @@ class SymmetricPattern:
     row support, and a scratch workspace it lends out (``workspace``).
     """
 
-    def __init__(self, n, indptr, indices):
+    def __init__(self, n, indptr, indices, roots=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int32)
         self.indices = np.asarray(indices, dtype=np.int32)
+        self.roots = roots  # rows next to a support, ascending, or None
         self._ordering = None
         self._support = None
         self._spare = []  # the workspace, while no loan holds it
@@ -74,7 +82,9 @@ class SymmetricPattern:
     def restrict(self, mask):
         """The sub-pattern of the entries where ``mask`` (length nnz) holds."""
         kept = np.flatnonzero(mask)
-        return SymmetricPattern(self.n, np.searchsorted(kept, self.indptr), self.indices[kept])
+        return SymmetricPattern(
+            self.n, np.searchsorted(kept, self.indptr), self.indices[kept], self.roots
+        )
 
     def keys(self):
         """Entry keys row * n + col, ascending in storage order."""
@@ -114,7 +124,8 @@ class SymmetricPattern:
         """(perm, kd, pack): the pattern's ordering P and Cholesky kernel.
 
         Computed on first use, from the structure alone. The band kernel
-        (``_band_ordering``, half-bandwidth kd) is used when its cost is
+        (``_band_ordering``, GPS's or, given roots, the rooted one if it
+        is narrower; half-bandwidth kd) is used when its cost is
         estimated lower, n (kd + 1)² <= BAND_COST_RATIO nnz(L+U) for the
         fill of a minimum-degree SuperLU probe factorization; SuperLU
         otherwise (kd is None). Fill only adds entries, so the probe is
@@ -128,11 +139,18 @@ class SymmetricPattern:
             ones = sp.csr_array(
                 (np.ones(self.nnz), self.indices, self.indptr), shape=(self.n, self.n)
             )
-            perm = _band_ordering(ones)
-            # entry (r, c) of A is entry (at[r], at[c]) of P A Pᵀ
-            rows, at = self.keys() // self.n, np.argsort(perm)
+            candidates = [_band_ordering(ones)]
+            if self.roots is not None:
+                depth = dijkstra(ones, indices=self.roots, unweighted=True, min_only=True)
+                if np.isfinite(depth).all():  # a root in every component
+                    candidates.append(_band_ordering(ones, depth.astype(np.int64)))
+            # entry (r, c) of A is entry (at[r], at[c]) of P A Pᵀ; the narrower
+            # band wins, GPS (the first) on a tie
+            rows, ats = self.keys() // self.n, [np.argsort(p) for p in candidates]
+            widths = [np.max(at[rows] - at[self.indices], initial=0) for at in ats]
+            best = int(np.argmin(widths))
+            perm, at, kd = candidates[best], ats[best], int(widths[best])
             i, j = at[rows], at[self.indices]
-            kd = int(np.max(i - j, initial=0))
             lu = None
             if self.n * (kd + 1) ** 2 > BAND_COST_RATIO * self.nnz:
                 dominant = ones + sp.diags_array(np.diff(self.indptr) + 1.0)
@@ -160,9 +178,9 @@ def _depths(graph, root):
     return depth
 
 
-def _component_order(graph):
-    """Nodes of a connected graph in Gibbs-Poole-Stockmeyer level order."""
-    n, deg = graph.shape[0], np.diff(graph.indptr)
+def _gps_levels(graph):
+    """Gibbs-Poole-Stockmeyer level of each node of a connected graph."""
+    deg = np.diff(graph.indptr)
     # pseudo-diameter u-v: from the last level of u, one node per degree;
     # a deeper one replaces u, else v is the narrowest
     du = _depths(graph, np.argmin(deg))
@@ -188,8 +206,14 @@ def _component_order(graph):
         if np.max(count + b, where=b > 0, initial=0) < np.max(count + a, where=a > 0, initial=0):
             level[nodes] = dv[nodes]
         count += np.bincount(level[nodes], minlength=ecc + 1)
-    # level by level, by the lowest number among neighbours on the level
-    # before, then by degree; level 0 by distance from its lowest degree
+    return level
+
+
+def _component_order(graph, level):
+    """Nodes of a connected graph numbered level by level, by the lowest
+    number among neighbours on the level before, then by degree; level 0
+    (not empty) by distance from its lowest degree node."""
+    n, deg, ecc = graph.shape[0], np.diff(graph.indptr), level.max()
     rows = np.repeat(np.arange(n), deg)
     back = np.flatnonzero(level[graph.indices] == level[rows] - 1)
     back = back[np.argsort(level[rows[back]], kind="stable")]
@@ -208,22 +232,26 @@ def _component_order(graph):
     return by_level
 
 
-def _band_ordering(graph):
-    """Band ordering of a symmetric graph: each connected component in
-    reversed Gibbs-Poole-Stockmeyer order (SIAM J. Numer. Anal. 13, 1976)."""
+def _band_ordering(graph, depth=None):
+    """Band ordering of a symmetric graph, reversed: each connected component
+    numbered level by level, on the levels ``depth`` (distance from a root set
+    that meets every component) or else on Gibbs-Poole-Stockmeyer's level
+    structure (SIAM J. Numer. Anal. 13, 1976)."""
     label = connected_components(graph, directed=False)[1]
     parts = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
-    return np.concatenate([
-        nodes[_component_order(graph[nodes][:, nodes])] if nodes.size > 2 else nodes
-        for nodes in parts
-    ])[::-1]
+
+    def order(nodes):
+        sub = graph if nodes.size == graph.shape[0] else graph[nodes][:, nodes]  # no copy of one
+        return nodes[_component_order(sub, _gps_levels(sub) if depth is None else depth[nodes])]
+
+    return np.concatenate([order(nodes) if nodes.size > 2 else nodes for nodes in parts])[::-1]
 
 
 def union_pattern(patterns):
     """Smallest pattern holding all given ones, and where each one sits in it.
 
-    Returns the union and, per input pattern, the positions of its
-    entries among the union's.
+    Returns the union, with the union of their roots, and per input
+    pattern the positions of its entries among the union's.
     """
     n = patterns[0].n
     ones = {
@@ -234,7 +262,10 @@ def union_pattern(patterns):
     total.sum_duplicates()
     # adding a pattern's ones keeps the union's entries in place and raises its own
     where = {key: np.flatnonzero((total + a).data > total.data) for key, a in ones.items()}
-    return SymmetricPattern(n, total.indptr, total.indices), [where[id(p)] for p in patterns]
+    roots = [p.roots for p in patterns if p.roots is not None]
+    union = SymmetricPattern(n, total.indptr, total.indices,
+                             np.unique(np.concatenate(roots)) if roots else None)
+    return union, [where[id(p)] for p in patterns]
 
 
 class SparseSymMatrix:

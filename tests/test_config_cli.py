@@ -373,6 +373,13 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         text = BASE.format(out=tmp_path) + "noise = %s\n" % noise
         assert main(["update", write(tmp_path, text, "noise.ini")]) == 2
         assert "[targets] noise: must be nonnegative and finite" in capsys.readouterr().err
+    # measured targets take no generated noise, not even a NaN one
+    measured = "mode = measured\nvalues = 10 20 30 40 50"
+    for line, key in (("noise = 0.5", "noise"), ("noise = nan", "noise"),
+                      ("noise_seed = 3", "noise_seed")):
+        text = BASE.format(out=tmp_path).replace(generated, measured) + line + "\n"
+        assert main(["update", write(tmp_path, text, "measured.ini")]) == 2
+        assert "[targets] %s: only applies to mode = generate" % key in capsys.readouterr().err
     # a malformed mesh file is a config error that names the line
     mesh_path = tmp_path / "arch.mesh"
     benchmarks.benchmark("arch")[0].save(mesh_path)

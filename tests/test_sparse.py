@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.linalg import block_diag
 
 import femupdate.sparse as sparse
@@ -11,6 +11,8 @@ import femupdate.sparse as sparse
 from femupdate import (
     CholeskyFactor,
     DimensionMismatchError,
+    Material,
+    Mesh,
     NotPositiveDefiniteError,
     SparseSymMatrix,
     assemble_parametric,
@@ -179,28 +181,35 @@ def test_both_kernels_solve_and_locate_pivots(kind, data, seed):
     assert err.value.pivot == k
 
 
-def _cost_ratio(pattern):
-    """n (kd + 1)² / nnz(L+U) of a pattern: the band ordering's kd against
-    the fill of the minimum-degree probe factorization."""
-    ones = sp.csr_array((np.ones(pattern.nnz), pattern.indices, pattern.indptr),
+def _ones(pattern):
+    return sp.csr_array((np.ones(pattern.nnz), pattern.indices, pattern.indptr),
                         shape=(pattern.n,) * 2)
-    lu = sparse._splu((ones + sp.diags_array(np.diff(pattern.indptr) + 1.0)).tocsc(),
+
+
+def _half_bandwidth(pattern, perm):
+    at = np.argsort(perm)
+    return int(np.max(at[pattern.keys() // pattern.n] - at[pattern.indices], initial=0))
+
+
+def _cost_ratio(pattern):
+    """n (kd + 1)² / nnz(L+U) of a band pattern: the kd of the ordering it
+    chose against the fill of the minimum-degree probe factorization."""
+    lu = sparse._splu((_ones(pattern) + sp.diags_array(np.diff(pattern.indptr) + 1.0)).tocsc(),
                       "MMD_AT_PLUS_A")
-    at = np.argsort(sparse._band_ordering(ones))
-    kd = np.max(at[pattern.keys() // pattern.n] - at[pattern.indices])
-    return pattern.n * (kd + 1.0) ** 2 / lu.nnz
+    return pattern.n * (pattern.ordering()[1] + 1.0) ** 2 / lu.nnz
 
 
 @pytest.mark.parametrize("name, refine, kernel", [
     ("arch", 1, "band"), ("arch", 2, "band"), ("arch", 3, "band"),
-    ("vault", 1, "band"), ("vault", 2, "superlu"),
+    ("vault", 1, "band"), ("vault", 2, "band"),
 ])
 def test_builtin_structures_keep_their_kernel(name, refine, kernel):
     pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
     pattern = pencil.evaluate(box.midpoint())[0].pattern
     assert _kernel(pattern) == kernel
     if kernel == "band":  # the arch's piers are 2 (6 refine + 1) dofs across
-        max_kd = {("arch", 1): 22, ("arch", 2): 36, ("arch", 3): 48, ("vault", 1): 343}
+        max_kd = {("arch", 1): 22, ("arch", 2): 36, ("arch", 3): 48,
+                  ("vault", 1): 188, ("vault", 2): 624}
         assert pattern.ordering()[1] <= max_kd[name, refine]
     # a mesh change that drifts toward the threshold fails here first
     ratio = _cost_ratio(pattern) / sparse.BAND_COST_RATIO
@@ -209,24 +218,25 @@ def test_builtin_structures_keep_their_kernel(name, refine, kernel):
 
 
 def test_builtin_band_factors_are_stored_at_the_grain_where_it_is_cheap():
-    # arch r3 and vault r1 pad to a multiple of 16 diagonals (+9% and +3%
-    # storage); arch r1 and r2 would need +65% and +44%, so stay at kd
+    # arch r3 and vault r1 pad to a multiple of 16 diagonals (+9% and +2%
+    # storage); arch r1 and r2 would need +65% and +44%, so stay at kd;
+    # vault r2's 624 is one already
     stored = {("arch", 1): (19, 19), ("arch", 2): (33, 33),
-              ("arch", 3): (44, 48), ("vault", 1): (343, 352)}
+              ("arch", 3): (44, 48), ("vault", 1): (188, 192), ("vault", 2): (624, 624)}
     for (name, refine), (kd, width) in stored.items():
         pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
         _, order_kd, (_, _, w) = pencil.evaluate(box.midpoint())[0].pattern.ordering()
         assert (order_kd, w) == (kd, width), (name, refine)
 
 
-@pytest.mark.parametrize("name, probes", [("arch", 0), ("vault", 1)])
+@pytest.mark.parametrize("name, refine, probes", [("arch", 1, 0), ("vault", 1, 0), ("vault", 2, 1)])
 def test_ordering_probes_fill_only_when_zero_fill_leaves_the_choice_open(
-    name, probes, monkeypatch
+    name, refine, probes, monkeypatch
 ):
-    # arch r1: n (kd + 1)² = 26.5 nnz(A), within BAND_COST_RATIO nnz(A) <=
-    # BAND_COST_RATIO nnz(L+U), so the band kernel wins without a probe;
-    # vault r1's 2375 nnz(A) needs the probe's fill to decide
-    pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name))
+    # arch r1 and vault r1: n (kd + 1)² = 26.5 and 717 nnz(A), within
+    # BAND_COST_RATIO nnz(A) <= BAND_COST_RATIO nnz(L+U), so the band kernel
+    # wins without a probe; vault r2's 6409 nnz(A) needs the probe's fill
+    pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
     pattern = pencil.evaluate(box.midpoint())[0].pattern
     calls = []
 
@@ -238,7 +248,7 @@ def test_ordering_probes_fill_only_when_zero_fill_leaves_the_choice_open(
     monkeypatch.setattr(sparse, "_splu", counting)
     perm, kd, _ = pattern.ordering()
     assert calls == ["MMD_AT_PLUS_A"] * probes
-    assert kd is not None  # both are band at r1
+    assert kd is not None  # all three are band
     monkeypatch.undo()
     assert _cost_ratio(pattern) <= sparse.BAND_COST_RATIO  # the probe agrees
 
@@ -311,3 +321,107 @@ def test_disconnected_pattern_orders_each_component():
         expected = np.linalg.solve(a.to_dense(), b)
         x = cholesky_factorize(a).solve(b)
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def _grid_mesh(shape, clamped):
+    """Unit grid of quad4 (2 sides) or hex8 (3 sides) elements with every dof
+    of the ``clamped`` nodes fixed, in two regions split along x."""
+    dim = len(shape)
+    nodes = np.arange(np.prod(np.add(shape, 1))).reshape(np.add(shape, 1))
+    coords = np.stack(np.unravel_index(nodes.ravel(), nodes.shape), axis=1).astype(float)
+    # corners in quad4 / hex8 order: counterclockwise, bottom face then top
+    face = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    corners = face if dim == 2 else [(x, y, z) for z in (0, 1) for x, y in face]
+    cells = np.stack(np.indices(shape), axis=-1).reshape(-1, dim)
+    elements = np.stack([nodes[tuple((cells + c).T)] for c in corners], axis=1)
+    regions = 1 + (cells[:, 0] >= max(1, shape[0] // 2))  # one region when 1 cell wide
+    fixed = (dim * clamped[:, None] + np.arange(dim)).ravel()
+    return Mesh(coords, elements, regions, fixed)
+
+
+@given(dim=st.sampled_from((2, 3)), footings=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_rooted_ordering_on_random_grids(dim, footings, data, seed):
+    # nodes clamped anywhere, or only on the base (last coordinate 0), where
+    # the rooted candidate can win (it does in 15 of the 100 draws)
+    shape = data.draw(st.lists(st.integers(1, 8 if dim == 2 else 4), min_size=dim,
+                               max_size=dim), label="shape")
+    rng = np.random.default_rng(seed)
+    n_nodes = int(np.prod(np.add(shape, 1)))
+    if footings:
+        nodes = np.flatnonzero(np.arange(n_nodes) % (shape[-1] + 1) == 0)
+        count = rng.integers(1, nodes.size + 1)
+    else:
+        nodes, count = np.arange(n_nodes), rng.integers(1, max(2, n_nodes // 4) + 1)
+    clamped = np.sort(rng.choice(nodes, count, replace=False))
+    mesh = _grid_mesh(shape, clamped)
+    offsets = mesh.coords[clamped] - mesh.coords[clamped[0]]
+    # clamped nodes that span a line (2D) or a plane (3D) leave no rigid mode
+    assume(clamped.size < n_nodes and np.linalg.matrix_rank(offsets) >= dim - 1)
+    materials = [Material("m%d" % r, young=1.0 + r, density=1.0, poisson=0.3, free_young=True,
+                          young_bounds=(0.5, 4.0)) for r in range(mesh.n_regions)]
+    k = assemble_parametric(mesh, materials)[0].evaluate(np.full(mesh.n_regions, 2.0))[0]
+    pattern = k.pattern
+
+    # the roots are the free dofs of the nodes that share an element with a clamped node
+    near = np.unique(mesh.elements[np.isin(mesh.elements, clamped).any(axis=1)])
+    free_nodes = np.setdiff1d(np.arange(mesh.n_nodes), clamped)
+    assert np.array_equal(pattern.roots, np.flatnonzero(np.isin(free_nodes, near).repeat(dim)))
+
+    perm, kd, _ = pattern.ordering()
+    assert np.array_equal(np.sort(perm), np.arange(k.n))
+    assert kd is not None  # grids this small are band at zero fill
+    permuted = _ones(pattern).toarray()[np.ix_(perm, perm)]
+    assert kd == max(i - j for i, j in np.argwhere(permuted))
+    gps = sparse._band_ordering(_ones(pattern))  # kept unless the rooted one is narrower
+    assert kd < _half_bandwidth(pattern, gps) or np.array_equal(perm, gps)
+
+    rhs = rng.standard_normal((k.n, 2))
+    expected = np.linalg.solve(k.to_dense(), rhs)
+    assert np.linalg.norm(cholesky_factorize(k).solve(rhs) - expected) <= (
+        1e-10 * np.linalg.norm(expected))
+    pivot = int(rng.integers(k.n))
+    values = k.data.copy()
+    values[_diagonal_slots(pattern)[pivot]] = -np.abs(k.data).max()
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        cholesky_factorize(SparseSymMatrix(pattern, values))
+    assert err.value.pivot == pivot
+
+    again = assemble_parametric(mesh, materials)[0].evaluate(np.ones(mesh.n_regions))[0]
+    assert again.pattern is not pattern and np.array_equal(again.pattern.ordering()[0], perm)
+
+
+def test_support_roots_reach_k_and_gps_stays_where_narrower(tmp_path):
+    mesh, materials = benchmarks.benchmark("vault")
+    pencil, box, _ = assemble_parametric(mesh, materials)
+    k = pencil.evaluate(box.midpoint())[0]
+    # each term is restricted from the assembly pattern, K(x) is on their union
+    roots = pencil.derivative(0)[0].pattern.roots
+    assert roots.size and np.array_equal(k.pattern.roots, roots)
+    scaled = pencil.scaled_by(box.midpoint())
+    assert scaled.evaluate(np.ones(len(box)))[0].pattern is k.pattern
+    some, other, none = (sparse.SymmetricPattern(3, [0, 1, 2, 3], [0, 1, 2], r)
+                         for r in ([0, 2], [1, 2], None))
+    assert np.array_equal(some.restrict([True, False, True]).roots, [0, 2])
+    assert np.array_equal(sparse.union_pattern([some, none, other])[0].roots, [0, 1, 2])
+    assert sparse.union_pattern([none])[0].roots is None
+    _, kd, (_, _, w) = k.pattern.ordering()
+    assert kd < _half_bandwidth(k.pattern, sparse._band_ordering(_ones(k.pattern)))
+
+    mesh.save(tmp_path / "vault.mesh")
+    reloaded = assemble_parametric(Mesh.load(tmp_path / "vault.mesh"), materials)[0]
+    pattern = reloaded.evaluate(box.midpoint())[0].pattern
+    assert np.array_equal(pattern.roots, k.pattern.roots)
+    _, reloaded_kd, (_, _, reloaded_w) = pattern.ordering()
+    assert (reloaded_kd, reloaded_w) == (kd, w)
+
+    # GPS stays where it is narrower (every arch pattern, K's and M's) and
+    # where it is the only candidate (no roots)
+    full = random_banded_spd(40, np.random.default_rng(16)).pattern
+    assert full.roots is None
+    patterns = [full]
+    for refine in (1, 2, 3):
+        arch, arch_box, _ = assemble_parametric(*benchmarks.benchmark("arch", refine))
+        patterns += [a.pattern for a in arch.evaluate(arch_box.midpoint())]
+    for pattern in patterns:
+        assert np.array_equal(pattern.ordering()[0], sparse._band_ordering(_ones(pattern)))

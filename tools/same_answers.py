@@ -11,10 +11,12 @@ from this checkout's ``perfbench/worker.py`` (``WORKLOADS``,
 
 Per workload it first compares the assembled pencil: a sha256 over the
 patterns and values of K0, M0 and every increment, plus the box, the
-start and the parameter names. Then it prints the largest relative
-change in x and in the final frequencies, and the number of solves
-whose factorization count and per-step inner-iteration counts are
-equal on both sides. Exits 1 if the pencil digests, any count, a
+start and the parameter names. Next to it, it prints each tree's
+Cholesky kernel for K(x) and, on the band kernel, its half-bandwidth and
+stored width (kd, w), so an ordering change shows. Then it prints the
+largest relative change in x and in the final frequencies, and the
+number of solves whose factorization count and per-step
+inner-iteration counts are equal on both sides. Exits 1 if the pencil digests, any count, a
 converged flag or a raised error differ, else 0.
 """
 
@@ -63,6 +65,8 @@ def run_tree(workload, solves):
     spec = WORKLOADS[workload]
     mesh, materials = fu.benchmarks.benchmark(spec["structure"], spec["refine"])
     pencil, box, start = fu.assemble_parametric(mesh, materials)
+    _, kd, pack = pencil.evaluate(box.midpoint())[0].pattern.ordering()
+    kernel = "SuperLU" if kd is None else "band (%d, %d)" % (kd, pack[2])
     truths = true_points(box, spec["spread"], SEED, max(0, math.ceil(math.log2(solves))))
     records = []
     for truth in truths[:solves]:
@@ -80,7 +84,7 @@ def run_tree(workload, solves):
             "factorizations": counter.factorizations,
             "inner": [rec.inner_iterations for rec in result.history],
         })
-    return {"pencil": pencil_digest(pencil, box, start), "solves": records}
+    return {"pencil": pencil_digest(pencil, box, start), "kernel": kernel, "solves": records}
 
 
 def solve_in(tree, workload, solves):
@@ -101,6 +105,7 @@ def rel_change(old, new):
 def compare(workload, parent, this):
     """Print one workload's report; True when the pencils and every count agree."""
     same_pencil = parent["pencil"] == this["pencil"]
+    kernels = parent["kernel"], this["kernel"]
     parent, this = parent["solves"], this["solves"]
     equal, dx, df = 0, 0.0, 0.0
     for a, b in zip(parent, this):
@@ -112,9 +117,9 @@ def compare(workload, parent, this):
         equal += all(a[k] == b[k] for k in ("converged", "factorizations", "inner"))
     converged = ["%d/%d" % (sum(r.get("converged", False) for r in side), len(side))
                  for side in (parent, this)]
-    print("%s: pencil %s; converged %s (other) %s (this); counts equal in %d/%d; "
-          "max relative change x %.2e, frequencies %.2e"
-          % (workload, "identical" if same_pencil else "DIFFERS", converged[0], converged[1],
+    print("%s: pencil %s, K on %s (other) %s (this); converged %s (other) %s (this); "
+          "counts equal in %d/%d; max relative change x %.2e, frequencies %.2e"
+          % (workload, "identical" if same_pencil else "DIFFERS", *kernels, *converged,
              equal, len(this), dx, df))
     return same_pencil and equal == len(this)
 
