@@ -131,8 +131,6 @@ def main(argv=None):
         print("numerical error: %s" % exc, file=sys.stderr)
         return 3
 
-    parser.error("unknown command %r" % args.command)
-
 
 if __name__ == "__main__":
     sys.exit(main())

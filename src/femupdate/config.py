@@ -1,13 +1,14 @@
 """Run configuration: a single INI file with named sections.
 
 The README's "Config schema (version 1)" lists every section and key
-with its default; ``KEYS`` below is the same table, and any other
-section or key is a ConfigError.
+with its default; ``KEYS`` below is the same table with each key's
+reader, and any other section or key is a ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,22 +21,59 @@ from .studies import STRATEGIES, perturbed_targets
 from .trustregion import TrustRegionConfig
 
 SCHEMA_VERSION = 1
-UNSUPPORTED_STRATEGIES = ("BB",)
 _REQUIRED = object()  # default of a key that must be given
 
-# accepted keys per section; every [material.<name>] shares one set
+
+def _floats(text):
+    return np.array([float(v) for v in text.replace(",", " ").split()])
+
+
+def _start(text):
+    return text if text == "midpoint" else _floats(text)
+
+
+def _bounds(text):
+    lower, upper = _floats(text)
+    return lower, upper
+
+
+def _free(text):
+    if set(text.split()) - {"young", "density"}:
+        raise ValueError("only young and density can be free")
+    return {"free_" + prop: prop in text.split() for prop in ("young", "density")}
+
+
+def _int_from(low):
+    def read(text):
+        if int(text) < low:
+            raise ValueError("must be an integer >= %d" % low)
+        return int(text)
+    return read
+
+
+# section -> key -> (reader, default), one table for every [material.<name>];
+# None: unless given, the value comes from the benchmark or is not used
 KEYS = {
-    "run": (
-        "schema_version", "benchmark", "refine", "modes", "weight_mode",
-        "custom_weights", "lanczos_tol", "criticality_tol", "seed", "strategy",
-        "start", "record_wall_time", "output_dir",
+    "run": dict(
+        schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(int, 1),
+        modes=(_int_from(1), 5), weight_mode=(str, "uniform"), custom_weights=(_floats, None),
+        lanczos_tol=(float, 1e-5), criticality_tol=(float, 1e-4), seed=(_int_from(0), 0),
+        strategy=(str, "RM"), start=(_start, "midpoint"), record_wall_time=(bool, False),
+        output_dir=(str, "out"),
     ),
-    "trust_region": tuple(f.name for f in fields(TrustRegionConfig)),
-    "targets": ("mode", "values", "noise", "noise_seed"),
-    "noise_study": ("deltas", "trials", "seed"),
-    "material.<name>": (
-        "region", "young", "density", "poisson", "free", "young_bounds",
-        "density_bounds",
+    "trust_region": {f.name: (type(f.default), f.default) for f in fields(TrustRegionConfig)},
+    "targets": dict(
+        mode=(str, _REQUIRED), values=(_floats, _REQUIRED), noise=(float, 0.0),
+        noise_seed=(_int_from(0), 1),
+    ),
+    "noise_study": dict(
+        deltas=(_floats, (1e-4, 1e-3, 1e-2, 1e-1, 1.0)), trials=(_int_from(1), 5),
+        seed=(_int_from(0), 2024),
+    ),
+    "material.<name>": dict(
+        region=(int, None), young=(float, None), density=(float, None),
+        poisson=(float, None), free=(_free, None), young_bounds=(_bounds, None),
+        density_bounds=(_bounds, None),
     ),
 }
 
@@ -59,91 +97,76 @@ class RunSetup:
     assembly_seconds: float
 
 
-def _floats(text, section, key, expected=None):
-    try:
-        vals = np.array([float(v) for v in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ConfigError("not a list of numbers: %r" % text, section, key) from exc
-    if expected is not None and vals.size != expected:
-        raise ConfigError(
-            "expected %d values, got %d" % (expected, vals.size), section, key
-        )
-    return vals
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        if default is _REQUIRED:
+def _read(parser, section):
+    """The values of one section: each key given is cast by its reader,
+    every other key takes its default, and an unknown section or key is
+    an error."""
+    table = KEYS.get("material.<name>" if section.startswith("material.") else section)
+    if table is None:
+        raise ConfigError("unknown section", section)
+    given = dict(parser.items(section)) if parser.has_section(section) else {}
+    values = {}
+    for key, text in given.items():
+        if key not in table:
+            raise ConfigError("unknown key", section, key)
+        reader = table[key][0]
+        try:  # the parser reads booleans, as 'yes' or 'off'
+            values[key] = parser.getboolean(section, key) if reader is bool else reader(text)
+        except ValueError as exc:
+            raise ConfigError("cannot read %r: %s" % (text, exc), section, key) from exc
+    for key, (reader, default) in table.items():
+        if key not in values and default is _REQUIRED:
             raise ConfigError("missing required key", section, key)
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("cannot parse %r" % raw, section, key) from exc
+        values.setdefault(key, default)
+    return values
 
 
-def _apply_material_overrides(parser, materials, need_region):
-    by_name = {m.name: m for m in materials}
-    out = list(materials)
-    for section in parser.sections():
+def _count(values, expected, section, key):
+    if values.size != expected:
+        raise ConfigError("expected %d values, got %d" % (expected, values.size), section, key)
+    return values
+
+
+def _materials(conf, mesh, materials):
+    """The region materials: a benchmark's ``materials`` overridden by
+    section name, or, for an external mesh (None), one declared by each
+    section at the region its ``region`` names, every region exactly once."""
+    out = [None] * mesh.n_regions if materials is None else list(materials)
+    by_name = {m.name: m for m in materials or ()}
+    for section, values in conf.items():
         if not section.startswith("material."):
             continue
-        name = section[len("material.") :]
-        if need_region:
-            rid = _get(parser, section, "region", int, _REQUIRED)
-            while len(out) < rid:
-                out.append(None)
-            mat = Material(name, young=1.0, density=1.0, poisson=0.0)
-            out[rid - 1] = mat
-        else:
-            mat = by_name.get(name)
-            if mat is None:
-                raise ConfigError(
-                    "benchmark has no region named %r (have: %s)"
-                    % (name, ", ".join(sorted(by_name))),
-                    section,
-                )
-        mat.young = _get(parser, section, "young", float, mat.young)
-        mat.density = _get(parser, section, "density", float, mat.density)
-        mat.poisson = _get(parser, section, "poisson", float, mat.poisson)
-        if parser.has_option(section, "free"):
-            props = parser.get(section, "free").split()
-            bad = set(props) - {"young", "density"}
-            if bad:
-                raise ConfigError(
-                    "unknown free properties %s" % sorted(bad), section, "free"
-                )
-            mat.free_young = "young" in props
-            mat.free_density = "density" in props
+        name, rid = section[len("material.") :], values.pop("region")
+        mat = by_name.get(name)
+        if materials is None:  # the section declares its region's material
+            if rid is None or not (1 <= rid <= len(out) and out[rid - 1] is None):
+                raise ConfigError("needs an id 1..%d of a region no other section declares, "
+                                  "got %r" % (len(out), rid), section, "region")
+            out[rid - 1] = mat = Material(name, young=1.0, density=1.0, poisson=0.0)
+        elif rid is not None:
+            raise ConfigError("only applies to an external mesh", section, "region")
+        elif mat is None:
+            raise ConfigError("benchmark has no region named %r (have: %s)"
+                              % (name, ", ".join(sorted(by_name))), section)
+        values.update(values.pop("free") or {})
+        for key, value in values.items():
+            if value is not None:
+                setattr(mat, key, value)
         for prop in ("young", "density"):
-            key = prop + "_bounds"
-            if parser.has_option(section, key):
-                bounds = _floats(parser.get(section, key), section, key, 2)
-                setattr(mat, key, tuple(bounds))
-            value, (lower, upper) = getattr(mat, prop), getattr(mat, key)
+            value, (lower, upper) = getattr(mat, prop), getattr(mat, prop + "_bounds")
             if not 0.0 < value < np.inf:
                 raise ConfigError("must be positive and finite, got %r" % value, section, prop)
             if getattr(mat, "free_" + prop) and not 0.0 < lower < upper < np.inf:
-                raise ConfigError(
-                    "a free property needs finite bounds 0 < lower < upper, got %r %r"
-                    % (lower, upper), section, key,
-                )
-    if need_region:
-        for rid, mat in enumerate(out, start=1):
-            if mat is None:
-                raise ConfigError(
-                    "external mesh: no material section declares region %d" % rid
-                )
+                raise ConfigError("a free property needs finite bounds 0 < lower < upper, got "
+                                  "%r %r" % (lower, upper), section, prop + "_bounds")
+    if None in out:
+        raise ConfigError("external mesh: no material section declares region %d"
+                          % (out.index(None) + 1))
     return out
 
 
 def load_config(path):
     """Parse a config file into a ready-to-run RunSetup."""
-    import time
-
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
@@ -152,49 +175,27 @@ def load_config(path):
         raise ConfigError("cannot read config file: %s" % exc)
     except configparser.Error as exc:
         raise ConfigError("malformed config: %s" % exc)
+    sections = dict.fromkeys(["run", "targets", "trust_region", "noise_study", *parser.sections()])
+    conf = {section: _read(parser, section) for section in sections}
+    run, targets, study = conf["run"], conf["targets"], conf["noise_study"]
+    if run["schema_version"] != SCHEMA_VERSION:
+        raise ConfigError("unsupported schema_version %d (expected %d)"
+                          % (run["schema_version"], SCHEMA_VERSION), "run", "schema_version")
 
-    for section in parser.sections():
-        known = KEYS.get("material.<name>" if section.startswith("material.") else section)
-        if known is None:
-            raise ConfigError("unknown section", section)
-        for key in parser.options(section):
-            if key not in known:
-                raise ConfigError("unknown key", section, key)
-    if not parser.has_section("run"):
-        raise ConfigError("missing section", "run")
-    version = _get(parser, "run", "schema_version", int, SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            "unsupported schema_version %d (expected %d)" % (version, SCHEMA_VERSION),
-            "run",
-            "schema_version",
-        )
-
-    bench = _get(parser, "run", "benchmark", str, _REQUIRED)
-    refine = _get(parser, "run", "refine", int, 1)
+    bench = run["benchmark"]
     t0 = time.perf_counter()
     if bench.startswith("mesh:"):
         mesh_path = bench[len("mesh:") :].strip()
         try:
-            mesh = Mesh.load(mesh_path)
+            mesh, materials = Mesh.load(mesh_path), None
         except (OSError, ValueError) as exc:
             raise ConfigError("cannot load mesh %r: %s" % (mesh_path, exc), "run", "benchmark")
-        materials = _apply_material_overrides(parser, [], need_region=True)
-        if len(materials) != mesh.n_regions:
-            raise ConfigError(
-                "mesh has %d regions, config declares %d"
-                % (mesh.n_regions, len(materials))
-            )
     elif bench in ("arch", "vault"):
-        mesh, materials = benchmarks.benchmark(bench, refine)
-        materials = _apply_material_overrides(parser, materials, need_region=False)
+        mesh, materials = benchmarks.benchmark(bench, run["refine"])
     else:
-        raise ConfigError(
-            "unknown benchmark %r (arch, vault, or mesh:<path>)" % bench,
-            "run",
-            "benchmark",
-        )
-
+        raise ConfigError("unknown benchmark %r (arch, vault, or mesh:<path>)" % bench,
+                          "run", "benchmark")
+    materials = _materials(conf, mesh, materials)
     try:
         pencil, box, current = assemble_parametric(mesh, materials)
     except ValueError as exc:
@@ -203,114 +204,68 @@ def load_config(path):
     if pencil.n_parameters == 0:
         raise ConfigError("no free parameters: mark some properties free")
 
-    s = _get(parser, "run", "modes", int, 5)
-    if s < 1:
-        raise ConfigError("modes must be positive", "run", "modes")
-    weight_mode = _get(parser, "run", "weight_mode", str, "uniform")
-    custom = None
-    if weight_mode == "custom":
-        custom = _floats(
-            _get(parser, "run", "custom_weights", str, _REQUIRED),
-            "run",
-            "custom_weights",
-            s,
-        )
-    elif weight_mode not in ("uniform", "relative"):
-        raise ConfigError("unknown weight_mode %r" % weight_mode, "run", "weight_mode")
-    tau = _get(parser, "run", "lanczos_tol", float, 1e-5)
-    eps = _get(parser, "run", "criticality_tol", float, 1e-4)
-    seed = _get(parser, "run", "seed", int, 0)
-    strategy = _get(parser, "run", "strategy", str, "RM")
-    if strategy in UNSUPPORTED_STRATEGIES:
-        raise ConfigError(
-            "strategy %s is not supported by this tool" % strategy, "run", "strategy"
-        )
+    s = run["modes"]
+    weights = run["weight_mode"]
+    if weights not in ("uniform", "relative", "custom"):
+        raise ConfigError("unknown weight_mode %r" % weights, "run", "weight_mode")
+    if (weights == "custom") != (run["custom_weights"] is not None):
+        raise ConfigError("needed with weight_mode = custom, and only there",
+                          "run", "custom_weights")
+    if weights == "custom":
+        weights = _count(run["custom_weights"], s, "run", "custom_weights")
+    strategy = run["strategy"]
     if strategy not in STRATEGIES:
-        raise ConfigError(
-            "unknown strategy %r (have: %s)" % (strategy, ", ".join(STRATEGIES)),
-            "run",
-            "strategy",
-        )
+        raise ConfigError("strategy %s is not supported by this tool (have: %s)"
+                          % (strategy, ", ".join(STRATEGIES)), "run", "strategy")
 
-    start_text = _get(parser, "run", "start", str, "midpoint")
-    if start_text == "midpoint":
-        start = box.midpoint()
-    else:
-        start = _floats(start_text, "run", "start", pencil.n_parameters)
-        if not box.contains(start):
-            raise ConfigError("start lies outside the feasible box", "run", "start")
+    start = box.midpoint() if isinstance(run["start"], str) else run["start"]
+    if not box.contains(_count(start, pencil.n_parameters, "run", "start")):
+        raise ConfigError("start lies outside the feasible box", "run", "start")
 
     def make_problem(measured, weights="uniform"):
         try:
             return UpdatingProblem(pencil, box, measured=measured, weights=weights,
-                                   lanczos_tol=tau, criticality_tol=eps, seed=seed)
+                                   lanczos_tol=run["lanczos_tol"],
+                                   criticality_tol=run["criticality_tol"], seed=run["seed"])
         except ValueError as exc:
             raise ConfigError("invalid problem: %s" % exc)
 
-    # targets
-    if not parser.has_section("targets"):
-        raise ConfigError("missing section", "targets")
-    mode = _get(parser, "targets", "mode", str, _REQUIRED)
     true_values = None
-    if mode == "generate":
-        true_values = _floats(
-            _get(parser, "targets", "values", str, _REQUIRED),
-            "targets",
-            "values",
-            pencil.n_parameters,
-        )
+    if targets["mode"] == "generate":
+        true_values = _count(targets["values"], pencil.n_parameters, "targets", "values")
         if not box.contains(true_values):
             raise ConfigError("values lie outside the feasible box", "targets", "values")
-        noise = _get(parser, "targets", "noise", float, 0.0)
+        noise = targets["noise"]
         if not 0.0 <= noise < np.inf:  # NaN fails too
             raise ConfigError("must be nonnegative and finite, got %r" % noise, "targets", "noise")
         measured = evaluate_full(make_problem(np.arange(1.0, s + 1.0)), true_values).frequencies
         if noise > 0.0:
-            rng = np.random.default_rng(
-                [_get(parser, "targets", "noise_seed", int, 1), 0]
-            )
+            rng = np.random.default_rng([targets["noise_seed"], 0])
             measured = perturbed_targets(measured, noise, rng)
-    elif mode == "measured":
+    elif targets["mode"] == "measured":
         for key in ("noise", "noise_seed"):
             if parser.has_option("targets", key):  # measured values carry their own noise
                 raise ConfigError("only applies to mode = generate", "targets", key)
-        measured = _floats(
-            _get(parser, "targets", "values", str, _REQUIRED), "targets", "values", s
-        )
+        measured = _count(targets["values"], s, "targets", "values")
     else:
         raise ConfigError("mode must be 'generate' or 'measured'", "targets", "mode")
 
-    problem = make_problem(measured, weight_mode if custom is None else custom)
-
-    tr_config = TrustRegionConfig(**{
-        f.name: _get(parser, "trust_region", f.name, type(f.default), f.default)
-        for f in fields(TrustRegionConfig)
-    })
-
-    deltas = _floats(
-        _get(parser, "noise_study", "deltas", str, "1e-4 1e-3 1e-2 1e-1 1"),
-        "noise_study",
-        "deltas",
-    )
+    deltas = np.array(study["deltas"])
     if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas > 0.0)):
         raise ConfigError("needs positive, finite noise levels", "noise_study", "deltas")
-    trials = _get(parser, "noise_study", "trials", int, 5)
-    if trials < 1:
-        raise ConfigError("needs at least one trial, got %d" % trials, "noise_study", "trials")
-    noise_seed = _get(parser, "noise_study", "seed", int, 2024)
 
     return RunSetup(
-        problem=problem,
+        problem=make_problem(measured, weights),
         start=start,
-        tr_config=tr_config,
+        tr_config=TrustRegionConfig(**conf["trust_region"]),
         strategy=strategy,
-        output_dir=_get(parser, "run", "output_dir", str, "out"),
-        record_wall_time=_get(parser, "run", "record_wall_time", bool, False),
+        output_dir=run["output_dir"],
+        record_wall_time=run["record_wall_time"],
         benchmark=bench,
         parameter_names=list(pencil.names),
         true_values=true_values,
         noise_deltas=deltas,
-        noise_trials=trials,
-        noise_seed=noise_seed,
+        noise_trials=study["trials"],
+        noise_seed=study["seed"],
         assembly_seconds=assembly_seconds,
     )

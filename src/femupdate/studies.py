@@ -30,28 +30,11 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_convergence_csv(path, history, s, record_wall_time=False):
-    """One row per outer iteration of a trust-region run."""
-    header = (
-        ["k", "phi"]
-        + ["f%d" % (i + 1) for i in range(s)]
-        + ["chi", "delta", "rho", "accepted", "factorizations", "wall_s"]
-    )
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for rec in history:
-            row = [str(rec.k), _fmt(rec.value)]
-            row += [_fmt(f) for f in rec.frequencies]
-            row += [
-                _fmt(rec.chi),
-                _fmt(rec.delta),
-                _fmt(rec.rho) if rec.rho is not None else "",
-                _fmt(rec.accepted),
-                str(rec.factorizations),
-                _fmt(rec.wall_s if record_wall_time else 0.0),
-            ]
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_summary(path, lines):
@@ -88,13 +71,15 @@ def run_update(setup):
     t0 = time.perf_counter()
     result, iterations, status = run_strategy(setup, setup.strategy, counter)
     wall = time.perf_counter() - t0
-    if setup.strategy == "RM":
-        write_convergence_csv(
-            os.path.join(setup.output_dir, "convergence.csv"),
-            result.history,
-            setup.problem.s,
-            record_wall_time=setup.record_wall_time,
-        )
+    if setup.strategy == "RM":  # one row per outer iteration
+        header = ["k", "phi", *("f%d" % (i + 1) for i in range(setup.problem.s)),
+                  "chi", "delta", "rho", "accepted", "factorizations", "wall_s"]
+        _write_csv(os.path.join(setup.output_dir, "convergence.csv"), header, [
+            [str(rec.k), _fmt(rec.value), *map(_fmt, rec.frequencies), _fmt(rec.chi),
+             _fmt(rec.delta), _fmt(rec.rho), _fmt(rec.accepted), str(rec.factorizations),
+             _fmt(rec.wall_s if setup.record_wall_time else 0.0)]
+            for rec in result.history
+        ])
 
     lines = [
         ("benchmark", setup.benchmark),
@@ -158,13 +143,10 @@ def run_noise_study(setup):
                 np.max(np.abs(result.x - setup.true_values) / np.abs(setup.true_values))
             )
             errors[a, b] = err
-            rows.append((float(delta), b, err, result.converged, result.n_outer))
-
-    with open(os.path.join(setup.output_dir, "noise_study.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["delta", "trial", "max_rel_error", "converged", "iterations"])
-        for delta, b, err, conv, n in rows:
-            writer.writerow([_fmt(delta), str(b), _fmt(err), _fmt(conv), str(n)])
+            rows.append([_fmt(float(delta)), str(b), _fmt(err), _fmt(result.converged),
+                         str(result.n_outer)])
+    _write_csv(os.path.join(setup.output_dir, "noise_study.csv"),
+               ["delta", "trial", "max_rel_error", "converged", "iterations"], rows)
 
     medians = np.median(errors, axis=1)
     slope = np.nan  # a single noise level has no slope
@@ -214,14 +196,8 @@ def run_strategy_comparison(setup):
             ]
         )
     rows.append(["BB", "unsupported", "", "", "", "", "", "", "", ""])
-
-    with open(os.path.join(setup.output_dir, "comparison.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "strategy", "status", "converged", "iterations", "factorizations",
-                "lanczos_runs", "objective", "criticality", "wall_s", "assembly_s",
-            ]
-        )
-        writer.writerows(rows)
+    _write_csv(os.path.join(setup.output_dir, "comparison.csv"), [
+        "strategy", "status", "converged", "iterations", "factorizations",
+        "lanczos_runs", "objective", "criticality", "wall_s", "assembly_s",
+    ], rows)
     return results

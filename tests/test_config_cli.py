@@ -1,13 +1,16 @@
 """INI configuration loading, study writers, and the command line."""
 
+import configparser
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
 
 from femupdate import ConfigError, NotPositiveDefiniteError, benchmarks, load_config, studies
 from femupdate.cli import main
+from femupdate.config import KEYS
 from femupdate.objective import make_weights
 from femupdate.studies import run_noise_study, run_strategy_comparison, run_update
 
@@ -140,6 +143,36 @@ def test_config_error_cases(tmp_path):
             r"\[material\.pier_right\] young_bounds:",
         ),
         ("external_unbounded", external, r"\[material\.arch\] young_bounds:"),
+        # an external mesh's region ids: 1..3, each declared once
+        *[
+            ("region_" + name, external.replace("free = young\n", "").replace(old, new),
+             r"^\[material\.%s\] region: " % section)
+            for name, old, new, section in (
+                ("zero", "region = 1", "region = 0", "arch"),
+                ("negative", "region = 3", "region = -1", "pier_right"),
+                ("twice", "region = 3", "region = 2", "pier_right"),
+                ("beyond", "region = 3", "region = 4", "pier_right"),
+            )
+        ],
+        # keys the run would not read
+        (
+            "custom_weights_uniform",
+            BASE.replace("seed = 0", "seed = 0\ncustom_weights = 1 2 3 4 5"),
+            r"^\[run\] custom_weights: ",
+        ),
+        (
+            "region_builtin",
+            BASE + "[material.arch]\nregion = 7\n",
+            r"^\[material\.arch\] region: ",
+        ),
+        # negative seeds
+        ("run_seed", BASE.replace("seed = 0", "seed = -1"), r"^\[run\] seed: "),
+        (
+            "noise_seed",
+            BASE + "noise = 0.01\nnoise_seed = -3\n",
+            r"^\[targets\] noise_seed: ",
+        ),
+        ("study_seed", BASE + "[noise_study]\nseed = -5\n", r"^\[noise_study\] seed: "),
         # unknown sections and keys
         ("unknown_tr_key", BASE + "[trust_region]\ndelta_0 = 5\n", r"\[trust_region\] delta_0:"),
         (
@@ -186,6 +219,26 @@ def test_config_error_cases(tmp_path):
         path = write(tmp_path, text.format(out=tmp_path / "out"), name + ".ini")
         with pytest.raises(ConfigError, match=match):
             load_config(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key)
+    for section, table in KEYS.items()
+    for key, (reader, _) in table.items()
+    if reader is not str
+])
+def test_config_parse_error_names_the_key(tmp_path, section, key):
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE.format(out=tmp_path / "out"))
+    section = section.replace("<name>", "arch")
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, "abc")
+    path = tmp_path / "run.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigError, match="^" + re.escape("[%s] %s: " % (section, key))):
+        load_config(str(path))
 
 
 def test_config_unknown_material_section(tmp_path):

@@ -1,10 +1,13 @@
 """Rules on the package source that no behavioural test can see."""
 
 import ast
+import configparser
 from pathlib import Path
 
+import numpy as np
+
 import femupdate
-from femupdate.config import KEYS
+from femupdate.config import _REQUIRED, KEYS, _read
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "femupdate"
@@ -43,6 +46,17 @@ def test_readme_config_schema_matches_accepted_keys():
             keys.append(line.split("=", 1)[0].strip())
     accepted = {section: sorted(names) for section, names in KEYS.items()}
     assert {section: sorted(names) for section, names in documented.items()} == accepted
+    # every documented value of a key with a default of its own is that default
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    checked = []
+    for section, table in KEYS.items():
+        values = _read(parser, section)
+        for key, (_, default) in table.items():
+            if default is not None and default is not _REQUIRED:
+                assert np.array_equal(values[key], default), (section, key, values[key])
+                checked.append(key)
+    assert len(checked) == 24  # [run] 11, [trust_region] 8, [targets] 2, [noise_study] 3
 
 
 def test_package_stays_under_its_line_ceiling():
