@@ -49,8 +49,14 @@ def _build_parser():
     p = sub.add_parser("mesh", help="write a built-in benchmark mesh to a text file")
     p.add_argument("benchmark", choices=("arch", "vault"))
     p.add_argument("path", help="output file")
-    p.add_argument("--refine", type=int, default=1)
+    p.add_argument("--refine", type=_positive_int, default=1)
     return parser
+
+
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %s" % text)
+    return int(text)
 
 
 def main(argv=None):

@@ -55,7 +55,7 @@ def _int_from(low):
 # None: unless given, the value comes from the benchmark or is not used
 KEYS = {
     "run": dict(
-        schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(int, 1),
+        schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(_int_from(1), 1),
         modes=(_int_from(1), 5), weight_mode=(str, "uniform"), custom_weights=(_floats, None),
         lanczos_tol=(float, 1e-5), criticality_tol=(float, 1e-4), seed=(_int_from(0), 0),
         strategy=(str, "RM"), start=(_start, "midpoint"), record_wall_time=(bool, False),
@@ -185,6 +185,8 @@ def load_config(path):
     bench = run["benchmark"]
     t0 = time.perf_counter()
     if bench.startswith("mesh:"):
+        if parser.has_option("run", "refine"):  # the mesh file fixes its refinement
+            raise ConfigError("only applies to a built-in benchmark", "run", "refine")
         mesh_path = bench[len("mesh:") :].strip()
         try:
             mesh, materials = Mesh.load(mesh_path), None

@@ -209,11 +209,10 @@ def eigenvalue_derivatives(pencil, eigenvalues, vectors):
 
 def residual_jacobian(eigenvalues, dlam, weights):
     """Jacobian J of r from d lambda_i (row i of ``dlam``) by r_i' = d r_i /
-    d lambda_i = w_i / (4 pi sqrt(lambda_i)), and, for second-order terms,
-    r_i'' = -r_i' / (2 lambda_i): the one place where f = sqrt(lambda) /
-    (2 pi) is differentiated."""
+    d lambda_i = w_i / (4 pi sqrt(lambda_i)): the one place where
+    f = sqrt(lambda) / (2 pi) is differentiated."""
     slope = weights / (2.0 * TWO_PI * np.sqrt(eigenvalues))
-    return slope[:, None] * dlam, -0.5 * slope / eigenvalues
+    return slope[:, None] * dlam
 
 
 def full_gradient(problem, evaluation):
@@ -221,4 +220,4 @@ def full_gradient(problem, evaluation):
     lam, vectors = evaluation.lanczos.eigenvalues, evaluation.lanczos.vectors
     dlam = eigenvalue_derivatives(problem.pencil, lam, vectors)
     r = residuals(evaluation.frequencies, problem.measured, problem.weights)
-    return 2.0 * r @ residual_jacobian(lam, dlam, problem.weights)[0]
+    return 2.0 * r @ residual_jacobian(lam, dlam, problem.weights)

@@ -28,23 +28,12 @@ L^{-1} C L^{-T} v = mu v (LAPACK sygst), and solves that with
 eigenvectors u = L^{-T} v are Z-orthonormal, so the sensitivities are
 d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i for all i, j at once.
 
-With all m Z-orthonormal eigenvectors, second-order perturbation theory
-of the pencil gives the exact Hessian of every mu_i as well. C and Z are
-linear in delta, so with the couplings
-c_i[k, j] = u_k^T (G_j - mu_i S_j) u_i (c_i[i, j] = d mu_i / d delta_j)
-
-    d2 mu_i / d delta_j d delta_l
-        = 2 sum_{k != i} c_i[k, j] c_i[k, l] / (mu_i - mu_k)
-          - c_i[i, j] u_i^T S_l u_i - c_i[i, l] u_i^T S_j u_i,
-
 Each residual r_i = w_i (f_i - fbar_i) moves with mu_i = 1 / lambda_i
-alone. ``objective.residual_jacobian`` differentiates it in lambda_i and
-the chain rule through lambda_i = 1 / mu_i gives r_i' and r_i'' in mu_i,
-so J = diag(r') d mu / d delta, the gradient is 2 J^T r + g_corr and the
-Hessian 2 J^T J + sum_i 2 r_i (r_i' d2 mu_i + r_i'' grad mu_i grad mu_i^T)
-(the linear g_corr^T delta adds nothing). The sums over k and i in
-d2 mu_i collapse into one product of p x (m s) matrices, so the Hessian
-adds a few small dense products to an evaluation.
+alone: ``objective.residual_jacobian`` differentiates it in lambda_i,
+and by the chain rule through lambda_i = 1 / mu_i, J = diag(r') d mu /
+d delta. The gradient is 2 J^T r + g_corr, and the Hessian is the
+Gauss-Newton one of the least-squares fit, 2 J^T J: positive
+semidefinite at every x, and it needs only the s leading eigenvectors.
 
 The s largest mu approximate the reciprocals of the s smallest pencil
 eigenvalues; the surrogate objective adds a linear correction
@@ -228,8 +217,8 @@ def reduced_gradient(model, x):
 
 
 def evaluate_reduced_with_gradient(model, x):
-    """Surrogate value, frequencies, gradient and exact p x p Hessian
-    (see the module docstring) in one pass.
+    """Surrogate value, frequencies, gradient and Gauss-Newton p x p
+    Hessian 2 J^T J (see the module docstring) in one pass.
 
     Raises ClusteredEigenvaluesError when two of the s + 1 leading
     reduced eigenvalues nearly coincide: the sensitivity formulas need
@@ -240,33 +229,14 @@ def evaluate_reduced_with_gradient(model, x):
     require_separated(mu[: s + 1], "leading reduced eigenvalues")
     value, f_hat = _value(model, delta, mu)
 
-    # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i;
-    # all m of them, since the Hessian's couplings run over every u_k
+    # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i
     lead = mu[:s]
-    u_all, _ = lapack.dtrtrs(l, v, lower=1, trans=1)
-    u = u_all[:, :s]
+    u, _ = lapack.dtrtrs(l, v[:, :s], lower=1, trans=1)
     gu = (model.g_hats.reshape(p * m, m) @ u).reshape(p, m, s)
     su = (model.s_hats.reshape(p * m, m) @ u).reshape(p, m, s)
-    coupled = gu - su * lead  # (G_j - mu_i S_j) u_i
-    dmu = np.einsum("ai,jai->ij", u, coupled)
+    dmu = np.einsum("ai,jai->ij", u, gu - su * lead)
 
     # r_i' = d r_i / d mu_i through lambda_i = 1 / mu_i, one column
-    dr, curv = residual_jacobian(1.0 / lead, -1.0 / lead[:, None] ** 2, model.weights)
-    jac = dr * dmu
+    jac = residual_jacobian(1.0 / lead, -1.0 / lead[:, None] ** 2, model.weights) * dmu
     r = residuals(f_hat, model.measured, model.weights)
-    grad = 2.0 * r @ jac + model.g_corr
-
-    # couplings c[j, k, i] = u_k^T (G_j - mu_i S_j) u_i over all m u_k,
-    # weighted by 2 a_i / (mu_i - mu_k) off the diagonal k = i, a = 2 r r'
-    a = 2.0 * r * dr[:, 0]
-    c = np.matmul(u_all.T, coupled).reshape(p, m * s)
-    gaps = lead[None, :] - mu[:, None]
-    np.fill_diagonal(gaps, np.inf)  # k = i
-    wc = c * (2.0 * a / gaps).ravel()
-    hess = wc @ c.T
-    sdiag = np.einsum("ai,jai->ij", u, su)  # u_i^T S_j u_i
-    cross = (a[:, None] * dmu).T @ sdiag
-    hess -= cross + cross.T
-    ddr = curv / lead**4 - 2.0 * dr[:, 0] / lead  # r'' = curv lambda'^2 + r' lambda'' / lambda'
-    hess += 2.0 * jac.T @ jac + ((2.0 * r * ddr)[:, None] * dmu).T @ dmu
-    return value, f_hat, grad, _sym(hess)
+    return value, f_hat, 2.0 * r @ jac + model.g_corr, _sym(2.0 * jac.T @ jac)

@@ -4,9 +4,9 @@ Outer loop (``solve``): at the current iterate a converged Lanczos run
 provides the objective value, its gradient, and a local reduced model.
 The trial step minimizes the surrogate over the intersection of the
 feasible box with an infinity-norm ball of radius Delta by projected
-Newton steps on the surrogate's exact Hessian; the inner solve rejects
-a point where the surrogate is out of range or its leading eigenvalues
-cluster, and shortens its step. The agreement ratio
+Newton steps on the surrogate's Gauss-Newton Hessian; the inner solve
+rejects a point where the surrogate is out of range or its leading
+eigenvalues cluster, and shortens its step. The agreement ratio
 
     rho = (phi(x) - phi(x + step)) / (model(x) - model(x + step))
 

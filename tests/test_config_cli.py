@@ -165,7 +165,13 @@ def test_config_error_cases(tmp_path):
             BASE + "[material.arch]\nregion = 7\n",
             r"^\[material\.arch\] region: ",
         ),
-        # negative seeds
+        (
+            "refine_external",
+            external.replace("modes = 5", "modes = 5\nrefine = 3"),
+            r"^\[run\] refine: ",
+        ),
+        # refine and seeds below their least value
+        ("refine_zero", BASE.replace("modes = 5", "modes = 5\nrefine = 0"), r"^\[run\] refine: "),
         ("run_seed", BASE.replace("seed = 0", "seed = -1"), r"^\[run\] seed: "),
         (
             "noise_seed",
@@ -394,6 +400,9 @@ def test_cli_mesh_export(tmp_path, capsys):
     assert main(["mesh", "arch", str(target)]) == 0
     assert target.exists()
     assert "440 nodes" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:  # an argparse usage error names the flag
+        main(["mesh", "arch", str(target), "--refine", "0"])
+    assert exc.value.code == 2 and "argument --refine: " in capsys.readouterr().err
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

@@ -186,15 +186,10 @@ def test_full_gradient_matches_finite_differences_small():
     g = full_gradient(problem, ev)
     lam = ev.lanczos.eigenvalues
     dlam = eigenvalue_derivatives(pencil, lam, ev.lanczos.vectors)
-    jac, curv = residual_jacobian(lam, dlam, problem.weights)
+    jac = residual_jacobian(lam, dlam, problem.weights)
     r = residuals(ev.frequencies, problem.measured, problem.weights)
     assert jac.shape == (problem.s, 2)
     assert np.allclose(g, 2.0 * jac.T @ r, rtol=1e-13, atol=0)
-
-    # r_i'' against central differences of r_i' = d r_i / d lambda_i
-    h, unit = 1e-4 * lam, np.eye(problem.s)
-    up, down = (np.diag(residual_jacobian(lam + t, unit, problem.weights)[0]) for t in (h, -h))
-    assert np.allclose((up - down) / (2.0 * h), curv, rtol=1e-6, atol=0)
 
     def frequencies(y):
         k, m = pencil.evaluate(y)

@@ -305,7 +305,7 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
     p=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hessian_matches_central_difference_of_the_gradient(m, s_frac, p, seed):
+def test_hessian_is_gauss_newton_of_central_difference_jacobian(m, s_frac, p, seed):
     rng = np.random.default_rng(seed)
     model = _random_model(rng, m, s_frac, p)
     delta = rng.uniform(-0.3, 0.3, p)
@@ -317,17 +317,20 @@ def test_hessian_matches_central_difference_of_the_gradient(m, s_frac, p, seed):
     x = model.x0 + delta
     hess = evaluate_reduced_with_gradient(model, x)[3]
     assert hess.shape == (p, p) and np.array_equal(hess, hess.T)
+    scale = np.abs(hess).max()
+    assert np.linalg.eigvalsh(hess).min() >= -1e-12 * scale
+
+    def resid(y):  # surrogate residuals w (f_hat - fbar)
+        return model.weights * (evaluate_reduced(model, y)[1] - model.measured)
 
     step = 1e-5
-    central = np.empty((p, p))
+    jac = np.empty((model.s, p))
     for j in range(p):
         e = np.zeros(p)
         e[j] = step
-        central[:, j] = (
-            evaluate_reduced_with_gradient(model, x + e)[2]
-            - evaluate_reduced_with_gradient(model, x - e)[2]
-        ) / (2.0 * step)
-    assert np.abs(hess - central).max() <= 1e-7 * max(1.0, np.abs(hess).max())
+        jac[:, j] = (resid(x + e) - resid(x - e)) / (2.0 * step)
+    # 1e-14: the difference's rounding, eps |f| / step in J, where J is tiny
+    assert np.abs(hess - 2.0 * jac.T @ jac).max() <= 1e-7 * scale + 1e-14
 
 
 @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), above=st.booleans())
