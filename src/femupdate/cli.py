@@ -12,8 +12,8 @@ Exit codes: 0 on success, 1 when an update fails to converge, 2 on a
 configuration or usage error (unknown keys and invalid or non-finite
 values included) or a start point where K is not positive definite, 3 on
 a numerical failure (clustered eigenvalues, surrogate out of range,
-inconsistent model, Lanczos cap or exhausted subspace). A trial point
-where K is not positive definite is a rejected step.
+inconsistent model, Lanczos cap, exhausted subspace or overflow). A
+trial point where K is not positive definite is a rejected step.
 """
 
 from __future__ import annotations

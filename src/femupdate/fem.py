@@ -16,6 +16,7 @@ Eigenvalues of the assembled pencil are squared circular frequencies in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .pencil import FeasibleBox, ParametricPencil
-from .sparse import SparseSymMatrix, SymmetricPattern
+from .sparse import SymmetricPattern
 
 MPA = 1.0e6  # Young modulus unit, Pa per MPa
 
@@ -209,38 +210,28 @@ def isotropic_elasticity(young, poisson, dim):
     return e / ((1.0 + nu) * (1.0 - 2.0 * nu)) * d
 
 
-def _gauss_points(dim):
-    """The 2**dim points of the 2-point Gauss rule, x varying fastest."""
+@functools.cache
+def _reference(dim):
+    """Once per element kind, at each 2-point Gauss point (x varying fastest):
+    the outer product of the shape values and their reference gradients,
+    corners counterclockwise round the square, in 3D bottom face first; and
+    the strain gather: Voigt row (a, b), column node * dim + c takes that
+    node's d/dx_b if c == a, its d/dx_a if c == b, else the zero after them."""
     g = 1.0 / np.sqrt(3.0)
-    return np.array([xi[::-1] for xi in itertools.product((-g, g), repeat=dim)])
-
-
-def _corner_signs(dim):
-    """Reference corners: the counterclockwise square, in 3D bottom face first."""
-    square = ((-1, -1), (1, -1), (1, 1), (-1, 1))
-    faces = itertools.product((-1, 1), repeat=dim - 2)
-    return np.array([xy + z for z in faces for xy in square], dtype=np.float64)
-
-
-def _shape(xi, dim):
-    """Shape function values and their reference gradients at xi."""
-    signs = _corner_signs(dim)
-    terms = 1.0 + signs * xi  # (nn, dim)
-    grads = np.empty_like(signs)
-    for a in range(dim):
-        grads[:, a] = signs[:, a] * np.prod(np.delete(terms, a, axis=1), axis=1)
-    return np.prod(terms, axis=1) / (2.0**dim), grads / (2.0**dim)
-
-
-def _strain_matrix(dndx):
-    """Voigt row (a, b) takes d/dx_b of the a-displacements and d/dx_a of
-    the b-displacements."""
-    n_el, nn, dim = dndx.shape
-    b = np.zeros((n_el, len(_VOIGT[dim]), dim * nn))
-    for row, (p, q) in enumerate(_VOIGT[dim]):
-        b[:, row, p::dim] = dndx[:, :, q]
-        b[:, row, q::dim] = dndx[:, :, p]
-    return b
+    points = np.array([xi[::-1] for xi in itertools.product((-g, g), repeat=dim)])
+    square, faces = ((-1, -1), (1, -1), (1, 1), (-1, 1)), itertools.product((-1, 1), repeat=dim - 2)
+    signs = np.array([xy + z for z in faces for xy in square], dtype=np.float64)
+    terms = 1.0 + signs * points[:, None]  # (point, corner, axis)
+    shape = np.prod(terms, axis=2) / (2.0**dim)
+    grads = [signs[:, a] * np.prod(np.delete(terms, a, axis=2), axis=2) for a in range(dim)]
+    voigt, axes = np.array(_VOIGT[dim]), np.arange(dim)
+    a, b = voigt[:, :1], voigt[:, 1:]
+    comp = np.where(axes == a, b, np.where(axes == b, a, dim))  # (Voigt row, c)
+    gather = (np.arange(2**dim)[:, None] * (dim + 1) + comp[:, None]).reshape(len(voigt), -1)
+    out = shape[:, :, None] * shape[:, None], np.stack(grads, axis=2) / (2.0**dim), gather
+    for array in out:
+        array.flags.writeable = False  # shared by every call
+    return out
 
 
 def _element_matrices(coords, young, poisson, density):
@@ -255,8 +246,9 @@ def _element_matrices(coords, young, poisson, density):
     d = isotropic_elasticity(young * MPA, poisson, dim)
     ke, term = np.zeros((2, n_el, nn * dim, nn * dim))
     m, m_term = np.zeros((2, n_el, nn, nn))  # of one displacement component
-    for xi in _gauss_points(dim):  # unit weights
-        shape, dndxi = _shape(xi, dim)
+    masses, grads, gather = _reference(dim)
+    dndx = np.zeros((n_el, nn, dim + 1))  # physical gradients, then a zero
+    for mass, dndxi in zip(masses, grads):  # unit weights
         jac = coords.transpose(0, 2, 1) @ dndxi
         det = np.linalg.det(jac)
         if not np.all(det > 0.0):  # NaN fails too
@@ -264,9 +256,10 @@ def _element_matrices(coords, young, poisson, density):
                 "singular element geometry (nonpositive Jacobian in the element "
                 "with nodes at %s)" % coords[np.flatnonzero(~(det > 0.0))[0]].tolist()
             )
-        b = _strain_matrix(dndxi @ np.linalg.inv(jac))
+        dndx[:, :, :dim] = dndxi @ np.linalg.inv(jac)
+        b = dndx.reshape(n_el, -1)[:, gather]  # strain matrices
         ke += np.multiply(np.matmul(b.transpose(0, 2, 1), d @ b, out=term), det[:, None, None], out=term)
-        m += np.multiply(float(density) * np.outer(shape, shape), det[:, None, None], out=m_term)
+        m += np.multiply(float(density) * mass, det[:, None, None], out=m_term)
     np.multiply(np.add(ke, ke.transpose(0, 2, 1), out=term), 0.5, out=ke)  # symmetric part
     me = np.zeros_like(ke)
     for axis in range(dim):
@@ -312,8 +305,9 @@ class _Scatter:
         )
         slot = np.full(pos.size, -1, dtype=np.int64)
         slot[kept] = np.arange(kept.size)
-        slot = slot[pos]  # of each pair's dof pairs
-        self.slots = slot[pair.reshape(n_el, nn, 1, nn, 1), axes[:, None, None], axes].reshape(n_el, -1)
+        # element entry ((i, p), (j, q)) is dof pair (p, q) of node pair (i, j)
+        slot = slot[pos].take(pair.reshape(n_el, nn, nn), axis=0)
+        self.slots = slot.transpose(0, 1, 3, 2, 4).reshape(n_el, -1)
 
     def assemble(self, which, *element_matrices):
         """Values on the pattern of the sum of the given elements' matrices,
@@ -324,11 +318,6 @@ class _Scatter:
             np.bincount(slots[keep], weights=m.reshape(slots.shape)[keep], minlength=self.pattern.nnz)
             for m in element_matrices
         ]
-
-    def matrix(self, values):
-        """The matrix with these values, on the entries where they are nonzero."""
-        nonzero = values != 0.0
-        return SparseSymMatrix(self.pattern.restrict(nonzero), values[nonzero])
 
     def region_values(self, poissons):
         """Unit-parameter [stiffness, mass] values of each region, given the
@@ -375,14 +364,13 @@ def assemble_parametric(mesh, materials):
     if mesh.fixed_dofs.size == 0:
         raise ValueError("mesh has no constrained dofs; rigid modes present")
     scatter = _Scatter(mesh)
-    empty = scatter.matrix(np.zeros(scatter.pattern.nnz))
-    bases = np.zeros((2, scatter.pattern.nnz))  # of K0 and M0
+    bases, zero = np.zeros((2, scatter.pattern.nnz)), np.zeros(scatter.pattern.nnz)  # K0, M0
     increments, names, start, bounds = [], [], [], []
     for mat, region in zip(materials, scatter.region_values([m.poisson for m in materials])):
         for which, prop in enumerate(("young", "density")):
             if getattr(mat, "free_" + prop):
-                pair = [empty, empty]
-                pair[which] = scatter.matrix(region[which])
+                pair = [zero, zero]
+                pair[which] = region[which]
                 increments.append(pair)
                 names.append("%s:%s" % (prop, mat.name))
                 start.append(float(getattr(mat, prop)))
@@ -390,6 +378,6 @@ def assemble_parametric(mesh, materials):
             else:
                 bases[which] += float(getattr(mat, prop)) * region[which]
     k_inc, m_inc = [[pair[which] for pair in increments] for which in (0, 1)]
-    pencil = ParametricPencil(*map(scatter.matrix, bases), k_inc, m_inc, names)
+    pencil = ParametricPencil.on_pattern(scatter.pattern, bases[:2], k_inc, m_inc, names)
     lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T.copy()
     return pencil, FeasibleBox(lower, upper), np.asarray(start, dtype=np.float64)

@@ -31,12 +31,13 @@ the same seeded stream, so multiple eigenvalues are still found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import MaxIterationsError, SubspaceExhaustedError
+from .errors import MaxIterationsError, NumericalError, SubspaceExhaustedError
 from .sparse import cholesky_factorize
 
 _BREAKDOWN_REL = 1e-12
@@ -77,7 +78,7 @@ def descending_eigh(a):
     """
     mu, vec, info = lapack.dsyevd(a, compute_v=1, lower=1)
     if info != 0:
-        raise np.linalg.LinAlgError("symmetric eigensolver failed (info %d)" % info)
+        raise NumericalError("symmetric eigensolver failed (info %d)" % info)
     return mu[::-1], vec[:, ::-1]
 
 
@@ -105,6 +106,9 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         than s pairs.
     MaxIterationsError
         Cap reached before the bound was met.
+    NumericalError
+        alpha or beta overflowed: K or M is scaled far outside the
+        floating-point range.
     """
     n = k_matrix.n
     if m_matrix.n != n:
@@ -124,8 +128,9 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     scale = 0.0  # running magnitude of the projected operator
 
     # basis U, M U and K^{-1} M U as column blocks of one column-major
-    # array, lent by K's pattern; column k is written before any read
-    with k_matrix.pattern.workspace(3 * cap) as work:
+    # array, lent by K's pattern; column k is written before any read. An
+    # overflow reaches alpha or beta, which are checked instead of warned of
+    with k_matrix.pattern.workspace(3 * cap) as work, np.errstate(over="ignore", invalid="ignore"):
         basis, mbasis, solves = work[:, :cap], work[:, cap : 2 * cap], work[:, 2 * cap : 3 * cap]
         k = 0
         while k < cap:
@@ -142,7 +147,12 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
             alpha = t[k, k] = h[k] + h2[k]
             scale = max(scale, abs(alpha))
             mw = m_matrix.matvec(w)
-            beta = float(np.sqrt(max(w @ mw, 0.0)))
+            beta = float(np.sqrt(max(w @ mw, 0.0)))  # NaN stays NaN
+            if not math.isfinite(alpha + beta):
+                raise NumericalError(
+                    "Lanczos step %d left the floating-point range; K or M is scaled "
+                    "far outside it" % k
+                )
             k += 1
 
             broke = beta <= _BREAKDOWN_REL * max(scale, 1e-300)

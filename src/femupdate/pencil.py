@@ -5,16 +5,19 @@ that K(x) = K0 + sum_j x_j dK_j and M(x) = M0 + sum_j x_j dM_j. The
 dependence is exactly linear; derivative matrices are the increments
 themselves.
 
-The sparsity pattern is fixed at construction: K(x) lives on the union
-pattern of K0 and the dK_j, and M(x) on that of M0 and the dM_j. On its
-pattern, K(x) has the values ``k0 + Dk @ x``, where column j of the
-sparse (nnz, n_parameters) matrix Dk holds the values of dK_j at its
-own entries; evaluation is one sparse product, and every K(x) shares
-the pattern and with it the ordering and kernel of its
-factorization. Each increment keeps its own, usually much smaller,
-pattern for derivative products, with its values stored once, in Dk.
-Products with an increment run on its pattern's rows only
-(``SparseSymMatrix.local``), found once per pencil, scaled copies included.
+The sparsity pattern is fixed at construction: K(x) lives on a pattern
+that holds K0 and the dK_j, and M(x) on one for M0 and the dM_j. The
+constructor unites the patterns of given matrices; ``on_pattern`` takes
+value vectors on one pattern, as assembly has them, and keeps the
+entries where one is nonzero. On its pattern, K(x) has the values
+``k0 + Dk @ x``, where column j of the sparse (nnz, n_parameters)
+matrix Dk holds the values of dK_j at its own entries; evaluation is
+one sparse product, and every K(x) shares the pattern and with it the
+ordering and kernel of its factorization. Each increment keeps its
+own, usually much smaller, pattern for derivative products, with its
+values stored once, in Dk. Products with an increment run on its
+pattern's rows only (``SparseSymMatrix.local``), found once per
+pencil, scaled copies included.
 """
 
 from __future__ import annotations
@@ -57,23 +60,18 @@ class FeasibleBox:
 
 
 class _AffineFamily:
-    """A(x) = A0 + sum_j x_j dA_j on the union pattern of its terms."""
+    """A(x) = A0 + sum_j x_j dA_j on a pattern that holds every term: A0
+    has the values ``base`` there, and increment j keeps its own pattern,
+    whose entries sit at positions ``where[j]`` among the family's."""
 
-    def __init__(self, base, increments):
-        pattern, where = union_pattern([a.pattern for a in [base, *increments]])
+    def __init__(self, pattern, base, increments, where):
         self.pattern = pattern
-        base_data = np.zeros(pattern.nnz)
-        base_data[where[0]] = base.data
-        self.base = SparseSymMatrix(pattern, base_data)
-        counts = [a.pattern.nnz for a in increments]
-        self._columns = sp.csc_array(
-            (
-                np.concatenate([np.zeros(0)] + [a.data for a in increments]),
-                np.concatenate([np.zeros(0, dtype=np.int64)] + where[1:]),
-                np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
-            ),
-            shape=(pattern.nnz, len(increments)),
-        )
+        self.base = SparseSymMatrix(pattern, base)
+        self._columns = sp.csc_array((
+            np.concatenate([np.zeros(0)] + [a.data for a in increments]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + list(where)),
+            np.cumsum([0] + [a.pattern.nnz for a in increments], dtype=np.int64),
+        ), shape=(pattern.nnz, len(increments)))
         self._share_increments([a.pattern for a in increments])
 
     def _share_increments(self, patterns):
@@ -120,11 +118,35 @@ class ParametricPencil:
         for mat in list(k_increments) + list(m_increments):
             if mat.n != k0.n:
                 raise DimensionMismatchError("increment dimension disagrees with K0")
-        self._k = _AffineFamily(k0, k_increments)
-        self._m = _AffineFamily(m0, m_increments)
+        families = []  # each on the union of its terms' patterns
+        for base, increments in ((k0, k_increments), (m0, m_increments)):
+            pattern, where = union_pattern([a.pattern for a in [base, *increments]])
+            data = np.zeros(pattern.nnz)
+            data[where[0]] = base.data
+            families.append(_AffineFamily(pattern, data, increments, where[1:]))
+        self._k, self._m = families
         self.names = list(names) if names is not None else [
             "x%d" % j for j in range(len(k_increments))
         ]
+
+    @classmethod
+    def on_pattern(cls, pattern, bases, k_increments, m_increments, names):
+        """The pencil of value vectors on one pattern, as assembly has them:
+        K0's and M0's in ``bases``, the dK_j's and dM_j's in the lists. Each
+        family keeps the entries where one of its terms is nonzero, each
+        increment its own nonzeros."""
+        out, families = cls.__new__(cls), []
+        for base, increments in zip(bases, (k_increments, m_increments)):
+            held, union = [values != 0.0 for values in increments], base != 0.0
+            for h in held:
+                union |= h
+            at = np.cumsum(union) - 1  # the family's position of each entry
+            terms = [SparseSymMatrix(pattern.restrict(h), v[h]) for v, h in zip(increments, held)]
+            where = [at[h] for h in held]
+            families.append(_AffineFamily(pattern.restrict(union), base[union], terms, where))
+        out._k, out._m = families
+        out.names = list(names)
+        return out
 
     @property
     def n(self):

@@ -11,8 +11,10 @@ is Gibbs-Poole-Stockmeyer's, or, on a pattern that knows its roots (the
 rows next to a support) and where it is narrower, one on the distances
 from all roots at once (George & Liu, 1981): on a structure clamped at
 its footings, horizontal slices. vault r1-r3 go from kd 343, 898, 1871
-to 188, 624, 1291, which puts r2 on the band kernel; arch r1-r3 keep
-GPS's 19, 33, 44 (rooted: 59, 107, 155).
+to 188, 624, 1291, which puts r2 on the band kernel. The rooted ordering
+is built only where its widest level, a lower bound on its kd, is below
+GPS's kd: arch r1-r3 keep GPS's 19, 33, 44 without it (widest levels 54,
+102, 150; rooted kd 59, 107, 155).
 The band factor is stored at half-bandwidth kd rounded up to a multiple
 of 16 diagonals when that adds at most 10% storage (arch r3 44 -> 48,
 vault r1 188 -> 192), else at kd: the back-solve's transposed sweep is
@@ -125,7 +127,8 @@ class SymmetricPattern:
 
         Computed on first use, from the structure alone. The band kernel
         (``_band_ordering``, GPS's or, given roots, the rooted one if it
-        is narrower; half-bandwidth kd) is used when its cost is
+        is narrower, built only if ``_widest_level`` says it can be;
+        half-bandwidth kd) is used when its cost is
         estimated lower, n (kd + 1)² <= BAND_COST_RATIO nnz(L+U) for the
         fill of a minimum-degree SuperLU probe factorization; SuperLU
         otherwise (kd is None). Fill only adds entries, so the probe is
@@ -139,17 +142,21 @@ class SymmetricPattern:
             ones = sp.csr_array(
                 (np.ones(self.nnz), self.indices, self.indptr), shape=(self.n, self.n)
             )
-            candidates = [_band_ordering(ones)]
+            rows = self.keys() // self.n
+
+            def band(depth=None):  # entry (r, c) of A is (at[r], at[c]) of P A Pᵀ
+                perm = _band_ordering(ones, depth)
+                at = np.argsort(perm)
+                return perm, at, int(np.max(at[rows] - at[self.indices], initial=0))
+
+            candidates = [band()]
             if self.roots is not None:
                 depth = dijkstra(ones, indices=self.roots, unweighted=True, min_only=True)
                 if np.isfinite(depth).all():  # a root in every component
-                    candidates.append(_band_ordering(ones, depth.astype(np.int64)))
-            # entry (r, c) of A is entry (at[r], at[c]) of P A Pᵀ; the narrower
-            # band wins, GPS (the first) on a tie
-            rows, ats = self.keys() // self.n, [np.argsort(p) for p in candidates]
-            widths = [np.max(at[rows] - at[self.indices], initial=0) for at in ats]
-            best = int(np.argmin(widths))
-            perm, at, kd = candidates[best], ats[best], int(widths[best])
+                    depth = depth.astype(np.int64)
+                    if _widest_level(ones, depth) < candidates[0][2]:  # else it cannot win
+                        candidates.append(band(depth))
+            perm, at, kd = min(candidates, key=lambda c: c[2])  # GPS (the first) on a tie
             i, j = at[rows], at[self.indices]
             lu = None
             if self.n * (kd + 1) ** 2 > BAND_COST_RATIO * self.nnz:
@@ -230,6 +237,14 @@ def _component_order(graph, level):
         by_level[at[k]:at[k + 1]] = nodes = nodes[np.lexsort((deg[nodes], key[nodes]))]
         number[nodes] = np.arange(at[k], at[k + 1])
     return by_level
+
+
+def _widest_level(graph, depth):
+    """The most nodes at one depth d >= 1 in one connected component: a lower
+    bound on the half-bandwidth of ``_band_ordering(graph, depth)``. The last
+    of them has a neighbour at depth d - 1, numbered before all of them."""
+    label, above = connected_components(graph, directed=False)[1], depth > 0
+    return int(np.bincount(label[above] * (depth.max() + 1) + depth[above]).max(initial=0))
 
 
 def _band_ordering(graph, depth=None):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import settings
 
 from femupdate import (
+    Mesh,
     UpdatingProblem,
     assemble_parametric,
     benchmarks,
@@ -129,3 +130,19 @@ def random_spd_pencil(n, rng, bandwidth=3):
     k = random_banded_spd(n, rng, bandwidth)
     m = random_banded_spd(n, rng, max(1, bandwidth - 2))
     return k, m
+
+
+def grid_mesh(shape, clamped):
+    """Unit grid of quad4 (2 sides) or hex8 (3 sides) elements with every dof
+    of the ``clamped`` nodes fixed, in two regions split along x."""
+    dim = len(shape)
+    nodes = np.arange(np.prod(np.add(shape, 1))).reshape(np.add(shape, 1))
+    coords = np.stack(np.unravel_index(nodes.ravel(), nodes.shape), axis=1).astype(float)
+    # corners in quad4 / hex8 order: counterclockwise, bottom face then top
+    face = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    corners = face if dim == 2 else [(x, y, z) for z in (0, 1) for x, y in face]
+    cells = np.stack(np.indices(shape), axis=-1).reshape(-1, dim)
+    elements = np.stack([nodes[tuple((cells + c).T)] for c in corners], axis=1)
+    regions = 1 + (cells[:, 0] >= max(1, shape[0] // 2))  # one region when 1 cell wide
+    fixed = (dim * clamped[:, None] + np.arange(dim)).ravel()
+    return Mesh(coords, elements, regions, fixed)

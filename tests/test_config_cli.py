@@ -456,6 +456,15 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert err.startswith("config error: ") and message in err and "Traceback" not in err
 
 
+def test_cli_overflow_exits_3_with_one_line(tmp_path, capsys):
+    # a positive, finite, absurd modulus overflows the eigensolver: that is a
+    # numerical failure (exit 3) in one line, not a config error, no warning
+    text = BASE.format(out=tmp_path / "out") + "\n[material.arch]\nyoung = 1e-300\n"
+    assert main(["eigs", write(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: Lanczos step ") and err.count("\n") == 1
+
+
 def test_cli_indefinite_start_exits_2(tmp_path, capsys, monkeypatch):
     # a start where K(x) is not positive definite is a usage error
     import femupdate.cli as cli

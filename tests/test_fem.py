@@ -1,14 +1,18 @@
 """Element matrices and parametric assembly against physics oracles."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, strategies as st
 
 from femupdate import (
     Material,
     Mesh,
+    ParametricPencil,
+    SparseSymMatrix,
     UpdatingProblem,
     assemble_parametric,
     benchmarks,
@@ -16,7 +20,7 @@ from femupdate import (
 )
 from femupdate.fem import MPA, _Scatter, _element_matrices
 
-from conftest import ARCH_TRUE, dense_smallest
+from conftest import ARCH_TRUE, dense_smallest, grid_mesh
 
 
 def unit_square():
@@ -124,6 +128,89 @@ def test_region_values_match_the_public_element_matrices_bit_for_bit(name, poiss
         k, m = scatter.assemble(which, ke, me)
         assert k.tobytes() == values[rid - 1][0].tobytes()
         assert m.tobytes() == values[rid - 1][1].tobytes()
+
+
+def _pencil_sha256(pencil):
+    """sha256 over each family's pattern with its roots and base values, and
+    every increment's pattern and values."""
+    digest = hashlib.sha256()
+    for family in (pencil._k, pencil._m):
+        pattern = family.pattern
+        for array in (pattern.indptr, pattern.indices, pattern.roots, family.base.data):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        for term in family.increments:
+            for array in (term.pattern.indptr, term.pattern.indices, term.data):
+                digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("arch", "96c632afe645224ed1d76a8d1c22693354f85e088ed5d06dec64acf65760e018"),
+    ("vault", "71adaf9dc9a150a1ac7fe9e8886b77a523b992c477fde4a4be8d8054bf87c6be"),
+])
+def test_builtin_pencils_keep_their_bits(name, expected):
+    # the refine-1 pencils as assembly built them when every term was
+    # restricted to its nonzeros and merged again (x86-64, numpy 2.4 with
+    # OpenBLAS); a faster assembly must not move one bit of them
+    assert _pencil_sha256(assemble_parametric(*benchmarks.benchmark(name))[0]) == expected
+
+
+def _merged_pencil(mesh, materials):
+    """The pencil built the long way: each term restricted to its nonzeros
+    on the scatter's pattern, then united by the public constructor."""
+    scatter = _Scatter(mesh)
+
+    def matrix(values):
+        nonzero = values != 0.0
+        return SparseSymMatrix(scatter.pattern.restrict(nonzero), values[nonzero])
+
+    bases, increments, names = np.zeros((2, scatter.pattern.nnz)), [], []
+    for mat, region in zip(materials, scatter.region_values([m.poisson for m in materials])):
+        for which, prop in enumerate(("young", "density")):
+            if getattr(mat, "free_" + prop):
+                pair = [matrix(np.zeros(scatter.pattern.nnz))] * 2
+                pair[which] = matrix(region[which])
+                increments.append(pair)
+                names.append("%s:%s" % (prop, mat.name))
+            else:
+                bases[which] += float(getattr(mat, prop)) * region[which]
+    return ParametricPencil(matrix(bases[0]), matrix(bases[1]), [p[0] for p in increments],
+                            [p[1] for p in increments], names)
+
+
+@given(dim=st.sampled_from((2, 3)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_assembly_builds_the_pencil_that_merging_restricted_terms_builds(dim, data, seed):
+    rng = np.random.default_rng(seed)
+    shape = data.draw(st.lists(st.integers(1, 4 if dim == 2 else 2), min_size=dim, max_size=dim))
+    side = np.prod(np.add(shape, 1)[1:])  # nodes at x = 0, which are clamped
+    grid = grid_mesh(shape, np.arange(side))
+    count = data.draw(st.integers(1, min(4, grid.n_elements)), label="regions")
+    regions = 1 + rng.permutation(grid.n_elements) % count  # every id, in random cells
+    coords = grid.coords + rng.uniform(-0.2, 0.2, grid.coords.shape)  # distorted, never inverted
+    mesh = Mesh(coords, grid.elements, regions, grid.fixed_dofs)
+    materials = [
+        Material("m%d" % r, young=rng.uniform(100.0, 9000.0), density=rng.uniform(500.0, 3000.0),
+                 poisson=data.draw(st.sampled_from((0.0, 0.2, 0.3, 0.45)), label="poisson"),
+                 free_young=data.draw(st.booleans(), label="free young"),
+                 free_density=data.draw(st.booleans(), label="free density"))
+        for r in range(count)
+    ]
+    built, merged = assemble_parametric(mesh, materials)[0], _merged_pencil(mesh, materials)
+    assert built.names == merged.names
+    for ours, theirs in ((built._k, merged._k), (built._m, merged._m)):
+        for a, b in zip(_family_arrays(ours), _family_arrays(theirs), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _family_arrays(family):
+    """Every array of an affine family: its pattern with roots, base values,
+    parameter columns, and each increment's pattern with roots and values."""
+    columns = family._columns
+    arrays = [family.pattern.indptr, family.pattern.indices, family.pattern.roots,
+              family.base.data, columns.indptr, columns.indices, columns.data]
+    for term in family.increments:
+        arrays += [term.pattern.indptr, term.pattern.indices, term.pattern.roots, term.data]
+    return arrays
 
 
 def bar_mesh_2d(nx=40, ny=2, length=10.0, height=1.0):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from femupdate import (
     MaxIterationsError,
+    NumericalError,
     SparseSymMatrix,
     cholesky_factorize,
     lanczos_smallest,
@@ -118,6 +119,16 @@ def test_seed_reproducibility():
     assert np.array_equal(a.vectors, b.vectors)
     c = lanczos_smallest(k, m, s=3, tol=1e-8, seed=8)
     assert np.allclose(c.eigenvalues, a.eigenvalues, rtol=1e-7)
+
+
+def test_overflow_is_a_numerical_error_without_a_warning():
+    # K ~ 1e-300 puts K^{-1} M u at ~1e300 and its M-norm past the largest
+    # double: the run stops at the first non-finite alpha or beta, warning
+    # of nothing (pytest turns warnings into errors)
+    k, m = random_spd_pencil(30, np.random.default_rng(4))
+    tiny = SparseSymMatrix(k.pattern, 1e-300 * k.data)
+    with pytest.raises(NumericalError, match=r"^Lanczos step \d+ left the floating-point range"):
+        lanczos_smallest(tiny, m, s=3)
 
 
 def test_basis_cap_raises_max_iterations():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, strategies as st
 from scipy.linalg import block_diag
+from scipy.sparse.csgraph import dijkstra
 
 import femupdate.sparse as sparse
 
@@ -21,7 +22,7 @@ from femupdate import (
     lanczos_smallest,
 )
 
-from conftest import random_banded_spd
+from conftest import grid_mesh, random_banded_spd
 
 
 def test_from_full_requires_symmetry():
@@ -323,30 +324,12 @@ def test_disconnected_pattern_orders_each_component():
         assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def _grid_mesh(shape, clamped):
-    """Unit grid of quad4 (2 sides) or hex8 (3 sides) elements with every dof
-    of the ``clamped`` nodes fixed, in two regions split along x."""
-    dim = len(shape)
-    nodes = np.arange(np.prod(np.add(shape, 1))).reshape(np.add(shape, 1))
-    coords = np.stack(np.unravel_index(nodes.ravel(), nodes.shape), axis=1).astype(float)
-    # corners in quad4 / hex8 order: counterclockwise, bottom face then top
-    face = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    corners = face if dim == 2 else [(x, y, z) for z in (0, 1) for x, y in face]
-    cells = np.stack(np.indices(shape), axis=-1).reshape(-1, dim)
-    elements = np.stack([nodes[tuple((cells + c).T)] for c in corners], axis=1)
-    regions = 1 + (cells[:, 0] >= max(1, shape[0] // 2))  # one region when 1 cell wide
-    fixed = (dim * clamped[:, None] + np.arange(dim)).ravel()
-    return Mesh(coords, elements, regions, fixed)
-
-
-@given(dim=st.sampled_from((2, 3)), footings=st.booleans(), data=st.data(),
-       seed=st.integers(0, 2**32 - 1))
-def test_rooted_ordering_on_random_grids(dim, footings, data, seed):
-    # nodes clamped anywhere, or only on the base (last coordinate 0), where
-    # the rooted candidate can win (it does in 15 of the 100 draws)
+def _clamped_grid(dim, footings, data, rng):
+    """A drawn grid (``grid_mesh``) with nodes clamped anywhere, or only on
+    the base (last coordinate 0), where the rooted candidate can win; its
+    clamped nodes and materials, one free Young modulus per region."""
     shape = data.draw(st.lists(st.integers(1, 8 if dim == 2 else 4), min_size=dim,
                                max_size=dim), label="shape")
-    rng = np.random.default_rng(seed)
     n_nodes = int(np.prod(np.add(shape, 1)))
     if footings:
         nodes = np.flatnonzero(np.arange(n_nodes) % (shape[-1] + 1) == 0)
@@ -354,12 +337,24 @@ def test_rooted_ordering_on_random_grids(dim, footings, data, seed):
     else:
         nodes, count = np.arange(n_nodes), rng.integers(1, max(2, n_nodes // 4) + 1)
     clamped = np.sort(rng.choice(nodes, count, replace=False))
-    mesh = _grid_mesh(shape, clamped)
+    mesh = grid_mesh(shape, clamped)
     offsets = mesh.coords[clamped] - mesh.coords[clamped[0]]
     # clamped nodes that span a line (2D) or a plane (3D) leave no rigid mode
     assume(clamped.size < n_nodes and np.linalg.matrix_rank(offsets) >= dim - 1)
     materials = [Material("m%d" % r, young=1.0 + r, density=1.0, poisson=0.3, free_young=True,
                           young_bounds=(0.5, 4.0)) for r in range(mesh.n_regions)]
+    return mesh, clamped, materials
+
+
+_GRID_DRAWS = dict(dim=st.sampled_from((2, 3)), footings=st.booleans(), data=st.data(),
+                   seed=st.integers(0, 2**32 - 1))
+
+
+@given(**_GRID_DRAWS)
+def test_rooted_ordering_on_random_grids(dim, footings, data, seed):
+    # the rooted candidate wins in 15 of the 100 draws
+    rng = np.random.default_rng(seed)
+    mesh, clamped, materials = _clamped_grid(dim, footings, data, rng)
     k = assemble_parametric(mesh, materials)[0].evaluate(np.full(mesh.n_regions, 2.0))[0]
     pattern = k.pattern
 
@@ -389,6 +384,32 @@ def test_rooted_ordering_on_random_grids(dim, footings, data, seed):
 
     again = assemble_parametric(mesh, materials)[0].evaluate(np.ones(mesh.n_regions))[0]
     assert again.pattern is not pattern and np.array_equal(again.pattern.ordering()[0], perm)
+
+
+@given(**_GRID_DRAWS)
+def test_rooted_candidate_is_skipped_only_where_it_cannot_be_narrower(dim, footings, data, seed):
+    # numbered level by level, the last node of a level d >= 1 has a neighbour
+    # on level d - 1, numbered before the whole level: the widest such level
+    # of one component bounds the rooted kd from below, so skipping the
+    # candidate where that reaches GPS's kd leaves the ordering as it was
+    mesh, _, materials = _clamped_grid(dim, footings, data, np.random.default_rng(seed))
+    pencil = assemble_parametric(mesh, materials)[0]
+    pattern = pencil.evaluate(np.full(mesh.n_regions, 2.0))[0].pattern
+    if data.draw(st.booleans(), label="two copies"):  # levels count per component
+        pair = sp.block_diag([_ones(pattern)] * 2, format="csr")
+        pair.sort_indices()
+        roots = np.concatenate([pattern.roots, pattern.n + pattern.roots])
+        pattern = sparse.SymmetricPattern(2 * pattern.n, pair.indptr, pair.indices, roots)
+    ones = _ones(pattern)
+    depth = dijkstra(ones, indices=pattern.roots, unweighted=True, min_only=True)
+    assume(np.isfinite(depth).all())  # a root in every component
+    depth = depth.astype(np.int64)
+    gps, rooted = sparse._band_ordering(ones), sparse._band_ordering(ones, depth)
+    widths = [_half_bandwidth(pattern, perm) for perm in (gps, rooted)]
+    assert sparse._widest_level(ones, depth) <= widths[1]
+    perm, kd, (_, _, w) = pattern.ordering()  # both built, GPS kept on a tie
+    assert np.array_equal(perm, rooted if widths[1] < widths[0] else gps)
+    assert (kd, w) == (min(widths), sparse._band_width(min(widths)))
 
 
 def test_support_roots_reach_k_and_gps_stays_where_narrower(tmp_path):

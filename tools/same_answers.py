@@ -10,8 +10,10 @@ from this checkout's ``perfbench/worker.py`` (``WORKLOADS``,
 ``true_points``, ``make_problem``), so they solve identical problems.
 
 Per workload it first compares the assembled pencil: a sha256 over the
-patterns and values of K0, M0 and every increment, plus the box, the
-start and the parameter names. Next to it, it prints each tree's
+patterns and values of K0, M0 and every increment, the patterns' roots
+(which decide the rooted band ordering), where each increment's values
+sit in its family's parameter columns, the box, the start and the
+parameter names. Next to it, it prints each tree's
 Cholesky kernel for K(x) and, on the band kernel, its half-bandwidth and
 stored width (kd, w), so an ordering change shows. Then it prints the
 largest relative change in x and in the final frequencies, and, as two
@@ -42,13 +44,17 @@ SEED = 41  # Sobol seed of the true points
 
 
 def pencil_digest(pencil, box, start):
-    """sha256 over the patterns and values of K0, M0 and every increment,
-    the box, the start and the names."""
+    """sha256 over the patterns (with their roots) and values of K0, M0 and
+    every increment, the parameter-column layout, the box, the start and
+    the names."""
     digest = hashlib.sha256()
     for family in (pencil._k, pencil._m):  # the pencil has no public view of its terms
         for term in (family.base, *family.increments):
-            for array in (term.pattern.indptr, term.pattern.indices, term.data):
+            roots = term.pattern.roots if term.pattern.roots is not None else np.zeros(0, int)
+            for array in (term.pattern.indptr, term.pattern.indices, roots, term.data):
                 digest.update(np.ascontiguousarray(array).tobytes())
+        for array in (family._columns.indptr, family._columns.indices):  # where dA_j sits
+            digest.update(np.ascontiguousarray(array).tobytes())
     for array in (box.lower, box.upper, start):
         digest.update(np.ascontiguousarray(array).tobytes())
     digest.update("\n".join(pencil.names).encode())
