@@ -7,7 +7,8 @@ and element mass to the density, so each mesh region contributes one
 stiffness and one mass block that scale linearly with that region's
 material parameters. Assembly exploits this to build an affine matrix
 pencil: fixed-material contributions are accumulated into base matrices
-and each free parameter gets one increment matrix.
+and each free parameter gets one increment matrix. Where each element
+entry lands is index arithmetic on the sorted node pairs (``_Scatter``).
 
 Units: coordinates in meters, Young modulus in MPa, density in kg/m^3.
 Eigenvalues of the assembled pencil are squared circular frequencies in
@@ -148,8 +149,9 @@ class Mesh:
             constraints <C>
             <node> <x|y|z>           (C lines)
 
-        Every line has exactly the fields shown. Any error is a
-        ValueError that names the line where there is one.
+        Every line has exactly the fields shown, counts are nonnegative,
+        and nothing follows the constraints. Any error is a ValueError that
+        names the line where there is one.
         """
         with open(path) as fh:
             rows = iter([
@@ -170,6 +172,8 @@ class Mesh:
                     raise ValueError("expected '%s', found '%s'" % (keyword, head))
             if len(fields) != width:
                 raise ValueError("expected %d fields, found %d" % (width, len(fields)))
+            if keyword in ("nodes", "elements", "constraints") and int(fields[0]) < 0:
+                raise ValueError("%s count must not be negative, found %s" % (keyword, fields[0]))
             return fields
 
         try:
@@ -193,6 +197,9 @@ class Mesh:
                 if axis not in axes:
                     raise ValueError("unknown axis '%s'" % axis)
                 fixed.append((int(node) - 1) * dim + axes.index(axis))
+            lineno, extra = next(rows, (lineno, None))
+            if extra is not None:
+                raise ValueError("expected the end of the file, found '%s'" % extra[0])
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc) if lineno else str(exc)) from None
         table = np.array(table, dtype=np.int64).reshape(-1, nn + 1)
@@ -248,8 +255,9 @@ def _element_matrices(coords, young, poisson, density):
     m, m_term = np.zeros((2, n_el, nn, nn))  # of one displacement component
     masses, grads, gather = _reference(dim)
     dndx = np.zeros((n_el, nn, dim + 1))  # physical gradients, then a zero
+    rows = coords.transpose(0, 2, 1).reshape(n_el * dim, nn)  # all Jacobians in one product
     for mass, dndxi in zip(masses, grads):  # unit weights
-        jac = coords.transpose(0, 2, 1) @ dndxi
+        jac = (rows @ dndxi).reshape(n_el, dim, dim)
         det = np.linalg.det(jac)
         if not np.all(det > 0.0):  # NaN fails too
             raise ValueError(
@@ -273,7 +281,10 @@ class _Scatter:
     The pattern is the free-dof graph of all elements: entry (i, j) is
     present when some element couples free dofs i and j. ``slots`` holds,
     per element, the position of each of its (nd * nd) matrix entries
-    among the pattern's, or -1 where a constrained dof is involved.
+    among the pattern's, or -1 where a constrained dof is involved. Both
+    come from the sorted node pairs in one pass: the dof pattern's rows
+    and columns from one repeat per dof and one gather through each
+    node's range of pairs, the slots from one gather in element order.
     """
 
     def __init__(self, mesh):
@@ -281,21 +292,19 @@ class _Scatter:
         conn, dim, axes = mesh.elements, mesh.dim, np.arange(mesh.dim)
         n_el, nn = conn.shape
         # node pairs (a, b) that share an element, ascending, and each element's
-        keys = np.repeat(conn, nn, axis=1) * mesh.n_nodes + np.tile(conn, (1, nn))
-        pairs, pair = np.unique(keys, return_inverse=True)
+        pairs, pair = np.unique(conn[:, :, None] * mesh.n_nodes + conn[:, None], return_inverse=True)
         a, b = np.divmod(pairs, mesh.n_nodes)
         first = np.searchsorted(a, np.arange(mesh.n_nodes + 1))
-        start, deg = first[a], np.diff(first)[a]
-        # dof pair ((a, p), (b, q)) is entry pos[pair, p, q] of the all-dof
-        # pattern, whose row (a, p) runs over a's pairs and then over q
-        pos = (dim * (dim - 1) * start + dim * np.arange(pairs.size))[:, None, None]
-        pos = pos + (dim * deg)[:, None, None] * axes[:, None] + axes
         free = mesh.free_dofs()
-        index = np.full(mesh.n_dofs, -1, dtype=np.int64)
+        index = np.full(mesh.n_dofs, -1, dtype=np.int64)  # free dof numbers, -1 if fixed
         index[free] = np.arange(free.size)
-        rows, cols = np.empty((2, pos.size), dtype=np.int64)  # free dof numbers, -1 if fixed
-        rows[pos] = index[(dim * a)[:, None, None] + axes[:, None]]
-        cols[pos] = index[(dim * b)[:, None, None] + axes]
+        # the all-dof pattern's row (a, p) runs over a's pairs (a, b), then q;
+        # its position k holds entry k - shift of the pairs' flattened column
+        # dofs, so dof pair ((a, p), (b, q)) sits at shift + dim * pair + q
+        length = np.repeat(dim * np.diff(first), dim)
+        shift = np.cumsum(length) - length - np.repeat(dim * first[:-1], dim)
+        rows, back = np.repeat(np.stack([index, shift]), length, axis=1)
+        cols = index[dim * b[:, None] + axes].ravel()[np.arange(rows.size) - back]
         # the pattern keeps the entries whose row and column are free; its
         # roots are the free dofs that share an element with a fixed one
         kept = np.flatnonzero((rows >= 0) & (cols >= 0))
@@ -303,21 +312,19 @@ class _Scatter:
             free.size, np.searchsorted(rows[kept], np.arange(free.size + 1)), cols[kept],
             np.unique(rows[(rows >= 0) & (cols < 0)]),
         )
-        slot = np.full(pos.size, -1, dtype=np.int64)
+        slot = np.full(rows.size, -1, dtype=np.int64)
         slot[kept] = np.arange(kept.size)
-        # element entry ((i, p), (j, q)) is dof pair (p, q) of node pair (i, j)
-        slot = slot[pos].take(pair.reshape(n_el, nn, nn), axis=0)
-        self.slots = slot.transpose(0, 1, 3, 2, 4).reshape(n_el, -1)
+        # element entry ((i, p), (j, q)) sits in row (i, p) at shift + dim * pair + q
+        at = np.repeat(dim * pair.reshape(n_el, nn, 1, nn), dim, axis=3) + np.tile(axes, nn)
+        self.slots = slot[at + shift[dim * conn[:, :, None] + axes][..., None]].reshape(n_el, -1)
 
-    def assemble(self, which, *element_matrices):
+    def assemble(self, which, *matrices):
         """Values on the pattern of the sum of the given elements' matrices,
-        for each stack of matrices given."""
-        slots = self.slots[which]
-        keep = slots >= 0
-        return [
-            np.bincount(slots[keep], weights=m.reshape(slots.shape)[keep], minlength=self.pattern.nnz)
-            for m in element_matrices
-        ]
+        for each stack of matrices given. Entries at a fixed dof add into
+        one bin past the pattern's, which is dropped."""
+        nnz, slots = self.pattern.nnz, self.slots[which].ravel()
+        slots = np.where(slots < 0, nnz, slots)
+        return [np.bincount(slots, weights=m.ravel(), minlength=nnz + 1)[:nnz] for m in matrices]
 
     def region_values(self, poissons):
         """Unit-parameter [stiffness, mass] values of each region, given the
@@ -364,12 +371,12 @@ def assemble_parametric(mesh, materials):
     if mesh.fixed_dofs.size == 0:
         raise ValueError("mesh has no constrained dofs; rigid modes present")
     scatter = _Scatter(mesh)
-    bases, zero = np.zeros((2, scatter.pattern.nnz)), np.zeros(scatter.pattern.nnz)  # K0, M0
+    bases = np.zeros((2, scatter.pattern.nnz))  # K0, M0
     increments, names, start, bounds = [], [], [], []
     for mat, region in zip(materials, scatter.region_values([m.poisson for m in materials])):
         for which, prop in enumerate(("young", "density")):
             if getattr(mat, "free_" + prop):
-                pair = [zero, zero]
+                pair = [np.zeros(0), np.zeros(0)]  # all-zero: a Young's modulus has no dM
                 pair[which] = region[which]
                 increments.append(pair)
                 names.append("%s:%s" % (prop, mat.name))
@@ -378,6 +385,6 @@ def assemble_parametric(mesh, materials):
             else:
                 bases[which] += float(getattr(mat, prop)) * region[which]
     k_inc, m_inc = [[pair[which] for pair in increments] for which in (0, 1)]
-    pencil = ParametricPencil.on_pattern(scatter.pattern, bases[:2], k_inc, m_inc, names)
+    pencil = ParametricPencil.on_pattern(scatter.pattern, bases, k_inc, m_inc, names)
     lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T.copy()
     return pencil, FeasibleBox(lower, upper), np.asarray(start, dtype=np.float64)

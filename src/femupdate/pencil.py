@@ -132,18 +132,22 @@ class ParametricPencil:
     @classmethod
     def on_pattern(cls, pattern, bases, k_increments, m_increments, names):
         """The pencil of value vectors on one pattern, as assembly has them:
-        K0's and M0's in ``bases``, the dK_j's and dM_j's in the lists. Each
-        family keeps the entries where one of its terms is nonzero, each
-        increment its own nonzeros."""
+        K0's and M0's in ``bases``, the dK_j's and dM_j's in the lists, an
+        empty vector for an all-zero term. Each family keeps the entries
+        where one of its terms is nonzero, each increment its own nonzeros:
+        one nonzero pass per vector, then work in proportion to the kept
+        entries, none for an empty vector."""
         out, families = cls.__new__(cls), []
         for base, increments in zip(bases, (k_increments, m_increments)):
-            held, union = [values != 0.0 for values in increments], base != 0.0
-            for h in held:
-                union |= h
-            at = np.cumsum(union) - 1  # the family's position of each entry
-            terms = [SparseSymMatrix(pattern.restrict(h), v[h]) for v, h in zip(increments, held)]
-            where = [at[h] for h in held]
-            families.append(_AffineFamily(pattern.restrict(union), base[union], terms, where))
+            union, held = base != 0.0, [np.flatnonzero(v != 0.0) for v in increments]
+            for k in held:
+                union[k] = True
+            kept = np.flatnonzero(union)
+            at = np.empty(pattern.nnz, dtype=np.int64)  # the family's position of each kept entry
+            at[kept] = np.arange(kept.size)
+            terms = [SparseSymMatrix(pattern.restrict(k), v[k]) for v, k in zip(increments, held)]
+            where = [at[k] for k in held]
+            families.append(_AffineFamily(pattern.restrict(kept), base[kept], terms, where))
         out._k, out._m = families
         out.names = list(names)
         return out

@@ -81,9 +81,8 @@ class SymmetricPattern:
     def nnz(self):
         return self.indices.size
 
-    def restrict(self, mask):
-        """The sub-pattern of the entries where ``mask`` (length nnz) holds."""
-        kept = np.flatnonzero(mask)
+    def restrict(self, kept):
+        """The sub-pattern of the entries at ascending positions ``kept``."""
         return SymmetricPattern(
             self.n, np.searchsorted(kept, self.indptr), self.indices[kept], self.roots
         )

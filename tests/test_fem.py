@@ -144,15 +144,26 @@ def _pencil_sha256(pencil):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("name, expected", [
-    ("arch", "96c632afe645224ed1d76a8d1c22693354f85e088ed5d06dec64acf65760e018"),
-    ("vault", "71adaf9dc9a150a1ac7fe9e8886b77a523b992c477fde4a4be8d8054bf87c6be"),
+PENCIL_BITS = [  # name, refine, sha256, the band kernel's (kd, w) for K(x)
+    ("arch", 1, "96c632afe645224ed1d76a8d1c22693354f85e088ed5d06dec64acf65760e018", (19, 19)),
+    ("vault", 1, "71adaf9dc9a150a1ac7fe9e8886b77a523b992c477fde4a4be8d8054bf87c6be", (188, 192)),
+    ("arch", 3, "ade159adc89b2622b842160bb4795be3f3090a1cadbac7c77604c9e012a0a118", (44, 48)),
+]
+
+
+@pytest.mark.parametrize("name, refine, expected, kernel", PENCIL_BITS, ids=[
+    "%s%s-%s" % (name, "" if refine == 1 else refine, digest) for name, refine, digest, _ in PENCIL_BITS
 ])
-def test_builtin_pencils_keep_their_bits(name, expected):
+def test_builtin_pencils_keep_their_bits(name, refine, expected, kernel):
     # the refine-1 pencils as assembly built them when every term was
-    # restricted to its nonzeros and merged again (x86-64, numpy 2.4 with
-    # OpenBLAS); a faster assembly must not move one bit of them
-    assert _pencil_sha256(assemble_parametric(*benchmarks.benchmark(name))[0]) == expected
+    # restricted to its nonzeros and merged again, and the refine-3 arch
+    # that the benchmark solves (x86-64, numpy 2.4 with OpenBLAS); a faster
+    # assembly must not move one bit of them, and so not the band kernel's
+    # (kd, w) either, which one cancelled entry can narrow
+    pencil = assemble_parametric(*benchmarks.benchmark(name, refine))[0]
+    assert _pencil_sha256(pencil) == expected
+    _, kd, pack = pencil.evaluate(np.ones(pencil.n_parameters))[0].pattern.ordering()
+    assert (kd, pack[2]) == kernel
 
 
 def _merged_pencil(mesh, materials):
@@ -161,7 +172,7 @@ def _merged_pencil(mesh, materials):
     scatter = _Scatter(mesh)
 
     def matrix(values):
-        nonzero = values != 0.0
+        nonzero = np.flatnonzero(values != 0.0)
         return SparseSymMatrix(scatter.pattern.restrict(nonzero), values[nonzero])
 
     bases, increments, names = np.zeros((2, scatter.pattern.nnz)), [], []
@@ -211,6 +222,60 @@ def _family_arrays(family):
     for term in family.increments:
         arrays += [term.pattern.indptr, term.pattern.indices, term.pattern.roots, term.data]
     return arrays
+
+
+@given(dim=st.sampled_from((2, 3)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_scatter_map_and_pencil_match_a_dense_oracle(dim, data, seed):
+    # checked without the scatter map's index arithmetic: its pattern is the
+    # set of free-dof pairs that share an element, its roots the free dofs
+    # that share one with a fixed dof, each element entry's slot holds that
+    # entry's (row, col) or -1 at a fixed dof, and K(x), M(x) are what
+    # np.add.at of every element's matrices at x assembles densely
+    rng = np.random.default_rng(seed)
+    shape = data.draw(st.lists(st.integers(1, 4 if dim == 2 else 2), min_size=dim, max_size=dim))
+    grid = grid_mesh(shape, np.zeros(0, dtype=np.int64))
+    fixed = rng.choice(grid.n_dofs, data.draw(st.integers(1, grid.n_dofs - 1), label="fixed"),
+                       replace=False)
+    count = data.draw(st.integers(1, min(3, grid.n_elements)), label="regions")
+    regions = 1 + rng.permutation(grid.n_elements) % count
+    coords = grid.coords + rng.uniform(-0.2, 0.2, grid.coords.shape)  # distorted, never inverted
+    mesh = Mesh(coords, grid.elements, regions, fixed)
+    index = np.full(mesh.n_dofs, -1)
+    index[mesh.free_dofs()] = np.arange(mesh.n_dofs - mesh.fixed_dofs.size)
+    dofs = (dim * mesh.elements[:, :, None] + np.arange(dim)).reshape(mesh.n_elements, -1)
+    rows, cols = np.broadcast_arrays(index[dofs][:, :, None], index[dofs][:, None, :])
+    free = (rows >= 0) & (cols >= 0)
+    scatter = _Scatter(mesh)
+    pattern = scatter.pattern
+    assert np.array_equal(pattern.keys(), np.unique((rows * pattern.n + cols)[free]))
+    assert np.array_equal(pattern.roots, np.unique(rows[(rows >= 0) & (cols < 0)]))
+    slots = scatter.slots.reshape(rows.shape)
+    assert np.all(slots[~free] == -1)
+    assert np.array_equal(np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))[slots[free]],
+                          rows[free])
+    assert np.array_equal(pattern.indices[slots[free]], cols[free])
+
+    materials = [
+        Material("m%d" % r, young=rng.uniform(100.0, 9000.0), density=rng.uniform(500.0, 3000.0),
+                 poisson=data.draw(st.sampled_from((0.0, 0.2, 0.3, 0.45)), label="poisson"),
+                 free_young=data.draw(st.booleans(), label="free young"),
+                 free_density=data.draw(st.booleans(), label="free density"))
+        for r in range(count)
+    ]
+    pencil, _, start = assemble_parametric(mesh, materials)
+    x = start * rng.uniform(0.5, 2.0, start.size)
+    value = dict(zip(pencil.names, x))
+    dense = np.zeros((2, mesh.n_dofs, mesh.n_dofs))
+    for conn, element_dofs, rid in zip(mesh.elements, dofs, mesh.regions):
+        mat = materials[rid - 1]
+        young, density = (value.get("%s:%s" % (prop, mat.name), getattr(mat, prop))
+                          for prop in ("young", "density"))
+        matrices = _element_matrices(mesh.coords[conn][None], young, mat.poisson, density)
+        for total, matrix in zip(dense, matrices):
+            np.add.at(total, (element_dofs[:, None], element_dofs), matrix[0])
+    kept = np.ix_(mesh.free_dofs(), mesh.free_dofs())
+    for ours, total in zip(pencil.evaluate(x), dense):
+        assert np.abs(ours.to_dense() - total[kept]).max() <= 1e-12 * np.abs(total).max()
 
 
 def bar_mesh_2d(nx=40, ny=2, length=10.0, height=1.0):
@@ -391,6 +456,11 @@ def test_mesh_load_reads_comments_and_blank_lines(tmp_path):
     ("0 1", "0 one", "line 7: could not convert"),
     ("1 1", "1 nan", "line 6: node coordinates must be finite"),
     ("1 0", "inf 0", "line 5: node coordinates must be finite"),
+    ("nodes 4", "nodes -1", "line 3: nodes count must not be negative, found -1"),
+    ("elements 1", "elements -1", "line 8: elements count must not be negative, found -1"),
+    ("constraints 2", "constraints -1", "line 10: constraints count must not be negative"),
+    ("1 y\n", "1 y\n\n# a second mesh\ndim 2\n", "line 15: expected the end of the file, found 'dim'"),
+    ("1 y\n", "1 y\n1 x\n", "line 13: expected the end of the file, found '1'"),  # one row too many
 ])
 def test_malformed_mesh_file_names_the_line(tmp_path, old, new, message):
     path = tmp_path / "bad.mesh"
