@@ -6,9 +6,11 @@ consistent mass. Element stiffness is proportional to the Young modulus
 and element mass to the density, so each mesh region contributes one
 stiffness and one mass block that scale linearly with that region's
 material parameters. Assembly exploits this to build an affine matrix
-pencil: fixed-material contributions are accumulated into base matrices
-and each free parameter gets one increment matrix. Where each element
-entry lands is index arithmetic on the sorted node pairs (``_Scatter``).
+pencil, region by region: one element pass gives the region's unit
+stiffness and mass, scattered onto the pattern at once; a fixed property
+adds them into the base matrices, a free one hands its nonzeros over as
+one increment. Where each element entry lands is index arithmetic on
+the sorted node pairs (``_Scatter``).
 
 Units: coordinates in meters, Young modulus in MPa, density in kg/m^3.
 Eigenvalues of the assembled pencil are squared circular frequencies in
@@ -65,7 +67,8 @@ class Mesh:
         One-based region id per element; ids must cover 1..n_regions.
     fixed_dofs : int array
         Global indices (node * dim + axis) of constrained displacement
-        components, eliminated from the assembled operators.
+        components, eliminated from the assembled operators. A node that
+        lies in no element must have all its components here.
     """
 
     def __init__(self, coords, elements, regions, fixed_dofs):
@@ -88,6 +91,12 @@ class Mesh:
             raise ValueError("region ids must be contiguous starting at 1")
         if np.any((self.fixed_dofs < 0) | (self.fixed_dofs >= self.n_dofs)):
             raise ValueError("fixed dof index out of range")
+        # a node in no element has no stiffness, so each of its dofs must be fixed
+        loose = np.bincount(self.elements.ravel(), minlength=self.n_nodes) == 0
+        loose &= np.bincount(self.fixed_dofs // self.dim, minlength=self.n_nodes) < self.dim
+        if loose.any():
+            raise ValueError("node %d (1-based) lies in no element and not all its dofs are fixed"
+                             % (np.argmax(loose) + 1))
 
     @property
     def dim(self):
@@ -288,7 +297,6 @@ class _Scatter:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         conn, dim, axes = mesh.elements, mesh.dim, np.arange(mesh.dim)
         n_el, nn = conn.shape
         # node pairs (a, b) that share an element, ascending, and each element's
@@ -326,20 +334,6 @@ class _Scatter:
         slots = np.where(slots < 0, nnz, slots)
         return [np.bincount(slots, weights=m.ravel(), minlength=nnz + 1)[:nnz] for m in matrices]
 
-    def region_values(self, poissons):
-        """Unit-parameter [stiffness, mass] values of each region, given the
-        regions' Poisson ratios: one element pass per distinct ratio."""
-        mesh = self.mesh
-        nu = np.asarray(poissons, dtype=np.float64)[mesh.regions - 1]
-        values = [None] * mesh.n_regions
-        for value in np.unique(nu):
-            which = np.flatnonzero(nu == value)
-            ke, me = _element_matrices(mesh.coords[mesh.elements[which]], 1.0, value, 1.0)
-            for rid in np.unique(mesh.regions[which]):
-                sel = mesh.regions[which] == rid
-                values[rid - 1] = self.assemble(which[sel], ke[sel], me[sel])
-        return values
-
 
 def assemble_parametric(mesh, materials):
     """Assemble the affine stiffness/mass pencil of a meshed structure.
@@ -373,18 +367,23 @@ def assemble_parametric(mesh, materials):
     scatter = _Scatter(mesh)
     bases = np.zeros((2, scatter.pattern.nnz))  # K0, M0
     increments, names, start, bounds = [], [], [], []
-    for mat, region in zip(materials, scatter.region_values([m.poisson for m in materials])):
-        for which, prop in enumerate(("young", "density")):
+    for rid, mat in enumerate(materials, start=1):  # one element pass per region
+        which = np.flatnonzero(mesh.regions == rid)
+        region = scatter.assemble(which, *_element_matrices(
+            mesh.coords[mesh.elements[which]], 1.0, mat.poisson, 1.0))
+        for k, prop in enumerate(("young", "density")):
             if getattr(mat, "free_" + prop):
-                pair = [np.zeros(0), np.zeros(0)]  # all-zero: a Young's modulus has no dM
-                pair[which] = region[which]
+                held = np.flatnonzero(region[k])
+                pair = [(held[:0], np.zeros(0))] * 2  # a Young's modulus has no dM
+                pair[k] = held, region[k][held]
                 increments.append(pair)
                 names.append("%s:%s" % (prop, mat.name))
                 start.append(float(getattr(mat, prop)))
                 bounds.append(getattr(mat, prop + "_bounds"))
             else:
-                bases[which] += float(getattr(mat, prop)) * region[which]
-    k_inc, m_inc = [[pair[which] for pair in increments] for which in (0, 1)]
+                bases[k] += float(getattr(mat, prop)) * region[k]
+        del region  # freed before the next region's element pass
+    k_inc, m_inc = [[pair[k] for pair in increments] for k in (0, 1)]
     pencil = ParametricPencil.on_pattern(scatter.pattern, bases, k_inc, m_inc, names)
     lower, upper = np.array(bounds, dtype=np.float64).reshape(-1, 2).T.copy()
     return pencil, FeasibleBox(lower, upper), np.asarray(start, dtype=np.float64)

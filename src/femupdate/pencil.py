@@ -6,10 +6,13 @@ dependence is exactly linear; derivative matrices are the increments
 themselves.
 
 The sparsity pattern is fixed at construction: K(x) lives on a pattern
-that holds K0 and the dK_j, and M(x) on one for M0 and the dM_j. The
-constructor unites the patterns of given matrices; ``on_pattern`` takes
-value vectors on one pattern, as assembly has them, and keeps the
-entries where one is nonzero. On its pattern, K(x) has the values
+that holds K0 and the dK_j, and M(x) on one for M0 and the dM_j. One
+builder (``_family``) makes each family from its terms as ascending
+positions on one pattern with their values. The constructor finds a
+given matrix's positions by its keys in the union of the patterns, and
+so keeps stored zeros; ``on_pattern`` takes assembly's nonzeros on its
+pattern. Either way a family keeps the entries that some term holds.
+On its pattern, K(x) has the values
 ``k0 + Dk @ x``, where column j of the sparse (nnz, n_parameters)
 matrix Dk holds the values of dK_j at its own entries; evaluation is
 one sparse product, and every K(x) shares the pattern and with it the
@@ -60,24 +63,15 @@ class FeasibleBox:
 
 
 class _AffineFamily:
-    """A(x) = A0 + sum_j x_j dA_j on a pattern that holds every term: A0
-    has the values ``base`` there, and increment j keeps its own pattern,
-    whose entries sit at positions ``where[j]`` among the family's."""
+    """A(x) = A0 + sum_j x_j dA_j on a pattern that holds every term: A0 is
+    ``base`` there, column j of the sparse (nnz, n_parameters) ``columns``
+    holds dA_j's values at its entries, and increment j keeps its own
+    pattern, ``patterns[j]``, with those values."""
 
-    def __init__(self, pattern, base, increments, where):
-        self.pattern = pattern
-        self.base = SparseSymMatrix(pattern, base)
-        self._columns = sp.csc_array((
-            np.concatenate([np.zeros(0)] + [a.data for a in increments]),
-            np.concatenate([np.zeros(0, dtype=np.int64)] + list(where)),
-            np.cumsum([0] + [a.pattern.nnz for a in increments], dtype=np.int64),
-        ), shape=(pattern.nnz, len(increments)))
-        self._share_increments([a.pattern for a in increments])
-
-    def _share_increments(self, patterns):
-        cols = self._columns
+    def __init__(self, base, columns, patterns):
+        self.pattern, self.base, self._columns = base.pattern, base, columns
         self.increments = [
-            SparseSymMatrix(p, cols.data[cols.indptr[j]:cols.indptr[j + 1]])
+            SparseSymMatrix(p, columns.data[columns.indptr[j]:columns.indptr[j + 1]])
             for j, p in enumerate(patterns)
         ]
 
@@ -86,14 +80,31 @@ class _AffineFamily:
 
     def scaled_by(self, reference):
         """The family over y = x / reference; shares every pattern."""
-        out = copy.copy(self)
         cols = self._columns
-        out._columns = sp.csc_array(
+        return _AffineFamily(self.base, sp.csc_array(
             (cols.data * np.repeat(reference, np.diff(cols.indptr)), cols.indices, cols.indptr),
             shape=cols.shape,
-        )
-        out._share_increments([a.pattern for a in self.increments])
-        return out
+        ), [a.pattern for a in self.increments])
+
+
+def _family(pattern, terms, patterns):
+    """The family of A0 and the dA_j, each given as (ascending positions on
+    ``pattern``, values), A0 first, on the entries that some term holds;
+    ``patterns`` are the increments' own patterns."""
+    union = np.zeros(pattern.nnz, dtype=bool)
+    for at, _ in terms:
+        union[at] = True
+    kept = np.flatnonzero(union)
+    place = np.empty(pattern.nnz, dtype=np.int64)  # the family's position of each kept entry
+    place[kept] = np.arange(kept.size)
+    base = np.zeros(kept.size)
+    base[place[terms[0][0]]] = terms[0][1]
+    columns = sp.csc_array((
+        np.concatenate([np.zeros(0)] + [v for _, v in terms[1:]]),
+        np.concatenate([np.zeros(0, dtype=np.int64)] + [place[at] for at, _ in terms[1:]]),
+        np.cumsum([0] + [at.size for at, _ in terms[1:]], dtype=np.int64),
+    ), shape=(kept.size, len(terms) - 1))
+    return _AffineFamily(SparseSymMatrix(pattern.restrict(kept), base), columns, patterns)
 
 
 class ParametricPencil:
@@ -107,7 +118,7 @@ class ParametricPencil:
         Per-parameter derivative matrices dK_j, dM_j (zero matrices are
         allowed; both lists have length n_parameters).
     names : list of str, optional
-        Parameter labels for reporting.
+        Parameter labels for reporting, one per parameter (default x0, x1, ...).
     """
 
     def __init__(self, k0, m0, k_increments, m_increments, names=None):
@@ -118,39 +129,38 @@ class ParametricPencil:
         for mat in list(k_increments) + list(m_increments):
             if mat.n != k0.n:
                 raise DimensionMismatchError("increment dimension disagrees with K0")
-        families = []  # each on the union of its terms' patterns
+        families = []
         for base, increments in ((k0, k_increments), (m0, m_increments)):
-            pattern, where = union_pattern([a.pattern for a in [base, *increments]])
-            data = np.zeros(pattern.nnz)
-            data[where[0]] = base.data
-            families.append(_AffineFamily(pattern, data, increments, where[1:]))
-        self._k, self._m = families
-        self.names = list(names) if names is not None else [
-            "x%d" % j for j in range(len(k_increments))
-        ]
+            terms = [base, *increments]
+            union = union_pattern([a.pattern for a in terms])
+            keys = union.keys()  # a term's keys, found among the union's, give its positions
+            families.append(_family(union, [(np.searchsorted(keys, a.pattern.keys()), a.data)
+                                            for a in terms], [a.pattern for a in increments]))
+        self._build(families, names)
 
     @classmethod
     def on_pattern(cls, pattern, bases, k_increments, m_increments, names):
         """The pencil of value vectors on one pattern, as assembly has them:
-        K0's and M0's in ``bases``, the dK_j's and dM_j's in the lists, an
-        empty vector for an all-zero term. Each family keeps the entries
-        where one of its terms is nonzero, each increment its own nonzeros:
-        one nonzero pass per vector, then work in proportion to the kept
-        entries, none for an empty vector."""
+        K0's and M0's in ``bases``, each dK_j and dM_j as (its ascending
+        nonzero positions on the pattern, their values), empty for an
+        all-zero term. Each family keeps the entries where one of its terms
+        is nonzero: one nonzero pass over each base, then work in
+        proportion to the kept entries."""
         out, families = cls.__new__(cls), []
         for base, increments in zip(bases, (k_increments, m_increments)):
-            union, held = base != 0.0, [np.flatnonzero(v != 0.0) for v in increments]
-            for k in held:
-                union[k] = True
-            kept = np.flatnonzero(union)
-            at = np.empty(pattern.nnz, dtype=np.int64)  # the family's position of each kept entry
-            at[kept] = np.arange(kept.size)
-            terms = [SparseSymMatrix(pattern.restrict(k), v[k]) for v, k in zip(increments, held)]
-            where = [at[k] for k in held]
-            families.append(_AffineFamily(pattern.restrict(kept), base[kept], terms, where))
-        out._k, out._m = families
-        out.names = list(names)
+            held = np.flatnonzero(base)
+            families.append(_family(pattern, [(held, base[held]), *increments],
+                                    [pattern.restrict(at) for at, _ in increments]))
+        out._build(families, names)
         return out
+
+    def _build(self, families, names):
+        """Take the (K, M) families and one name per parameter, by default x0, x1, ..."""
+        self._k, self._m = families
+        self.names = ["x%d" % j for j in range(self.n_parameters)] if names is None else list(names)
+        if len(self.names) != self.n_parameters:
+            raise DimensionMismatchError(
+                "%d names for %d parameters" % (len(self.names), self.n_parameters))
 
     @property
     def n(self):

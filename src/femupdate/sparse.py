@@ -26,8 +26,6 @@ at multiples of 16. One arch r3 ``dpbtrs`` took 0.46-0.50 ms at 44 and
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import reduce
-from operator import add
 
 import numpy as np
 import scipy.sparse as sp
@@ -262,24 +260,12 @@ def _band_ordering(graph, depth=None):
 
 
 def union_pattern(patterns):
-    """Smallest pattern holding all given ones, and where each one sits in it.
-
-    Returns the union, with the union of their roots, and per input
-    pattern the positions of its entries among the union's.
-    """
+    """Smallest pattern holding all given ones, with the union of their roots."""
     n = patterns[0].n
-    ones = {
-        id(p): sp.csr_array((np.ones(p.nnz), p.indices, p.indptr), shape=(n, n))
-        for p in patterns
-    }
-    total = reduce(add, ones.values())  # how many patterns hold each entry
-    total.sum_duplicates()
-    # adding a pattern's ones keeps the union's entries in place and raises its own
-    where = {key: np.flatnonzero((total + a).data > total.data) for key, a in ones.items()}
+    keys = np.unique(np.concatenate([p.keys() for p in patterns]))
     roots = [p.roots for p in patterns if p.roots is not None]
-    union = SymmetricPattern(n, total.indptr, total.indices,
-                             np.unique(np.concatenate(roots)) if roots else None)
-    return union, [where[id(p)] for p in patterns]
+    return SymmetricPattern(n, np.searchsorted(keys // n, np.arange(n + 1)), keys % n,
+                            np.unique(np.concatenate(roots)) if roots else None)
 
 
 class SparseSymMatrix:

@@ -456,6 +456,45 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert err.startswith("config error: ") and message in err and "Traceback" not in err
 
 
+TWO_QUADS = """dim 2
+nodes 7
+0 0
+1 0
+2 0
+0 1
+1 1
+2 1
+5 5
+elements 2 quad4
+1 2 5 4 1
+2 3 6 5 1
+constraints 4
+1 x
+1 y
+4 x
+4 y
+"""
+
+
+def test_cli_node_in_no_element_exits_2_naming_it(tmp_path, capsys):
+    # node 7 lies in no element: left free, it made K(x) singular and the
+    # run ended at the first factorization ("nonpositive pivot at index 9")
+    mesh_path = tmp_path / "two.mesh"
+    config = write(tmp_path, "[run]\nbenchmark = mesh:%s\nmodes = 2\n\n[material.slab]\n"
+                   "region = 1\nyoung = 3000\ndensity = 2000\npoisson = 0.2\nfree = young\n"
+                   "young_bounds = 1000 9000\n\n[targets]\nmode = measured\nvalues = 10 20\n"
+                   % mesh_path)
+    mesh_path.write_text(TWO_QUADS)
+    assert main(["eigs", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run] benchmark: cannot load mesh ")
+    assert "node 7 (1-based) lies in no element" in err and "Traceback" not in err
+    # with both its dofs fixed it is no part of the model
+    mesh_path.write_text(TWO_QUADS.replace("constraints 4", "constraints 6") + "7 x\n7 y\n")
+    assert main(["eigs", config]) == 0
+    assert "f2" in capsys.readouterr().out
+
+
 def test_cli_overflow_exits_3_with_one_line(tmp_path, capsys):
     # a positive, finite, absurd modulus overflows the eigensolver: that is a
     # numerical failure (exit 3) in one line, not a config error, no warning

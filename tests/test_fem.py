@@ -1,5 +1,6 @@
 """Element matrices and parametric assembly against physics oracles."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -102,32 +103,13 @@ def test_degenerate_element_raises():
     nan[0, 2, 0] = np.nan  # a NaN determinant fails the check too
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="singular element"):
         _element_matrices(nan, 1.0, 0.0, 0.0)
-    # in a mesh the message names the element by its nodes, whichever
-    # Poisson-ratio batch computed it
+    # in a mesh the message names the element by its nodes, in whichever
+    # region it lies
     coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 1.0]]
     mesh = Mesh(coords, [[0, 1, 2, 3], [1, 2, 5, 4]], [1, 2], [0, 1])  # second is clockwise
     materials = [Material("a", 1.0, 1.0, 0.2), Material("b", 1.0, 1.0, 0.3)]
     with pytest.raises(ValueError, match=r"nodes at \[\[1.0, 0.0\], \[1.0, 1.0\], \[2.0, 1.0\]"):
         assemble_parametric(mesh, materials)
-
-
-@pytest.mark.parametrize("name, poissons", [
-    ("arch", None), ("vault", None), ("arch", [0.2, 0.3, 0.2]), ("vault", [0.25, 0.1, 0.3, 0.25]),
-])
-def test_region_values_match_the_public_element_matrices_bit_for_bit(name, poissons):
-    # one Gauss-point pass per Poisson ratio, over all its regions at once,
-    # gives each region the bits of one batch's element matrices
-    mesh, materials = benchmarks.benchmark(name)
-    poissons = poissons or [mat.poisson for mat in materials]
-    scatter = _Scatter(mesh)
-    values = scatter.region_values(poissons)
-    for rid, nu in enumerate(poissons, start=1):
-        which = np.flatnonzero(mesh.regions == rid)
-        coords = mesh.coords[mesh.elements[which]]
-        ke, me = _element_matrices(coords, 1.0, nu, 1.0)
-        k, m = scatter.assemble(which, ke, me)
-        assert k.tobytes() == values[rid - 1][0].tobytes()
-        assert m.tobytes() == values[rid - 1][1].tobytes()
 
 
 def _pencil_sha256(pencil):
@@ -167,8 +149,9 @@ def test_builtin_pencils_keep_their_bits(name, refine, expected, kernel):
 
 
 def _merged_pencil(mesh, materials):
-    """The pencil built the long way: each term restricted to its nonzeros
-    on the scatter's pattern, then united by the public constructor."""
+    """The pencil built the long way: each region's element matrices
+    scattered on their own, each term restricted to its nonzeros on the
+    scatter's pattern, then all united by the public constructor."""
     scatter = _Scatter(mesh)
 
     def matrix(values):
@@ -176,17 +159,39 @@ def _merged_pencil(mesh, materials):
         return SparseSymMatrix(scatter.pattern.restrict(nonzero), values[nonzero])
 
     bases, increments, names = np.zeros((2, scatter.pattern.nnz)), [], []
-    for mat, region in zip(materials, scatter.region_values([m.poisson for m in materials])):
-        for which, prop in enumerate(("young", "density")):
+    for rid, mat in enumerate(materials, start=1):
+        which = np.flatnonzero(mesh.regions == rid)
+        ke, me = _element_matrices(mesh.coords[mesh.elements[which]], 1.0, mat.poisson, 1.0)
+        region = scatter.assemble(which, ke, me)
+        for k, prop in enumerate(("young", "density")):
             if getattr(mat, "free_" + prop):
                 pair = [matrix(np.zeros(scatter.pattern.nnz))] * 2
-                pair[which] = matrix(region[which])
+                pair[k] = matrix(region[k])
                 increments.append(pair)
                 names.append("%s:%s" % (prop, mat.name))
             else:
-                bases[which] += float(getattr(mat, prop)) * region[which]
+                bases[k] += float(getattr(mat, prop)) * region[k]
     return ParametricPencil(matrix(bases[0]), matrix(bases[1]), [p[0] for p in increments],
                             [p[1] for p in increments], names)
+
+
+def _assert_same_arrays(built, merged):
+    assert built.names == merged.names
+    for ours, theirs in ((built._k, merged._k), (built._m, merged._m)):
+        for a, b in zip(_family_arrays(ours), _family_arrays(theirs), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name, poissons", [
+    ("arch", None), ("vault", None), ("arch", [0.2, 0.3, 0.2]), ("vault", [0.25, 0.1, 0.3, 0.25]),
+])
+def test_benchmark_assembly_builds_the_pencil_that_merging_restricted_terms_builds(name, poissons):
+    # the built-in structures, with their own Poisson ratios and with mixed
+    # ones where two regions share a ratio
+    mesh, materials = benchmarks.benchmark(name)
+    if poissons is not None:
+        materials = [dataclasses.replace(m, poisson=nu) for m, nu in zip(materials, poissons)]
+    _assert_same_arrays(assemble_parametric(mesh, materials)[0], _merged_pencil(mesh, materials))
 
 
 @given(dim=st.sampled_from((2, 3)), data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -206,11 +211,7 @@ def test_assembly_builds_the_pencil_that_merging_restricted_terms_builds(dim, da
                  free_density=data.draw(st.booleans(), label="free density"))
         for r in range(count)
     ]
-    built, merged = assemble_parametric(mesh, materials)[0], _merged_pencil(mesh, materials)
-    assert built.names == merged.names
-    for ours, theirs in ((built._k, merged._k), (built._m, merged._m)):
-        for a, b in zip(_family_arrays(ours), _family_arrays(theirs), strict=True):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    _assert_same_arrays(assemble_parametric(mesh, materials)[0], _merged_pencil(mesh, materials))
 
 
 def _family_arrays(family):
@@ -417,6 +418,11 @@ def test_mesh_validation_errors():
         Mesh(coords, elems, np.array([1]), np.array([99]))  # dof out of range
     with pytest.raises(ValueError):
         Mesh(coords, np.array([[0, 1, 2]]), np.array([1]), np.array([0]))
+    # a node in no element is allowed only with every dof fixed
+    extra = np.vstack([coords, [[2.0, 0.0]]])
+    with pytest.raises(ValueError, match=r"^node 5 \(1-based\) lies in no element"):
+        Mesh(extra, elems, np.array([1]), np.array([0, 8]))
+    assert Mesh(extra, elems, np.array([1]), np.array([0, 8, 9])).n_nodes == 5
 
 
 ONE_QUAD = """# one unit square, clamped at node 1
@@ -461,6 +467,8 @@ def test_mesh_load_reads_comments_and_blank_lines(tmp_path):
     ("constraints 2", "constraints -1", "line 10: constraints count must not be negative"),
     ("1 y\n", "1 y\n\n# a second mesh\ndim 2\n", "line 15: expected the end of the file, found 'dim'"),
     ("1 y\n", "1 y\n1 x\n", "line 13: expected the end of the file, found '1'"),  # one row too many
+    ("nodes 4\n", "nodes 5\n2 0\n",  # a node ahead of the corners: node 5 is in none
+     "node 5 (1-based) lies in no element and not all its dofs are fixed"),
 ])
 def test_malformed_mesh_file_names_the_line(tmp_path, old, new, message):
     path = tmp_path / "bad.mesh"

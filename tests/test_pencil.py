@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from femupdate import FeasibleBox, ParametricPencil, SparseSymMatrix
+from femupdate import DimensionMismatchError, FeasibleBox, ParametricPencil, SparseSymMatrix
+from femupdate.sparse import SymmetricPattern
 
 from conftest import random_banded_spd
 
@@ -176,3 +178,61 @@ def test_pencil_matrices_share_one_pattern():
     k0, m0 = pencil.evaluate(np.zeros(2))
     assert k1.pattern is k2.pattern is k0.pattern
     assert m1.pattern is m2.pattern is m0.pattern
+
+
+def test_pencil_names_one_per_parameter():
+    rng = np.random.default_rng(30)
+    k0, m0, dk, dm = (random_banded_spd(6, rng) for _ in range(4))
+    for names in (["only-one"], ["a", "b", "c"]):
+        with pytest.raises(DimensionMismatchError, match="%d names for 2 parameters" % len(names)):
+            ParametricPencil(k0, m0, [dk, dk], [dm, dm], names)
+    held = np.arange(k0.pattern.nnz)
+    terms = [(held, k0.data)] * 2
+    with pytest.raises(DimensionMismatchError, match="1 names for 2 parameters"):
+        ParametricPencil.on_pattern(k0.pattern, np.zeros((2, k0.pattern.nnz)), terms, terms, ["a"])
+    assert ParametricPencil(k0, m0, [dk, dk], [dm, dm]).names == ["x0", "x1"]
+
+
+@st.composite
+def _term(draw, n):
+    """A symmetric matrix on a drawn pattern: any set of symmetric entries,
+    none at all included, whose values may be stored zeros, and roots on
+    some patterns."""
+    upper = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                             dtype=bool).reshape(n, n))
+    values = np.array(draw(st.lists(st.sampled_from((0.0, 0.5, -1.0, 2.0, 3.0)),
+                                    min_size=n * n, max_size=n * n))).reshape(n, n)
+    mask, dense = upper | upper.T, np.triu(values) + np.triu(values, 1).T
+    roots = draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1).map(sorted))
+    pattern = SymmetricPattern(n, np.append(0, np.cumsum(mask.sum(axis=1))), np.nonzero(mask)[1],
+                               None if roots is None else np.array(roots, dtype=np.int64))
+    return SparseSymMatrix(pattern, dense[mask])
+
+
+@given(data=st.data())
+def test_constructor_puts_each_term_on_the_union_of_the_patterns(data):
+    # small dyadic values and integer x make every sum exact, so K(x) and
+    # M(x) must equal the dense sums bit for bit
+    n, count = data.draw(st.integers(1, 5), label="n"), data.draw(st.integers(0, 3), label="p")
+    k0, m0 = data.draw(_term(n), label="K0"), data.draw(_term(n), label="M0")
+    dk = [data.draw(_term(n), label="dK%d" % j) for j in range(count)]
+    dm = [data.draw(_term(n), label="dM%d" % j) for j in range(count)]
+    x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count)), float)
+    pencil = ParametricPencil(k0, m0, dk, dm)
+    for j, (a, b) in enumerate(zip(dk, dm)):
+        for ours, theirs in zip(pencil.derivative(j), (a, b)):
+            assert np.array_equal(ours.pattern.keys(), theirs.pattern.keys())
+            assert np.array_equal(ours.data, theirs.data)
+            assert (ours.pattern.roots is None) == (theirs.pattern.roots is None)
+            assert np.array_equal(ours.pattern.roots, theirs.pattern.roots)
+    for ours, base, increments in zip(pencil.evaluate(x), (k0, m0), (dk, dm)):
+        terms = [base, *increments]
+        keys = np.unique(np.concatenate([a.pattern.keys() for a in terms]))
+        assert np.array_equal(ours.pattern.keys(), keys)
+        roots = [a.pattern.roots for a in terms if a.pattern.roots is not None]
+        roots = np.unique(np.concatenate(roots)) if roots else None
+        assert np.array_equal(ours.pattern.roots, roots)
+        total = base.to_dense()
+        for c, a in zip(x, increments):
+            total = total + c * a.to_dense()
+        assert np.array_equal(ours.to_dense(), total)

@@ -424,8 +424,8 @@ def test_support_roots_reach_k_and_gps_stays_where_narrower(tmp_path):
     some, other, none = (sparse.SymmetricPattern(3, [0, 1, 2, 3], [0, 1, 2], r)
                          for r in ([0, 2], [1, 2], None))
     assert np.array_equal(some.restrict([0, 2]).roots, [0, 2])
-    assert np.array_equal(sparse.union_pattern([some, none, other])[0].roots, [0, 1, 2])
-    assert sparse.union_pattern([none])[0].roots is None
+    assert np.array_equal(sparse.union_pattern([some, none, other]).roots, [0, 1, 2])
+    assert sparse.union_pattern([none]).roots is None
     _, kd, (_, _, w) = k.pattern.ordering()
     assert kd < _half_bandwidth(k.pattern, sparse._band_ordering(_ones(k.pattern)))
 
