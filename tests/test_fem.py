@@ -185,9 +185,11 @@ def _assert_same_arrays(built, merged):
 @pytest.mark.parametrize("name, poissons", [
     ("arch", None), ("vault", None), ("arch", [0.2, 0.3, 0.2]), ("vault", [0.25, 0.1, 0.3, 0.25]),
 ])
-def test_benchmark_assembly_builds_the_pencil_that_merging_restricted_terms_builds(name, poissons):
+def test_region_values_match_the_public_element_matrices_bit_for_bit(name, poissons):
     # the built-in structures, with their own Poisson ratios and with mixed
-    # ones where two regions share a ratio
+    # ones where two regions share a ratio: every region's terms in the
+    # assembled pencil hold the bits that the public element matrices of
+    # that region, scattered and merged, give
     mesh, materials = benchmarks.benchmark(name)
     if poissons is not None:
         materials = [dataclasses.replace(m, poisson=nu) for m, nu in zip(materials, poissons)]
