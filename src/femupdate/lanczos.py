@@ -14,12 +14,16 @@ the projected tridiagonal matrix.
 Each step's raw shift-invert solve K^{-1} M u_k is recorded before it is
 orthogonalized and returned as ``LanczosResult.solves``: the reduced
 models need exactly Y = K^{-1} M U, so they take it from here instead of
-back-substituting again. The basis U, M U and the solves are column
-blocks of one column-major array that the run borrows from K's pattern
+back-substituting again. The basis U, M U and the solves live in one
+column-major array that the run borrows from K's pattern
 (``SymmetricPattern.workspace``) and gives back when it ends, so runs
 on one pattern, scaled copies of K included, reuse its pages; a nested
-or concurrent run gets an array of its own. The result holds copies of
-the columns it uses, never views of that array.
+or concurrent run gets an array of its own. Column k of U, M U and the
+solves sit side by side, in columns 3k, 3k + 1 and 3k + 2, so a run of
+m steps writes only the first 3m columns: numpy advises transparent
+huge pages for arrays of 4 MiB or more, and three separate column
+blocks would each fault in huge pages of their own. The result holds
+copies of the columns it uses, never views of that array.
 
 Termination: a Ritz pair (mu_i, y_i) of the basis-size-k tridiagonal
 T_k has residual norm beta_k * |e_k^T s_i| in the M-norm; the iteration
@@ -127,11 +131,11 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
     norm = np.sqrt(v @ mv)
     scale = 0.0  # running magnitude of the projected operator
 
-    # basis U, M U and K^{-1} M U as column blocks of one column-major
-    # array, lent by K's pattern; column k is written before any read. An
+    # basis U, M U and K^{-1} M U interleaved in one column-major array
+    # lent by K's pattern; column k is written before any read. An
     # overflow reaches alpha or beta, which are checked instead of warned of
     with k_matrix.pattern.workspace(3 * cap) as work, np.errstate(over="ignore", invalid="ignore"):
-        basis, mbasis, solves = work[:, :cap], work[:, cap : 2 * cap], work[:, 2 * cap : 3 * cap]
+        basis, mbasis, solves = (work[:, j : 3 * cap : 3] for j in range(3))
         k = 0
         while k < cap:
             np.divide(v, norm, out=basis[:, k])

@@ -1,5 +1,6 @@
 """Shift-invert Lanczos against dense oracles and its error contract."""
 
+import hashlib
 import sys
 import threading
 
@@ -11,6 +12,8 @@ from femupdate import (
     MaxIterationsError,
     NumericalError,
     SparseSymMatrix,
+    assemble_parametric,
+    benchmarks,
     cholesky_factorize,
     lanczos_smallest,
 )
@@ -290,6 +293,21 @@ def test_a_run_during_a_loan_uses_its_own_array():
     assert np.array_equal(nested.basis, alone.basis)
 
 
+def test_a_run_of_m_steps_writes_only_the_first_3m_columns():
+    # U, M U and the solves are interleaved, so the pages a run touches are
+    # one contiguous run of columns however large the basis cap
+    rng = np.random.default_rng(46)
+    k, m = random_spd_pencil(200, rng)
+    lanczos_smallest(k, m, s=2, tol=1e-8)  # default cap 100
+    with k.pattern.workspace(0) as held:
+        held[:] = np.nan
+    result = lanczos_smallest(k, m, s=2, tol=1e-8)
+    assert lent_workspace(k) is held and result.m < 100
+    used = 3 * result.m
+    assert np.isfinite(held[:, :used]).all()
+    assert np.isnan(held[:, used:]).all()
+
+
 def test_fresh_and_reused_workspaces_give_the_same_bits():
     rng = np.random.default_rng(44)
     k, m = random_spd_pencil(90, rng)
@@ -370,3 +388,25 @@ def test_restarts_do_not_depend_on_the_units_of_m(c):
     m = diagonal(np.full(6, c))
     result = lanczos_smallest(k, m, s=4, tol=1e-10)
     assert np.allclose(result.eigenvalues * c, [1.0, 1.0, 2.0, 2.0], rtol=1e-9)
+
+
+LANCZOS_BITS = [  # name, refine, s, sha256 of a run at the box midpoint
+    ("arch", 1, 5, "01752dec885261b16115b6d1b6f2d6d3665b3ae58ec74687b48ae70a3427f607"),
+    ("vault", 1, 10, "8d485bcfe009e2005cee5dc2b2cd3484b8623befbf73ceadafb929460a261752"),
+    ("arch", 3, 5, "a573553072f4fdedcff40bfebaa47417fb0f9332b1a099f84a2ebed8d6bb00a6"),
+]
+
+
+@pytest.mark.parametrize("name, refine, s, expected", LANCZOS_BITS, ids=[
+    "%s%s-%s" % (name, "" if refine == 1 else refine, digest) for name, refine, _, digest in LANCZOS_BITS
+])
+def test_builtin_pencils_keep_their_lanczos_bits(name, refine, s, expected):
+    # every field of the result as the run computed it before its
+    # workspace was interleaved (x86-64, numpy 2.4 with OpenBLAS); a
+    # layout or loop change must not move one bit of them
+    pencil, box, _ = assemble_parametric(*benchmarks.benchmark(name, refine))
+    result = lanczos_smallest(*pencil.evaluate(box.midpoint()), s=s)
+    digest = hashlib.sha256()
+    for field in ("eigenvalues", "vectors", "basis", "tridiagonal", "solves"):
+        digest.update(np.ascontiguousarray(getattr(result, field)).tobytes())
+    assert digest.hexdigest() == expected

@@ -15,7 +15,10 @@ patterns and values of K0, M0 and every increment, the patterns' roots
 sit in its family's parameter columns, the box, the start and the
 parameter names. Next to it, it prints each tree's
 Cholesky kernel for K(x) and, on the band kernel, its half-bandwidth and
-stored width (kd, w), so an ordering change shows. Then it prints the
+stored width (kd, w), so an ordering change shows, and the peak resident
+set of that tree's subprocess (``ru_maxrss``, set-up and solves), so a
+memory change shows beside "pencil identical". The peak is informative,
+not a gate: it moves by a few MB between runs. Then it prints the
 largest relative change in x and in the final frequencies, and, as two
 separate agreements, the number of solves whose outcome (factorization
 count, converged flag or raised error) is equal on both sides and the
@@ -32,6 +35,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +97,8 @@ def run_tree(workload, solves):
             "factorizations": counter.factorizations,
             "inner": [rec.inner_iterations for rec in result.history],
         })
-    return {"pencil": pencil_digest(pencil, box, start), "kernel": kernel, "solves": records}
+    return {"pencil": pencil_digest(pencil, box, start), "kernel": kernel, "solves": records,
+            "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def solve_in(tree, workload, solves):
@@ -114,7 +119,7 @@ def rel_change(old, new):
 def compare(workload, parent, this):
     """Print one workload's report; True when the pencils and every count agree."""
     same_pencil = parent["pencil"] == this["pencil"]
-    kernels = parent["kernel"], this["kernel"]
+    kernels = parent["kernel"], parent["peak_mb"], this["kernel"], this["peak_mb"]
     parent, this = parent["solves"], this["solves"]
     outcomes, inner, dx, df = 0, 0, 0.0, 0.0
     for a, b in zip(parent, this):
@@ -128,7 +133,8 @@ def compare(workload, parent, this):
         inner += a["inner"] == b["inner"]
     converged = ["%d/%d" % (sum(r.get("converged", False) for r in side), len(side))
                  for side in (parent, this)]
-    print("%s: pencil %s, K on %s (other) %s (this); converged %s (other) %s (this); "
+    print("%s: pencil %s, K on %s, peak RSS %.1f MB (other) %s, %.1f MB (this); "
+          "converged %s (other) %s (this); "
           "factorizations equal in %d/%d, inner iterations equal in %d/%d; "
           "max relative change x %.2e, frequencies %.2e"
           % (workload, "identical" if same_pencil else "DIFFERS", *kernels, *converged,
