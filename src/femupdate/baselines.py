@@ -1,8 +1,8 @@
 """Reference strategies that bypass the reduced models.
 
 Both baselines drive the same box-constrained solver as the
-trust-region inner step, but directly on the full objective: every
-candidate point costs one sparse factorization plus a Lanczos run.
+trust-region inner step, but directly on the full objective: each
+point but a held start costs a sparse factorization and a Lanczos run.
 Strategy 'AD' uses the analytic eigenvalue-sensitivity gradient (one
 evaluation per accepted iterate); strategy 'A' approximates the
 gradient by forward differences, spending one extra evaluation per

@@ -5,6 +5,9 @@ are the s smallest natural frequencies of the pencil at x, fbar are the
 measured targets, and the weight vector w has unit Euclidean norm.
 Frequencies derive from pencil eigenvalues as f = sqrt(lambda) / (2 pi).
 The gradient is 2 J^T r, J = d r / d x (s x p, ``residual_jacobian``).
+Solvers start at the all-ones point of a scaled pencil, which holds
+the target-free data there (``_held``): later solves from that start
+pay no factorization. Value, residuals and gradient are per call.
 """
 
 from __future__ import annotations
@@ -154,15 +157,17 @@ class FullEvaluation:
 
 
 def evaluate_full(problem, x, counter=None):
-    """Evaluate phi(x) through a fresh factorization and Lanczos run."""
+    """Evaluate phi(x) through a factorization and Lanczos run (see ``_held``)."""
     x = np.array(x, dtype=np.float64)
-    k, m = problem.pencil.evaluate(x)
-    if counter is not None:
-        counter.factorizations += 1
-        counter.lanczos_runs += 1
-    res = lanczos_smallest(
-        k, m, problem.s, tol=problem.lanczos_tol, seed=problem.seed
-    )
+
+    def run():
+        k, m = problem.pencil.evaluate(x)
+        if counter is not None:
+            counter.factorizations += 1
+            counter.lanczos_runs += 1
+        return lanczos_smallest(k, m, problem.s, tol=problem.lanczos_tol, seed=problem.seed)
+
+    res = _held(problem, x, "lanczos", run)
     f = frequencies_from_eigenvalues(res.eigenvalues)
     return FullEvaluation(
         value=weighted_mismatch(f, problem.measured, problem.weights),
@@ -170,6 +175,21 @@ def evaluate_full(problem, x, counter=None):
         lanczos=res,
         x=x,
     )
+
+
+def _held(problem, x, name, compute):
+    """``compute()``: the Lanczos run, d lambda, or S_j and G_j at x. At the
+    all-ones point the pencil holds it, read-only, for one (s, lanczos_tol, seed)."""
+    pencil, key = problem.pencil, (problem.s, problem.lanczos_tol, problem.seed)
+    if not np.array_equal(x, np.ones(pencil.n_parameters)):
+        return compute()
+    if pencil._start.get("key") != key:
+        pencil._start = {"key": key}
+    if name not in pencil._start:
+        out = pencil._start[name] = compute()
+        for a in out if isinstance(out, tuple) else vars(out).values():
+            a.flags.writeable = False
+    return pencil._start[name]
 
 
 def require_separated(values, what):
@@ -218,6 +238,7 @@ def residual_jacobian(eigenvalues, dlam, weights):
 def full_gradient(problem, evaluation):
     """Gradient 2 J^T r of phi at the point of a converged full evaluation."""
     lam, vectors = evaluation.lanczos.eigenvalues, evaluation.lanczos.vectors
-    dlam = eigenvalue_derivatives(problem.pencil, lam, vectors)
+    (dlam,) = _held(problem, evaluation.x, "dlam", lambda: (
+        eigenvalue_derivatives(problem.pencil, lam, vectors),))
     r = residuals(evaluation.frequencies, problem.measured, problem.weights)
     return 2.0 * r @ residual_jacobian(lam, dlam, problem.weights)

@@ -21,6 +21,9 @@ own, usually much smaller, pattern for derivative products, with its
 values stored once, in Dk. Products with an increment run on its
 pattern's rows only (``SparseSymMatrix.local``), found once per
 pencil, scaled copies included.
+
+``scaled_by`` returns its last pencil again for an equal reference, so
+solves from one start share it and its start's data (``objective._held``).
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ class ParametricPencil:
     def _build(self, families, names):
         """Take the (K, M) families and one name per parameter, by default x0, x1, ..."""
         self._k, self._m = families
+        self._scaled, self._start = None, {}  # (reference, scaled pencil); see _held
         self.names = ["x%d" % j for j in range(self.n_parameters)] if names is None else list(names)
         if len(self.names) != self.n_parameters:
             raise DimensionMismatchError(
@@ -194,15 +198,20 @@ class ParametricPencil:
 
         The reference must be strictly positive componentwise; the
         returned pencil satisfies K_scaled(y) = K(reference * y) and
-        shares this pencil's patterns and base matrices.
+        shares this pencil's patterns and base matrices. An equal
+        reference gets the last call's pencil again.
         """
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != (self.n_parameters,):
             raise DimensionMismatchError("reference has wrong length")
         if np.any(reference <= 0.0):
             raise ValueError("scaling reference must be strictly positive")
+        if self._scaled is not None and np.array_equal(self._scaled[0], reference):
+            return self._scaled[1]
         out = copy.copy(self)
         out._k = self._k.scaled_by(reference)
         out._m = self._m.scaled_by(reference)
         out.names = list(self.names)
+        out._scaled, out._start = None, {}
+        self._scaled = (reference.copy(), out)
         return out

@@ -19,7 +19,8 @@ Y is the stack of the shift-invert solves the Lanczos run made anyway
 sparse products with the parameter increments, each on its own rows
 (``SparseSymMatrix.local``): with R the rows dM_j touches and Q its
 block there, S_j = U_R^T Q U_R and U^T dM_j Y = (Q U_R)^T Y_R share the
-product Q U_R. An empty dK_j or dM_j costs nothing.
+product Q U_R. An empty dK_j or dM_j costs nothing. At a pencil's start
+S_j and G_j are computed once (``objective._held``), g_corr every time.
 
 S_j and G_j are stored stacked as (p, m, m) arrays. One evaluation
 factors Z = L L^T, reduces the pencil to the standard symmetric problem
@@ -53,6 +54,7 @@ from scipy.linalg import lapack
 from .errors import ModelConsistencyError, SurrogateOutOfRangeError
 from .lanczos import descending_eigh
 from .objective import (
+    _held,
     frequencies_from_eigenvalues,
     full_gradient,
     require_separated,
@@ -97,25 +99,9 @@ def _sym(a):
     return (a + a.T) * 0.5
 
 
-def build_reduced_model(problem, evaluation):
-    """Assemble the surrogate at a point from its converged full evaluation.
-
-    Cost: sparse products with the nonempty parameter increments on
-    their own rows; no factorization, no back-substitution (Y = K^{-1} M U
-    is the Lanczos run's own solves) and no assembly. The full gradient
-    at the point, needed for the correction term, is kept as
-    ``model.gradient``, and the gaps between model and objective there
-    as ``model.value_gap`` (0 by the check below) and ``model.grad_gap``.
-
-    Raises ModelConsistencyError if the surrogate value at the point
-    differs from the evaluation's value in any bit.
-    """
-    pencil = problem.pencil
-    x0 = evaluation.x
-    lanczos_result = evaluation.lanczos
-    basis = lanczos_result.basis
-    y = lanczos_result.solves
-
+def _projections(pencil, lanczos_result):
+    """The stacks (S_j, G_j) of a Lanczos run; see the module docstring."""
+    basis, y = lanczos_result.basis, lanczos_result.solves
     p, m = pencil.n_parameters, lanczos_result.m
     s_hats, g_hats = np.zeros((p, m, m)), np.zeros((p, m, m))
     for j in range(p):
@@ -131,6 +117,24 @@ def build_reduced_model(problem, evaluation):
             rows, q = dk.local()
             y_rows = y[rows]
             g_hats[j] -= _sym(y_rows.T @ (q @ y_rows))
+    return s_hats, g_hats
+
+
+def build_reduced_model(problem, evaluation):
+    """Assemble the surrogate at a point from its converged full evaluation.
+
+    Cost: sparse products with the nonempty parameter increments on
+    their own rows; no factorization, no back-substitution (Y = K^{-1} M U
+    is the Lanczos run's own solves) and no assembly. The full gradient
+    at the point, needed for the correction term, is kept as
+    ``model.gradient``, and the gaps between model and objective there
+    as ``model.value_gap`` (0 by the check below) and ``model.grad_gap``.
+
+    Raises ModelConsistencyError if the surrogate value at the point
+    differs from the evaluation's value in any bit.
+    """
+    x0, lanczos_result = evaluation.x, evaluation.lanczos
+    s_hats, g_hats = _held(problem, x0, "hats", lambda: _projections(problem.pencil, lanczos_result))
 
     phi0 = evaluation.value
     model = ReducedModel(
@@ -138,7 +142,7 @@ def build_reduced_model(problem, evaluation):
         tridiagonal=lanczos_result.tridiagonal.copy(),
         s_hats=s_hats,
         g_hats=g_hats,
-        g_corr=np.zeros(p),
+        g_corr=np.zeros(problem.pencil.n_parameters),
         measured=problem.measured.copy(),
         weights=problem.weights.copy(),
         s=problem.s,

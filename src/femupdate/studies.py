@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import solve_baseline
-from .objective import EvalCounter
+from .objective import EvalCounter, evaluate_full
+from .reduced import build_reduced_model
 from .trustregion import solve
 
 STRATEGIES = ("RM", "AD", "A")  # the supported ones, in comparison.csv's order
@@ -170,9 +171,14 @@ def run_strategy_comparison(setup):
     the file is not byte-reproducible across runs). The BB row is
     emitted with status=unsupported and no numbers.
 
+    The strategies share their start's Lanczos run and model data; these
+    are computed before them, so no row counts them, whatever the order.
+
     Returns {strategy: result} for the supported strategies.
     """
     os.makedirs(setup.output_dir, exist_ok=True)
+    scaled, reference = setup.problem.scaled_from(setup.start)
+    build_reduced_model(scaled, evaluate_full(scaled, np.ones(reference.size)))
     results = {}
     rows = []
     for strategy in STRATEGIES:

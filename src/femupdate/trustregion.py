@@ -19,6 +19,7 @@ built because its eigenvalues cluster, is rejected like one with a low
 ratio; its record keeps the error's name as the reason. A new surrogate
 is built only at accepted iterates, from the trial point's own Lanczos
 data, so each outer iteration costs exactly one sparse factorization.
+The start costs one more, none if the pencil holds it (``objective._held``).
 The loop stops once the projected-gradient criticality
 ||P(x - grad) - x|| is at or below the problem's tolerance. It is
 tested before every step, so a start that is already critical takes

@@ -345,6 +345,21 @@ def test_comparison_rows_and_unsupported_strategy(tmp_path):
     assert status["RM"] == "converged"
 
 
+def test_comparison_rows_do_not_depend_on_the_strategy_order(tmp_path, monkeypatch):
+    tables = []
+    for order in (studies.STRATEGIES, studies.STRATEGIES[::-1]):
+        monkeypatch.setattr(studies, "STRATEGIES", order)
+        out = tmp_path / "".join(order)
+        setup = load_config(write(tmp_path, TWO_PARAM.format(strategy="RM", out=out)))
+        run_strategy_comparison(setup)
+        with open(out / "comparison.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:-1]] == list(order)
+        # every column but the timings wall_s and assembly_s
+        tables.append(sorted(row[:-2] for row in rows[1:]))
+    assert tables[0] == tables[1]
+
+
 def test_cli_update_and_determinism(tmp_path, capsys):
     path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "o1"))
     assert main(["update", path]) == 0
@@ -386,6 +401,25 @@ def test_noise_study_solves_with_relative_weights(tmp_path, monkeypatch):
     assert len(solved) == 2
     for problem in solved:
         assert np.array_equal(problem.weights, make_weights("relative", problem.measured))
+
+
+def test_noise_study_runs_the_start_once(tmp_path, monkeypatch):
+    import femupdate.objective as objective
+
+    text = TWO_PARAM.format(strategy="RM", out=tmp_path / "out")
+    setup = load_config(write(tmp_path, text + "\n[noise_study]\ndeltas = 1e-3 1e-2\ntrials = 2\n"))
+    scaled, reference = setup.problem.scaled_from(setup.start)
+    start_k = scaled.pencil.evaluate(np.ones(reference.size))[0].data
+    at_start = []
+
+    def recording(k_matrix, *args, **kwargs):
+        at_start.append(np.array_equal(k_matrix.data, start_k))
+        return lanczos(k_matrix, *args, **kwargs)
+
+    lanczos = objective.lanczos_smallest
+    monkeypatch.setattr(objective, "lanczos_smallest", recording)
+    run_noise_study(setup)
+    assert sum(at_start) == 1 and len(at_start) > 4  # four solves, one start
 
 
 def test_cli_eigs(tmp_path, capsys):

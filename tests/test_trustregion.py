@@ -1,20 +1,32 @@
 """Outer trust-region loop: acceptance rules, radius updates, model
-consistency at iterates, and the factorization budget."""
+consistency at iterates, the factorization budget, and solves that
+share their start's Lanczos run through the pencil."""
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from femupdate import (
     ClusteredEigenvaluesError,
     EvalCounter,
+    FeasibleBox,
+    ParametricPencil,
     TrustRegionConfig,
     UpdatingProblem,
     MaxIterationsError,
     NotPositiveDefiniteError,
+    assemble_parametric,
+    benchmarks,
+    build_reduced_model,
+    evaluate_full,
+    frequencies_from_eigenvalues,
     solve,
 )
 
-from conftest import ARCH_FAR_START, ARCH_TRUE
+from conftest import ARCH_FAR_START, ARCH_TRUE, dense_smallest, random_spd_pencil
 
 
 def test_arch_roundtrip_recovers_parameters(arch_problem):
@@ -53,9 +65,11 @@ def test_history_invariants(arch_problem):
         else:
             assert np.isclose(rec.delta, prev.delta)
 
-    # one factorization for the start plus one per trial evaluation
+    # one factorization per trial evaluation, plus one for the start
+    # unless the pencil already holds it from an earlier solve
     trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
-    assert counter.factorizations == 1 + trials
+    assert hist[0].factorizations in (0, 1)
+    assert counter.factorizations == hist[0].factorizations + trials
     assert counter.factorizations <= 1 + result.n_outer
 
 
@@ -166,13 +180,14 @@ def test_lanczos_failure_at_trial_point_rejects_the_step(arch_problem, monkeypat
     assert np.isnan(failed.rho) and failed.step_norm > 0.0
     assert failed.value == start.value and np.array_equal(failed.x, start.x)
     assert np.isclose(failed.delta, start.delta * config.gamma2)
-    assert failed.factorizations == 2
+    assert failed.factorizations == start.factorizations + 1
 
     reasons = {"", "no_decrease", "low_ratio", "MaxIterationsError"}
-    assert all(rec.reason in reasons for rec in result.history)
-    assert all((rec.reason == "") == rec.accepted for rec in result.history)
-    trials = sum(1 for rec in result.history[1:] if rec.step_norm > 0.0)
-    assert counter.factorizations == 1 + trials
+    hist = result.history
+    assert all(rec.reason in reasons for rec in hist)
+    assert all((rec.reason == "") == rec.accepted for rec in hist)
+    trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
+    assert counter.factorizations == hist[0].factorizations + trials
 
 
 def test_clustered_model_at_trial_point_rejects_the_step(arch_problem, monkeypatch):
@@ -205,7 +220,7 @@ def test_clustered_model_at_trial_point_rejects_the_step(arch_problem, monkeypat
     assert np.isclose(failed.delta, before.delta * config.gamma2)
     assert result.n_models == 1 + sum(1 for rec in hist[1:] if rec.accepted)
     trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
-    assert counter.factorizations == 1 + trials
+    assert counter.factorizations == hist[0].factorizations + trials
 
 
 def test_records_carry_the_inner_solve(arch_problem, monkeypatch):
@@ -248,4 +263,126 @@ def test_indefinite_trial_point_rejects_the_step(arch_soft_pier):
         assert np.isclose(rec.delta, before.delta * config.gamma2)
     # the failed factorizations are counted
     trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
-    assert counter.factorizations == 1 + trials
+    assert counter.factorizations == hist[0].factorizations + trials
+
+
+def _fresh_arch():
+    mesh, materials = benchmarks.benchmark("arch")
+    pencil, box, _ = assemble_parametric(mesh, materials)
+    return pencil, box
+
+
+def _trials(result):
+    return sum(1 for rec in result.history[1:] if rec.step_norm > 0.0)
+
+
+def _assert_same_solve(a, b):
+    """x, value, frequencies and every history field but wall_s and
+    factorizations equal bit for bit."""
+    for key in ("x", "value", "frequencies", "chi", "converged", "n_outer"):
+        assert np.asarray(getattr(a, key)).tobytes() == np.asarray(getattr(b, key)).tobytes(), key
+    assert len(a.history) == len(b.history)
+    for ra, rb in zip(a.history, b.history):
+        for key, value in vars(ra).items():
+            if key not in ("wall_s", "factorizations"):
+                assert np.asarray(value).tobytes() == np.asarray(getattr(rb, key)).tobytes(), key
+
+
+def test_a_second_solve_from_a_start_pays_only_for_its_trials(arch_targets):
+    pencil, box = _fresh_arch()
+    other = np.sort(arch_targets * np.linspace(0.99, 1.01, arch_targets.size))
+    first_counter, counter = EvalCounter(), EvalCounter()
+    first = solve(UpdatingProblem(pencil, box, measured=arch_targets), x0=ARCH_FAR_START,
+                  counter=first_counter)
+    second = solve(UpdatingProblem(pencil, box, measured=other), x0=ARCH_FAR_START,
+                   counter=counter)
+    assert first.history[0].factorizations == 1
+    assert first_counter.factorizations == first_counter.lanczos_runs == 1 + _trials(first)
+    assert second.history[0].factorizations == 0
+    assert counter.factorizations == counter.lanczos_runs == _trials(second) > 0
+
+    # the same solve on a freshly assembled pencil pays for the start
+    alone = solve(UpdatingProblem(_fresh_arch()[0], box, measured=other), x0=ARCH_FAR_START)
+    assert alone.history[0].factorizations == 1
+    assert alone.counter.factorizations == 1 + _trials(alone)
+    _assert_same_solve(second, alone)
+
+
+@pytest.mark.parametrize("change", ["start", "s", "lanczos_tol", "seed"])
+def test_another_start_or_lanczos_setting_pays_for_its_start(arch_targets, change):
+    pencil, box = _fresh_arch()
+    problem = UpdatingProblem(pencil, box, measured=arch_targets)
+    config = TrustRegionConfig(max_outer=0)  # the start alone
+
+    def start_cost(problem, x0=ARCH_FAR_START):
+        counter = EvalCounter()
+        solve(problem, x0=x0, config=config, counter=counter)
+        return counter.factorizations, counter.lanczos_runs
+
+    other = {
+        "start": (problem, box.midpoint()),
+        "s": (replace(problem, measured=arch_targets[:4], weights="uniform"),),
+        "lanczos_tol": (replace(problem, lanczos_tol=1e-6),),
+        "seed": (replace(problem, seed=1),),
+    }[change]
+    assert start_cost(problem) == (1, 1)
+    assert start_cost(problem) == (0, 0)
+    assert start_cost(*other) == (1, 1)
+    assert start_cost(*other) == (0, 0)
+    assert start_cost(problem) == (1, 1)  # the pencil holds one start
+
+
+def test_held_start_data_is_read_only(arch_targets):
+    pencil, box = _fresh_arch()
+    scaled, reference = UpdatingProblem(pencil, box, measured=arch_targets).scaled_from()
+    evaluation = evaluate_full(scaled, np.ones(reference.size))
+    model = build_reduced_model(scaled, evaluation)
+    assert scaled.pencil is pencil.scaled_by(box.midpoint())
+    held = scaled.pencil._start
+    assert held["key"] == (5, scaled.lanczos_tol, scaled.seed)
+    assert held["lanczos"] is evaluation.lanczos
+    arrays = [*vars(evaluation.lanczos).values(), *held["dlam"], model.s_hats, model.g_hats]
+    assert len(arrays) == 8
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12)
+def test_solves_on_a_shared_pencil_equal_solves_on_a_fresh_one(data, seed):
+    # RM solves in any order, from starts that repeat or not, on one pencil
+    rng = np.random.default_rng(seed)
+    n, p, s = 24, 2, 3
+    k0, m0 = random_spd_pencil(n, rng)
+    increments = [random_spd_pencil(n, rng) for _ in range(p)]
+    pencil = ParametricPencil(k0, m0, *zip(*increments))
+    pristine = copy.deepcopy(pencil)
+    box = FeasibleBox(np.full(p, 0.5), np.full(p, 2.0))
+    points = st.lists(st.floats(0.5, 2.0), min_size=p, max_size=p).map(np.array)
+    starts = [data.draw(points), data.draw(points)]
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(starts), points), min_size=2,
+                              max_size=5))
+    config = TrustRegionConfig(max_outer=8)
+
+    def outcome(pencil, start, truth):
+        measured = frequencies_from_eigenvalues(dense_smallest(pencil, truth, s))
+        # a tolerance tight enough that most solves take steps
+        problem = UpdatingProblem(pencil, box, measured=measured, criticality_tol=1e-9)
+        try:
+            return solve(problem, x0=start, config=config)
+        except Exception as exc:  # compared like any other outcome
+            return type(exc).__name__
+
+    previous = None
+    for start, truth in runs:
+        shared = outcome(pencil, start, truth)
+        alone = outcome(copy.deepcopy(pristine), start, truth)
+        if isinstance(shared, str) or isinstance(alone, str):
+            assert shared == alone
+        else:
+            _assert_same_solve(shared, alone)
+            assert alone.history[0].factorizations == 1
+            reused = previous is not None and np.array_equal(start, previous)
+            assert shared.history[0].factorizations == (0 if reused else 1)
+        previous = start

@@ -20,12 +20,17 @@ set of that tree's subprocess (``ru_maxrss``, set-up and solves), so a
 memory change shows beside "pencil identical". The peak is informative,
 not a gate: it moves by a few MB between runs. Then it prints the
 largest relative change in x and in the final frequencies, and, as two
-separate agreements, the number of solves whose outcome (factorization
-count, converged flag or raised error) is equal on both sides and the
-number whose per-step inner-iteration counts are. The first is the
-paper's cost; the second moves whenever the inner solver does. Exits 1
-if the pencil digests, any count, a converged flag or a raised error
-differ, else 0.
+separate agreements, the number of solves whose outcome (trial
+factorization count, converged flag or raised error) is equal on both
+sides and the number whose per-step inner-iteration counts are. The
+first is the paper's cost; the second moves whenever the inner solver
+does. A solve's trial factorizations are all of its factorizations but
+the start's (``history[0].factorizations``): a solve from a start that
+the pencil already holds pays nothing there, so the totals move with
+that and not with the answers. The number of solves per tree that
+reused the start is printed beside them. Exits 1 if the pencil
+digests, any trial or inner-iteration count, a converged flag or a
+raised error differ, else 0.
 """
 
 from __future__ import annotations
@@ -94,7 +99,8 @@ def run_tree(workload, solves):
             "x": result.x.tolist(),
             "frequencies": result.frequencies.tolist(),
             "converged": bool(result.converged),
-            "factorizations": counter.factorizations,
+            "trials": counter.factorizations - result.history[0].factorizations,
+            "reused": result.history[0].factorizations == 0,
             "inner": [rec.inner_iterations for rec in result.history],
         })
     return {"pencil": pencil_digest(pencil, box, start), "kernel": kernel, "solves": records,
@@ -129,16 +135,16 @@ def compare(workload, parent, this):
             continue
         dx = max(dx, rel_change(a["x"], b["x"]))
         df = max(df, rel_change(a["frequencies"], b["frequencies"]))
-        outcomes += all(a[k] == b[k] for k in ("converged", "factorizations"))
+        outcomes += all(a[k] == b[k] for k in ("converged", "trials"))
         inner += a["inner"] == b["inner"]
-    converged = ["%d/%d" % (sum(r.get("converged", False) for r in side), len(side))
-                 for side in (parent, this)]
+    converged, reused = (["%d/%d" % (sum(r.get(key, False) for r in side), len(side))
+                          for side in (parent, this)] for key in ("converged", "reused"))
     print("%s: pencil %s, K on %s, peak RSS %.1f MB (other) %s, %.1f MB (this); "
-          "converged %s (other) %s (this); "
-          "factorizations equal in %d/%d, inner iterations equal in %d/%d; "
+          "converged %s (other) %s (this); start reused %s (other) %s (this); "
+          "trial factorizations equal in %d/%d, inner iterations equal in %d/%d; "
           "max relative change x %.2e, frequencies %.2e"
           % (workload, "identical" if same_pencil else "DIFFERS", *kernels, *converged,
-             outcomes, len(this), inner, len(this), dx, df))
+             *reused, outcomes, len(this), inner, len(this), dx, df))
     return same_pencil and outcomes == inner == len(this)
 
 
