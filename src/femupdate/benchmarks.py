@@ -17,14 +17,23 @@ Two parametric test structures with known material layouts:
   at the default resolution.
 
 Region numbering and material values are fixed; which properties are
-free to update (and their bounds) is part of each benchmark.
+free to update (and their bounds) is part of each benchmark. Each
+generator predicts its free-dof count from ``refine`` in closed form and
+refuses, before building any mesh array, a model above MAX_FREE_DOFS.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .fem import Material, Mesh
+
+# the most free dofs a built-in benchmark may have: vault at refine 3
+# (21,510) already peaks at about 570 MB resident, and the factor's fill
+# grows faster than n; vault refine 4 (47,787) and arch refine 8 (44,461)
+# are the largest accepted
+MAX_FREE_DOFS = 50_000
 
 # true values of the free parameters, in declaration order
 ARCH_TRUE = np.array([5000.0, 2200.0, 4800.0])
@@ -47,6 +56,19 @@ def _merge_nodes(points):
     return points[first[order]], number[inverse.reshape(-1)]
 
 
+def _refinement(refine, free_dofs):
+    """int(refine), checked before any mesh is built: at least 1, and at
+    most MAX_FREE_DOFS free dofs as ``free_dofs(r)`` predicts them."""
+    r = int(refine)
+    if r < 1:
+        raise ValueError("refine must be a positive integer")
+    n = free_dofs(r)
+    if n > MAX_FREE_DOFS:
+        raise ConfigError("%d gives %d free dofs, above the limit of %d (MAX_FREE_DOFS)"
+                          % (r, n, MAX_FREE_DOFS), "run", "refine")
+    return r
+
+
 def _quads(ids):
     """Counterclockwise quads of a structured grid of node numbers, row-major."""
     return np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]], axis=-1).reshape(-1, 4)
@@ -67,9 +89,7 @@ def generate_arch_on_piers(refine=1):
     The free parameters are the left pier's Young modulus and density
     and the right pier's Young modulus.
     """
-    r = int(refine)
-    if r < 1:
-        raise ValueError("refine must be a positive integer")
+    r = _refinement(refine, lambda r: 672 * r * r + 182 * r - 3)
     ntheta, nr = 76 * r, 3 * r
     nx, ny = 6 * r, 9 * r
     radii = np.linspace(2.0, 2.5, nr + 1)[:, None]
@@ -127,9 +147,7 @@ def generate_pillared_vault(refine=1):
     region plus the densities of vault, upper drum, and pillars (the
     lower drum density stays fixed), 7 in total.
     """
-    r = int(refine)
-    if r < 1:
-        raise ValueError("refine must be a positive integer")
+    r = _refinement(refine, lambda r: ((600 * r + 576) * r + 45) * r - 9)
     lz, cy, cx = np.indices((11 * r, 6 * r, 6 * r)).reshape(3, -1)
     regions = _vault_region(cx // r, cy // r, lz // r)
     cells = np.column_stack([cx, cy, lz])[regions > 0]

@@ -23,7 +23,8 @@ solves sit side by side, in columns 3k, 3k + 1 and 3k + 2, so a run of
 m steps writes only the first 3m columns: numpy advises transparent
 huge pages for arrays of 4 MiB or more, and three separate column
 blocks would each fault in huge pages of their own. The result holds
-copies of the columns it uses, never views of that array.
+copies of the columns it uses, never views of that array, made after
+the factorization of K is released.
 
 Termination: a Ritz pair (mu_i, y_i) of the basis-size-k tridiagonal
 T_k has residual norm beta_k * |e_k^T s_i| in the M-norm; the iteration
@@ -55,7 +56,9 @@ class LanczosResult:
     vectors; basis (n, m) is the M-orthonormal Lanczos basis;
     tridiagonal is the dense m-by-m projection of K^{-1}M onto it;
     solves (n, m) holds the shift-invert solves K^{-1} M u_k, one per
-    basis column, as the iteration computed them.
+    basis column, as the iteration computed them. The run a pencil
+    holds for its start (``objective._held``) keeps only eigenvalues
+    and tridiagonal; there vectors, basis and solves are None.
     """
 
     eigenvalues: np.ndarray
@@ -170,7 +173,9 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
                 bounds = np.abs(beta * vec[-1])
                 if np.all(mu > 0.0) and np.all(bounds <= tol * mu):
                     # copies of the used columns: nothing returned aliases
-                    # the workspace, which the next run overwrites
+                    # the workspace, which the next run overwrites; the
+                    # factor is freed first, so the two never coexist
+                    factor = None
                     kept = basis[:, :k].copy(order="F")
                     return LanczosResult(
                         eigenvalues=1.0 / mu,  # descending mu -> ascending lambda

@@ -7,7 +7,9 @@ Frequencies derive from pencil eigenvalues as f = sqrt(lambda) / (2 pi).
 The gradient is 2 J^T r, J = d r / d x (s x p, ``residual_jacobian``).
 Solvers start at the all-ones point of a scaled pencil, which holds
 the target-free data there (``_held``): later solves from that start
-pay no factorization. Value, residuals and gradient are per call.
+pay no factorization. It holds the start's eigenvalues, tridiagonal,
+d lambda and S_j/G_j, not the run's n-row arrays. Value, residuals and
+gradient are per call.
 """
 
 from __future__ import annotations
@@ -157,7 +159,11 @@ class FullEvaluation:
 
 
 def evaluate_full(problem, x, counter=None):
-    """Evaluate phi(x) through a factorization and Lanczos run (see ``_held``)."""
+    """Evaluate phi(x) through a factorization and Lanczos run (see ``_held``).
+
+    At a held start, once its d lambda and S_j, G_j are held too, the
+    run carries only eigenvalues and tridiagonal: its basis, solves and
+    vectors are None."""
     x = np.array(x, dtype=np.float64)
 
     def run():
@@ -179,17 +185,22 @@ def evaluate_full(problem, x, counter=None):
 
 def _held(problem, x, name, compute):
     """``compute()``: the Lanczos run, d lambda, or S_j and G_j at x. At the
-    all-ones point the pencil holds it, read-only, for one (s, lanczos_tol, seed)."""
+    all-ones point the pencil holds it, read-only, for one (s, lanczos_tol, seed).
+    Once all three are held, the run keeps only its eigenvalues and
+    tridiagonal: nothing reads its n-row arrays again."""
     pencil, key = problem.pencil, (problem.s, problem.lanczos_tol, problem.seed)
     if not np.array_equal(x, np.ones(pencil.n_parameters)):
         return compute()
-    if pencil._start.get("key") != key:
-        pencil._start = {"key": key}
-    if name not in pencil._start:
-        out = pencil._start[name] = compute()
+    held = pencil._start
+    if held.get("key") != key:
+        held = pencil._start = {"key": key}
+    if name not in held:
+        out = held[name] = compute()
         for a in out if isinstance(out, tuple) else vars(out).values():
             a.flags.writeable = False
-    return pencil._start[name]
+        if held.keys() >= {"lanczos", "dlam", "hats"}:
+            held["lanczos"] = replace(held["lanczos"], vectors=None, basis=None, solves=None)
+    return held[name]
 
 
 def require_separated(values, what):

@@ -85,6 +85,7 @@ class ReducedModel:
     gradient: np.ndarray = None  # full objective gradient at x0
     value_gap: float = 0.0  # |model - objective| at x0, zero by construction
     grad_gap: float = np.nan  # ||model gradient - full gradient|| at x0
+    at_x0: tuple = None  # evaluate_reduced_with_gradient(model, x0), g_corr in
 
     @property
     def m(self):
@@ -129,6 +130,9 @@ def build_reduced_model(problem, evaluation):
     at the point, needed for the correction term, is kept as
     ``model.gradient``, and the gaps between model and objective there
     as ``model.value_gap`` (0 by the check below) and ``model.grad_gap``.
+    The surrogate's own value, frequencies, gradient and Hessian at the
+    point are kept as ``model.at_x0``, so an inner solve starting there
+    does not evaluate it again.
 
     Raises ModelConsistencyError if the surrogate value at the point
     differs from the evaluation's value in any bit.
@@ -150,7 +154,7 @@ def build_reduced_model(problem, evaluation):
 
     # at x0 the term g_corr^T delta is zero, so one evaluation with
     # g_corr = 0 gives both the value check and the correction
-    value0, _, grad0, _ = evaluate_reduced_with_gradient(model, x0)
+    value0, f0, grad0, hess0 = evaluate_reduced_with_gradient(model, x0)
     if value0 != phi0:
         raise ModelConsistencyError(
             "surrogate value %r differs from the full value %r at its own "
@@ -158,7 +162,8 @@ def build_reduced_model(problem, evaluation):
         )
     model.gradient = full_gradient(problem, evaluation)
     model.g_corr = model.gradient - grad0
-    model.grad_gap = float(np.linalg.norm(grad0 + model.g_corr - model.gradient))
+    model.at_x0 = (value0, f0, grad0 + model.g_corr, hess0)
+    model.grad_gap = float(np.linalg.norm(model.at_x0[2] - model.gradient))
     return model
 
 

@@ -20,6 +20,11 @@ ratio; its record keeps the error's name as the reason. A new surrogate
 is built only at accepted iterates, from the trial point's own Lanczos
 data, so each outer iteration costs exactly one sparse factorization.
 The start costs one more, none if the pencil holds it (``objective._held``).
+The loop keeps the iterate's value and frequencies, not its evaluation,
+and drops each trial's evaluation once its model is built or its step
+rejected, so no two Lanczos runs' n-row arrays are alive at once. Each
+inner solve starts from the model's own evaluation at its expansion
+point (``ReducedModel.at_x0``) instead of computing it again.
 The loop stops once the projected-gradient criticality
 ||P(x - grad) - x|| is at or below the problem's tolerance. It is
 tested before every step, so a start that is already critical takes
@@ -138,8 +143,8 @@ def solve(problem, x0=None, config=None, counter=None):
         history.append(
             OuterRecord(
                 k=len(history),
-                value=ev.value,
-                frequencies=ev.frequencies.copy(),
+                value=value,
+                frequencies=frequencies.copy(),
                 chi=chi,
                 delta=delta,
                 rho=rho,
@@ -155,12 +160,18 @@ def solve(problem, x0=None, config=None, counter=None):
         )
 
     def surrogate(y):
-        out = evaluate_reduced_with_gradient(model, y)
+        if np.array_equal(y, model.x0):  # the inner solve's first point
+            out = model.at_x0
+        else:
+            out = evaluate_reduced_with_gradient(model, y)
         return out[0], out
 
     x = np.ones(len(reference))
-    ev = evaluate_full(problem, x, counter)
-    model = build_reduced_model(problem, ev)
+    start = evaluate_full(problem, x, counter)
+    model = build_reduced_model(problem, start)
+    # the iterate keeps its value and frequencies, not its Lanczos run
+    value, frequencies = start.value, start.frequencies
+    del start
     chi = projected_gradient_norm(x, model.gradient, box.lower, box.upper)
     delta = config.delta0
     record()
@@ -176,18 +187,18 @@ def solve(problem, x0=None, config=None, counter=None):
             hess=lambda out: out[3],
         )
         step_norm = float(np.max(np.abs(inner.x - x)))
-        predicted = ev.value - inner.value
+        predicted = value - inner.value
         rho, reason = np.nan, ""
         if step_norm == 0.0 or predicted <= 0.0:
             step_norm, reason = 0.0, "no_decrease"  # no trial point evaluated
         else:
             try:
                 trial = evaluate_full(problem, inner.x, counter)
-                rho = float((ev.value - trial.value) / predicted)
+                rho = float((value - trial.value) / predicted)
                 if rho >= config.eta1:
-                    # a failed build leaves x, ev and model as they were
+                    # a failed build leaves x, value and model as they were
                     model = build_reduced_model(problem, trial)
-                    x, ev = inner.x, trial
+                    x, value, frequencies = inner.x, trial.value, trial.frequencies
                 else:
                     reason = "low_ratio"
             except (
@@ -197,6 +208,7 @@ def solve(problem, x0=None, config=None, counter=None):
                 ClusteredEigenvaluesError,
             ) as exc:
                 reason = type(exc).__name__  # the trial factorization is counted
+            trial = None  # its model is built or its step rejected
 
         if reason:
             delta *= config.gamma2
@@ -214,8 +226,8 @@ def solve(problem, x0=None, config=None, counter=None):
 
     return SolveResult(
         x=x * reference,
-        value=ev.value,
-        frequencies=ev.frequencies.copy(),
+        value=value,
+        frequencies=frequencies.copy(),
         chi=chi,
         converged=chi <= problem.criticality_tol,
         n_outer=len(history) - 1,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from femupdate import benchmarks
+from femupdate import ConfigError, benchmarks
 
 
 def _dict_merge(points):
@@ -88,3 +88,11 @@ def test_builtin_meshes_are_pinned(name, refine, n_nodes, digest):
                             (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
         expected = (cell[:, None, :] + offsets) * spacing
     assert np.max(np.abs(corners - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, refine", [("arch", 1), ("arch", 3), ("vault", 1), ("vault", 2)])
+def test_the_size_limit_reads_the_exact_free_dof_count(name, refine, monkeypatch):
+    n = len(benchmarks.benchmark(name, refine)[0].free_dofs())
+    monkeypatch.setattr(benchmarks, "MAX_FREE_DOFS", n - 1)
+    with pytest.raises(ConfigError, match=r"^\[run\] refine: %d gives %d free dofs" % (refine, n)):
+        benchmarks.benchmark(name, refine)

@@ -4,6 +4,7 @@ import configparser
 import csv
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -437,6 +438,16 @@ def test_cli_mesh_export(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # an argparse usage error names the flag
         main(["mesh", "arch", str(target), "--refine", "0"])
     assert exc.value.code == 2 and "argument --refine: " in capsys.readouterr().err
+
+
+def test_a_refine_beyond_the_size_limit_exits_2_before_meshing(tmp_path, capsys):
+    # refine = 1000000 would ask for ~6e20 free dofs; it fails at once
+    huge = write(tmp_path, BASE.format(out=tmp_path).replace("modes = 5", "modes = 5\nrefine = 1000000"))
+    for argv in (["eigs", huge], ["mesh", "vault", str(tmp_path / "v.mesh"), "--refine", "1000000"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("config error: [run] refine: 1000000 gives ")
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

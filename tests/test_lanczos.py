@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from femupdate import (
     cholesky_factorize,
     lanczos_smallest,
 )
-from femupdate.lanczos import descending_eigh
+from femupdate import lanczos
+from femupdate.lanczos import LanczosResult, descending_eigh
 import scipy.linalg as sla
 
 from conftest import random_spd_pencil
@@ -410,3 +412,23 @@ def test_builtin_pencils_keep_their_lanczos_bits(name, refine, s, expected):
     for field in ("eigenvalues", "vectors", "basis", "tridiagonal", "solves"):
         digest.update(np.ascontiguousarray(getattr(result, field)).tobytes())
     assert digest.hexdigest() == expected
+
+
+def test_the_factor_is_freed_before_the_result_is_built(monkeypatch):
+    # the band factor and the result's copies are never alive together
+    factors, alive = [], []
+
+    def factorize(matrix):
+        factor = cholesky_factorize(matrix)
+        factors.append(weakref.ref(factor))
+        return factor
+
+    def result(**fields):
+        alive.append(factors[-1]() is not None)
+        return LanczosResult(**fields)
+
+    monkeypatch.setattr(lanczos, "cholesky_factorize", factorize)
+    monkeypatch.setattr(lanczos, "LanczosResult", result)
+    pencil, box, _ = assemble_parametric(*benchmarks.benchmark("arch"))
+    lanczos_smallest(*pencil.evaluate(box.midpoint()), s=5)
+    assert alive == [False]

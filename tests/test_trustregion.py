@@ -3,6 +3,7 @@ consistency at iterates, the factorization budget, and solves that
 share their start's Lanczos run through the pencil."""
 
 import copy
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +23,13 @@ from femupdate import (
     benchmarks,
     build_reduced_model,
     evaluate_full,
+    evaluate_reduced_with_gradient,
     frequencies_from_eigenvalues,
+    objective,
     solve,
+    trustregion,
 )
+from femupdate.lanczos import lanczos_smallest
 
 from conftest import ARCH_FAR_START, ARCH_TRUE, dense_smallest, random_spd_pencil
 
@@ -340,12 +345,69 @@ def test_held_start_data_is_read_only(arch_targets):
     assert scaled.pencil is pencil.scaled_by(box.midpoint())
     held = scaled.pencil._start
     assert held["key"] == (5, scaled.lanczos_tol, scaled.seed)
-    assert held["lanczos"] is evaluation.lanczos
-    arrays = [*vars(evaluation.lanczos).values(), *held["dlam"], model.s_hats, model.g_hats]
-    assert len(arrays) == 8
+    assert held["hats"][0] is model.s_hats and held["hats"][1] is model.g_hats
+    # the run keeps what later solves read: eigenvalues and tridiagonal
+    assert (held["lanczos"].basis, held["lanczos"].solves, held["lanczos"].vectors) == (None,) * 3
+    arrays = _held_arrays(held)
+    assert len(arrays) == 5
     for a in arrays:
+        assert a.shape[0] != pencil.n
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
+
+
+def test_an_inner_solve_starts_from_the_models_own_evaluation(arch_problem, monkeypatch):
+    # the model's build already evaluated the surrogate at x0
+    points = []
+
+    def recorded(model, y):
+        points.append(np.array_equal(y, model.x0))
+        return evaluate_reduced_with_gradient(model, y)
+
+    monkeypatch.setattr(trustregion, "evaluate_reduced_with_gradient", recorded)
+    result = solve(arch_problem, x0=ARCH_FAR_START)
+    assert result.converged and len(points) > result.n_outer
+    assert not any(points)
+
+
+def _held_arrays(held):
+    run = [a for a in vars(held["lanczos"]).values() if a is not None]
+    return [*run, *held["dlam"], *held["hats"]]
+
+
+def _tracked_runs(monkeypatch):
+    """Weak references to the Lanczos runs ``evaluate_full`` makes, and the
+    number of them still alive as each run starts."""
+    runs, alive = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in runs))
+        out = lanczos_smallest(*args, **kwargs)
+        runs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(objective, "lanczos_smallest", tracked)
+    return runs, alive
+
+
+def test_an_rm_solve_leaves_no_n_row_array_held(arch_targets, monkeypatch):
+    runs, _ = _tracked_runs(monkeypatch)
+    pencil, box = _fresh_arch()
+    result = solve(UpdatingProblem(pencil, box, measured=arch_targets))
+    assert result.history[0].factorizations == 1 and len(runs) > 1
+    assert all(ref() is None for ref in runs)  # the start's run included
+    held = pencil.scaled_by(result.reference)._start
+    assert all(a.shape[0] != pencil.n for a in _held_arrays(held))
+
+
+def test_no_earlier_run_of_a_solve_is_alive_when_a_trial_runs(arch_targets, monkeypatch):
+    # the iterate keeps its value and frequencies, and each trial's run
+    # goes once its model is built or its step rejected
+    runs, alive = _tracked_runs(monkeypatch)
+    pencil, box = _fresh_arch()
+    result = solve(UpdatingProblem(pencil, box, measured=arch_targets), x0=ARCH_FAR_START)
+    assert result.converged and len(runs) == result.counter.lanczos_runs > 5
+    assert alive == [0] * len(runs)
 
 
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
