@@ -24,9 +24,8 @@ Typical use::
     print(result.x, result.frequencies)
 """
 
-from .baselines import BaselineResult, solve_baseline
-from .boxmin import BoxMinResult, minimize_box, projected_gradient_norm
-from .config import RunSetup, load_config
+from .baselines import solve_baseline
+from .config import load_config
 from .errors import (
     ClusteredEigenvaluesError,
     ConfigError,
@@ -42,47 +41,25 @@ from .fem import Material, Mesh, assemble_parametric
 from .lanczos import LanczosResult, lanczos_smallest
 from .objective import (
     EvalCounter,
-    FullEvaluation,
     UpdatingProblem,
     evaluate_full,
     frequencies_from_eigenvalues,
     full_gradient,
-    make_weights,
     weighted_mismatch,
 )
 from .pencil import FeasibleBox, ParametricPencil
-from .reduced import (
-    ReducedModel,
-    build_reduced_model,
-    evaluate_reduced,
-    evaluate_reduced_with_gradient,
-    reduced_gradient,
-)
-from .sparse import (
-    CholeskyFactor,
-    SparseSymMatrix,
-    SymmetricPattern,
-    cholesky_factorize,
-)
-from .trustregion import (
-    OuterRecord,
-    SolveResult,
-    TrustRegionConfig,
-    solve,
-)
+from .reduced import build_reduced_model, evaluate_reduced, reduced_gradient
+from .sparse import SparseSymMatrix
+from .trustregion import TrustRegionConfig, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineResult",
-    "BoxMinResult",
-    "CholeskyFactor",
     "ClusteredEigenvaluesError",
     "ConfigError",
     "DimensionMismatchError",
     "EvalCounter",
     "FeasibleBox",
-    "FullEvaluation",
     "LanczosResult",
     "Material",
     "MaxIterationsError",
@@ -90,30 +67,20 @@ __all__ = [
     "ModelConsistencyError",
     "NotPositiveDefiniteError",
     "NumericalError",
-    "OuterRecord",
     "ParametricPencil",
-    "ReducedModel",
-    "RunSetup",
-    "SolveResult",
     "SparseSymMatrix",
     "SubspaceExhaustedError",
-    "SymmetricPattern",
     "SurrogateOutOfRangeError",
     "TrustRegionConfig",
     "UpdatingProblem",
     "assemble_parametric",
     "build_reduced_model",
-    "cholesky_factorize",
     "evaluate_full",
     "evaluate_reduced",
-    "evaluate_reduced_with_gradient",
     "frequencies_from_eigenvalues",
     "full_gradient",
     "lanczos_smallest",
     "load_config",
-    "make_weights",
-    "minimize_box",
-    "projected_gradient_norm",
     "reduced_gradient",
     "solve",
     "solve_baseline",

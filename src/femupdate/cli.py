@@ -99,7 +99,7 @@ def main(argv=None):
                 iterations,
             ))
             print("objective %.6e, criticality %.3e" % (result.value, result.chi))
-            for name, value in zip(setup.parameter_names, result.x):
+            for name, value in zip(setup.problem.pencil.names, result.x):
                 print("  %-24s %12.4f" % (name, value))
             print("wrote %s/summary.txt" % out)
             if setup.strategy == "RM":

@@ -43,6 +43,12 @@ def _free(text):
     return {"free_" + prop: prop in text.split() for prop in ("young", "density")}
 
 
+def _positive(text):
+    if not 0.0 < float(text) < np.inf:  # NaN fails too
+        raise ValueError("must be positive and finite")
+    return float(text)
+
+
 def _int_from(low):
     def read(text):
         if int(text) < low:
@@ -57,7 +63,7 @@ KEYS = {
     "run": dict(
         schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(_int_from(1), 1),
         modes=(_int_from(1), 5), weight_mode=(str, "uniform"), custom_weights=(_floats, None),
-        lanczos_tol=(float, 1e-5), criticality_tol=(float, 1e-4), seed=(_int_from(0), 0),
+        lanczos_tol=(_positive, 1e-5), criticality_tol=(_positive, 1e-4), seed=(_int_from(0), 0),
         strategy=(str, "RM"), start=(_start, "midpoint"), record_wall_time=(bool, False),
         output_dir=(str, "out"),
     ),
@@ -89,7 +95,6 @@ class RunSetup:
     output_dir: str
     record_wall_time: bool
     benchmark: str
-    parameter_names: list
     true_values: np.ndarray  # None when targets are measured
     noise_deltas: np.ndarray
     noise_trials: int
@@ -202,6 +207,8 @@ def load_config(path):
         pencil, box, current = assemble_parametric(mesh, materials)
     except ValueError as exc:
         raise ConfigError("cannot assemble model: %s" % exc)
+    if run["modes"] > pencil.n:
+        raise ConfigError("exceeds the model's %d free dofs" % pencil.n, "run", "modes")
     assembly_seconds = time.perf_counter() - t0
     if pencil.n_parameters == 0:
         raise ConfigError("no free parameters: mark some properties free")
@@ -264,7 +271,6 @@ def load_config(path):
         output_dir=run["output_dir"],
         record_wall_time=run["record_wall_time"],
         benchmark=bench,
-        parameter_names=list(pencil.names),
         true_values=true_values,
         noise_deltas=deltas,
         noise_trials=study["trials"],

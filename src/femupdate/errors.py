@@ -10,16 +10,16 @@ class NotPositiveDefiniteError(ValueError):
 
     Attributes
     ----------
-    pivot : int
-        Index (in the original matrix ordering) of the offending pivot.
+    pivot : int or None
+        Index (in the original matrix ordering) of the offending pivot;
+        None when the factorization does not say (an exactly singular
+        matrix on the SuperLU kernel).
     """
 
     def __init__(self, pivot):
-        self.pivot = int(pivot)
-        super().__init__(
-            "matrix is not positive definite (nonpositive pivot at index %d)"
-            % self.pivot
-        )
+        self.pivot = None if pivot is None else int(pivot)
+        super().__init__("matrix is not positive definite (nonpositive pivot at %s)" % (
+            "an unknown index" if pivot is None else "index %d" % self.pivot))
 
 
 class NumericalError(RuntimeError):

@@ -89,7 +89,7 @@ def descending_eigh(a):
     return mu[::-1], vec[:, ::-1]
 
 
-def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
+def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0):
     """Smallest s eigenpairs of the SPD pencil (K, M).
 
     Parameters
@@ -102,9 +102,6 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         Relative eigenvalue error bound at termination.
     seed : int
         Seed of the start vector; fixed seed gives a reproducible basis.
-    max_basis : int, optional
-        Basis-size cap, at least s; default max(4 s + 20, 100), never
-        above n.
 
     Raises
     ------
@@ -112,7 +109,8 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         The Krylov space spans everything reachable but holds fewer
         than s pairs.
     MaxIterationsError
-        Cap reached before the bound was met.
+        The basis cap min(n, max(4 s + 20, 100)) reached before the
+        bound was met.
     NumericalError
         alpha or beta overflowed: K or M is scaled far outside the
         floating-point range.
@@ -122,10 +120,8 @@ def lanczos_smallest(k_matrix, m_matrix, s, tol=1e-5, seed=0, max_basis=None):
         raise ValueError("K and M dimensions disagree")
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n, got s=%d, n=%d" % (s, n))
-    if max_basis is not None and max_basis < s:
-        raise ValueError("need max_basis >= s, got max_basis=%d, s=%d" % (max_basis, s))
     factor = cholesky_factorize(k_matrix)
-    cap = min(n, max(4 * s + 20, 100) if max_basis is None else int(max_basis))
+    cap = min(n, max(4 * s + 20, 100))
     rng = np.random.default_rng(seed)
     t = np.zeros((cap + 1, cap + 1))  # T_k = t[:k, :k]; beta_k in row/column k
 

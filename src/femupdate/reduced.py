@@ -134,8 +134,8 @@ def build_reduced_model(problem, evaluation):
     point are kept as ``model.at_x0``, so an inner solve starting there
     does not evaluate it again.
 
-    Raises ModelConsistencyError if the surrogate value at the point
-    differs from the evaluation's value in any bit.
+    Raises ModelConsistencyError if the surrogate value or frequencies
+    at the point differ from the evaluation's in any bit.
     """
     x0, lanczos_result = evaluation.x, evaluation.lanczos
     s_hats, g_hats = _held(problem, x0, "hats", lambda: _projections(problem.pencil, lanczos_result))
@@ -155,10 +155,10 @@ def build_reduced_model(problem, evaluation):
     # at x0 the term g_corr^T delta is zero, so one evaluation with
     # g_corr = 0 gives both the value check and the correction
     value0, f0, grad0, hess0 = evaluate_reduced_with_gradient(model, x0)
-    if value0 != phi0:
+    if value0 != phi0 or not np.array_equal(f0, evaluation.frequencies):
         raise ModelConsistencyError(
-            "surrogate value %r differs from the full value %r at its own "
-            "expansion point" % (value0, phi0)
+            "surrogate value %r or frequencies differ from the full ones (value %r) "
+            "at its own expansion point" % (value0, phi0)
         )
     model.gradient = full_gradient(problem, evaluation)
     model.g_corr = model.gradient - grad0

@@ -335,13 +335,14 @@ class SparseSymMatrix:
 
 
 def _splu(a, permc_spec):
-    """SuperLU in symmetric mode without pivoting; singular -> not SPD."""
+    """SuperLU in symmetric mode without pivoting; singular -> not SPD, with
+    the pivot unknown: SuperLU does not say which one is zero."""
     try:
         options = dict(SymmetricMode=True)
         return splu(a, diag_pivot_thresh=0.0, permc_spec=permc_spec, options=options)
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
-            raise NotPositiveDefiniteError(0) from exc
+            raise NotPositiveDefiniteError(None) from exc
         raise
 
 

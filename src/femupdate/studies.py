@@ -92,7 +92,7 @@ def run_update(setup):
         ("factorizations", str(counter.factorizations)),
         ("wall_s", _fmt(wall) if setup.record_wall_time else _fmt(0.0)),
     ]
-    for name, value in zip(setup.parameter_names, result.x):
+    for name, value in zip(setup.problem.pencil.names, result.x):
         lines.append(("parameter:%s" % name, _fmt(value)))
     for i, f in enumerate(result.frequencies):
         lines.append(("frequency:%d" % (i + 1), _fmt(f)))
@@ -100,7 +100,7 @@ def run_update(setup):
         lines.append(("target:%d" % (i + 1), _fmt(f)))
     if setup.true_values is not None:
         err = np.abs(result.x - setup.true_values) / np.abs(setup.true_values)
-        for name, e in zip(setup.parameter_names, err):
+        for name, e in zip(setup.problem.pencil.names, err):
             lines.append(("rel_error:%s" % name, _fmt(e)))
         lines.append(("rel_error:max", _fmt(float(err.max()))))
         lines.append(("rel_error:mean", _fmt(float(err.mean()))))

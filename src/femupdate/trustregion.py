@@ -20,11 +20,13 @@ ratio; its record keeps the error's name as the reason. A new surrogate
 is built only at accepted iterates, from the trial point's own Lanczos
 data, so each outer iteration costs exactly one sparse factorization.
 The start costs one more, none if the pencil holds it (``objective._held``).
-The loop keeps the iterate's value and frequencies, not its evaluation,
-and drops each trial's evaluation once its model is built or its step
-rejected, so no two Lanczos runs' n-row arrays are alive at once. Each
-inner solve starts from the model's own evaluation at its expansion
-point (``ReducedModel.at_x0``) instead of computing it again.
+The iterate is its model: x, its value and its frequencies are the
+model's expansion point and its own evaluation there
+(``ReducedModel.at_x0``), equal to the full evaluation's bit for bit
+(``build_reduced_model`` checks it). Each trial's evaluation is dropped
+once its model is built or its step rejected, so no two Lanczos runs'
+n-row arrays are alive at once, and each inner solve starts from
+``at_x0`` instead of computing it again.
 The loop stops once the projected-gradient criticality
 ||P(x - grad) - x|| is at or below the problem's tolerance. It is
 tested before every step, so a start that is already critical takes
@@ -117,7 +119,6 @@ class SolveResult:
     chi: float
     converged: bool
     n_outer: int
-    n_models: int
     counter: EvalCounter
     history: list
     reference: np.ndarray  # scaling reference (physical units of all-ones)
@@ -143,15 +144,15 @@ def solve(problem, x0=None, config=None, counter=None):
         history.append(
             OuterRecord(
                 k=len(history),
-                value=value,
-                frequencies=frequencies.copy(),
+                value=model.at_x0[0],
+                frequencies=model.at_x0[1].copy(),
                 chi=chi,
                 delta=delta,
                 rho=rho,
                 accepted=accepted,
                 factorizations=counter.factorizations,
                 wall_s=time.perf_counter() - t0 if history else 0.0,
-                x=x.copy(),
+                x=model.x0.copy(),
                 model_value_gap=model.value_gap if accepted else np.nan,
                 model_grad_gap=model.grad_gap if accepted else np.nan,
                 reason=reason,
@@ -166,16 +167,12 @@ def solve(problem, x0=None, config=None, counter=None):
             out = evaluate_reduced_with_gradient(model, y)
         return out[0], out
 
-    x = np.ones(len(reference))
-    start = evaluate_full(problem, x, counter)
-    model = build_reduced_model(problem, start)
-    # the iterate keeps its value and frequencies, not its Lanczos run
-    value, frequencies = start.value, start.frequencies
-    del start
-    chi = projected_gradient_norm(x, model.gradient, box.lower, box.upper)
+    model = build_reduced_model(problem, evaluate_full(problem, np.ones(len(reference)), counter))
+    chi = projected_gradient_norm(model.x0, model.gradient, box.lower, box.upper)
     delta = config.delta0
     record()
     while chi > problem.criticality_tol and len(history) <= config.max_outer:
+        x, value = model.x0, model.at_x0[0]
         inner = minimize_box(
             surrogate,
             lambda out: out[2],
@@ -196,9 +193,7 @@ def solve(problem, x0=None, config=None, counter=None):
                 trial = evaluate_full(problem, inner.x, counter)
                 rho = float((value - trial.value) / predicted)
                 if rho >= config.eta1:
-                    # a failed build leaves x, value and model as they were
-                    model = build_reduced_model(problem, trial)
-                    x, value, frequencies = inner.x, trial.value, trial.frequencies
+                    model = build_reduced_model(problem, trial)  # a failed build keeps it
                 else:
                     reason = "low_ratio"
             except (
@@ -215,7 +210,7 @@ def solve(problem, x0=None, config=None, counter=None):
         else:
             if rho >= config.eta2:
                 delta = min(config.growth * delta, config.delta_max)
-            chi = projected_gradient_norm(x, model.gradient, box.lower, box.upper)
+            chi = projected_gradient_norm(model.x0, model.gradient, box.lower, box.upper)
         record(
             rho=rho,
             reason=reason,
@@ -225,13 +220,12 @@ def solve(problem, x0=None, config=None, counter=None):
         )
 
     return SolveResult(
-        x=x * reference,
-        value=value,
-        frequencies=frequencies.copy(),
+        x=model.x0 * reference,
+        value=model.at_x0[0],
+        frequencies=model.at_x0[1].copy(),
         chi=chi,
         converged=chi <= problem.criticality_tol,
         n_outer=len(history) - 1,
-        n_models=sum(rec.accepted for rec in history),
         counter=counter,
         history=history,
         reference=reference,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from femupdate import minimize_box, projected_gradient_norm
+from femupdate.boxmin import minimize_box, projected_gradient_norm
 
 
 def test_projected_gradient_norm_hand_values():

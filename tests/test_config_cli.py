@@ -66,7 +66,7 @@ def test_load_config_full_round_trip(tmp_path):
     setup = load_config(path)
     assert setup.benchmark == "arch"
     assert setup.strategy == "RM"
-    assert setup.parameter_names == [
+    assert setup.problem.pencil.names == [
         "young:pier_left", "density:pier_left", "young:pier_right",
     ]
     assert np.array_equal(setup.start, [2000.0, 1100.0, 2000.0]) or np.array_equal(
@@ -81,7 +81,7 @@ def test_load_config_full_round_trip(tmp_path):
 def test_material_override_reduces_parameters(tmp_path):
     path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "out"))
     setup = load_config(path)
-    assert setup.parameter_names == ["young:arch", "density:arch"]
+    assert setup.problem.pencil.names == ["young:arch", "density:arch"]
     assert np.array_equal(setup.start, setup.problem.box.midpoint())
 
 
@@ -180,6 +180,12 @@ def test_config_error_cases(tmp_path):
             r"^\[targets\] noise_seed: ",
         ),
         ("study_seed", BASE + "[noise_study]\nseed = -5\n", r"^\[noise_study\] seed: "),
+        # run tolerances: positive and finite, NaN included
+        *[
+            ("%s_%s" % (key, value), BASE.replace("seed = 0", "seed = 0\n%s = %s" % (key, value)),
+             r"^\[run\] %s: " % key)
+            for key in ("lanczos_tol", "criticality_tol") for value in ("-1", "nan")
+        ],
         # unknown sections and keys
         ("unknown_tr_key", BASE + "[trust_region]\ndelta_0 = 5\n", r"\[trust_region\] delta_0:"),
         (
@@ -294,7 +300,7 @@ def test_external_mesh_matches_builtin(tmp_path, arch, arch_targets):
         % (mesh_path, tmp_path / "out", "\n".join(sections))
     )
     setup = load_config(write(tmp_path, text))
-    assert setup.parameter_names == pencil.names
+    assert setup.problem.pencil.names == pencil.names
     assert np.allclose(setup.problem.measured, arch_targets, rtol=1e-9)
 
 
@@ -450,6 +456,27 @@ def test_a_refine_beyond_the_size_limit_exits_2_before_meshing(tmp_path, capsys)
         assert capsys.readouterr().err.startswith("config error: [run] refine: 1000000 gives ")
 
 
+def test_modes_beyond_the_free_dofs_exit_2_after_assembly(tmp_path, capsys):
+    # arch r1 has 851 free dofs; 10**6 generated targets would be allocated first
+    for modes in (852, 10**6):
+        path = write(tmp_path, BASE.format(out=tmp_path).replace("modes = 5", "modes = %d" % modes))
+        assert main(["eigs", path]) == 2
+        assert capsys.readouterr().err == "config error: [run] modes: exceeds the model's 851 free dofs\n"
+
+
+def test_generated_targets_take_seeded_noise_within_its_band(tmp_path):
+    def targets(extra):
+        path = write(tmp_path, BASE.format(out=tmp_path) + extra)
+        return load_config(path).problem.measured
+
+    clean = targets("")
+    first, again, other = (targets("noise = 0.01\nnoise_seed = %d\n" % seed) for seed in (1, 1, 2))
+    # each target moves by a factor in [0.99, 1.01], then all are sorted
+    assert np.all(np.abs(first - clean) <= 0.01 * clean) and np.all(np.diff(first) >= 0.0)
+    assert not np.array_equal(first, clean)
+    assert np.array_equal(first, again) and not np.array_equal(first, other)
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad = write(tmp_path, BASE.format(out=tmp_path).replace("strategy = RM", "strategy = BB"))
     assert main(["update", bad]) == 2
@@ -475,7 +502,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                       ("lanczos_tol = nan", "lanczos_tol")):
         text = BASE.format(out=tmp_path).replace("strategy = RM", "strategy = RM\n" + line)
         assert main(["update", write(tmp_path, text, "tol.ini")]) == 2
-        assert key + " must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [run] %s: " % key) and "must be positive and finite" in err
     for noise in ("nan", "-0.5"):
         text = BASE.format(out=tmp_path) + "noise = %s\n" % noise
         assert main(["update", write(tmp_path, text, "noise.ini")]) == 2

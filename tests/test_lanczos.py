@@ -13,13 +13,14 @@ from femupdate import (
     MaxIterationsError,
     NumericalError,
     SparseSymMatrix,
+    SubspaceExhaustedError,
     assemble_parametric,
     benchmarks,
-    cholesky_factorize,
     lanczos_smallest,
 )
 from femupdate import lanczos
 from femupdate.lanczos import LanczosResult, descending_eigh
+from femupdate.sparse import cholesky_factorize
 import scipy.linalg as sla
 
 from conftest import random_spd_pencil
@@ -137,20 +138,18 @@ def test_overflow_is_a_numerical_error_without_a_warning():
 
 
 def test_basis_cap_raises_max_iterations():
+    # no residual bound reaches tol 0 before the cap max(4 s + 20, 100)
     rng = np.random.default_rng(36)
     k, m = random_spd_pencil(200, rng)
-    with pytest.raises(MaxIterationsError, match=r"basis cap 7 reached .* \(tol 1e-12\)"):
-        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
+    with pytest.raises(MaxIterationsError, match=r"basis cap 100 reached .* \(tol 0\)"):
+        lanczos_smallest(k, m, s=5, tol=0.0)
 
 
-def test_basis_cap_below_block_count_is_rejected():
-    # a cap below s can never hold s pairs; 0 is such a cap, not the default
-    rng = np.random.default_rng(37)
-    k, m = random_spd_pencil(50, rng)
-    for cap in (3, 0):
-        with pytest.raises(ValueError, match="max_basis"):
-            lanczos_smallest(k, m, s=5, max_basis=cap)
-    assert lanczos_smallest(k, m, s=5, max_basis=50).m <= 50
+def test_a_krylov_space_with_too_few_pairs_is_exhausted():
+    # K^{-1} M has rank 2, so a restart after two steps finds no new direction
+    m = SparseSymMatrix.from_full(np.diag([1.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(SubspaceExhaustedError, match="exhausted with 2 of 3 pairs available"):
+        lanczos_smallest(identity(6), m, s=3)
 
 
 def test_validates_block_count():
@@ -248,17 +247,15 @@ def test_a_second_run_leaves_the_first_result_alone():
 def test_runs_on_one_pattern_borrow_one_workspace_and_grow_it():
     rng = np.random.default_rng(42)
     k, m = random_spd_pencil(200, rng)
-    lanczos_smallest(k, m, s=2, tol=1e-8, max_basis=40)
+    lanczos_smallest(k, m, s=2, tol=1e-8)  # cap max(4 s + 20, 100)
     held = lent_workspace(k)
-    assert held.shape == (200, 3 * 40) and held.flags.f_contiguous
-    lanczos_smallest(SparseSymMatrix(k.pattern, 3.0 * k.data), m, s=2, tol=1e-8, max_basis=40)
+    assert held.shape == (200, 3 * 100) and held.flags.f_contiguous
+    lanczos_smallest(SparseSymMatrix(k.pattern, 3.0 * k.data), m, s=5, tol=1e-8)
     assert lent_workspace(k) is held
-    lanczos_smallest(k, m, s=2, tol=1e-8)  # default cap max(4 s + 20, 100)
-    assert lent_workspace(k).shape == (200, 3 * 100)
     lanczos_smallest(k, m, s=30, tol=1e-6)  # cap 4 s + 20
     grown = lent_workspace(k)
     assert grown.shape == (200, 3 * 140)
-    lanczos_smallest(k, m, s=2, tol=1e-8, max_basis=40)  # fits: no new array
+    lanczos_smallest(k, m, s=2, tol=1e-8)  # fits: no new array
     assert lent_workspace(k) is grown
 
 
@@ -268,7 +265,7 @@ def test_errors_give_the_workspace_back(monkeypatch):
     lanczos_smallest(k, m, s=5, tol=1e-8)
     held = lent_workspace(k)
     with pytest.raises(MaxIterationsError):
-        lanczos_smallest(k, m, s=5, tol=1e-12, max_basis=7)
+        lanczos_smallest(k, m, s=5, tol=0.0)  # fails at the cap, 100
     assert lent_workspace(k) is held
     matvec, calls = m.matvec, []
 

@@ -15,10 +15,9 @@ from femupdate import (
     evaluate_full,
     frequencies_from_eigenvalues,
     full_gradient,
-    make_weights,
     weighted_mismatch,
 )
-from femupdate.objective import eigenvalue_derivatives, residual_jacobian, residuals
+from femupdate.objective import eigenvalue_derivatives, make_weights, residual_jacobian, residuals
 
 from conftest import random_banded_spd, random_spd_pencil
 

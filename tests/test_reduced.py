@@ -11,22 +11,20 @@ from femupdate import (
     FeasibleBox,
     ModelConsistencyError,
     ParametricPencil,
-    ReducedModel,
     SparseSymMatrix,
     SurrogateOutOfRangeError,
     UpdatingProblem,
     build_reduced_model,
-    cholesky_factorize,
     evaluate_full,
     evaluate_reduced,
-    evaluate_reduced_with_gradient,
     full_gradient,
     frequencies_from_eigenvalues,
     reduced_gradient,
     weighted_mismatch,
 )
 from femupdate.objective import eigenvalue_derivatives
-from femupdate.reduced import Z_FLOOR
+from femupdate.reduced import Z_FLOOR, ReducedModel, evaluate_reduced_with_gradient
+from femupdate.sparse import cholesky_factorize
 
 from conftest import random_banded_spd, random_spd_pencil
 

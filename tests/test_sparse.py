@@ -10,7 +10,6 @@ from scipy.sparse.csgraph import dijkstra
 import femupdate.sparse as sparse
 
 from femupdate import (
-    CholeskyFactor,
     DimensionMismatchError,
     Material,
     Mesh,
@@ -18,9 +17,9 @@ from femupdate import (
     SparseSymMatrix,
     assemble_parametric,
     benchmarks,
-    cholesky_factorize,
     lanczos_smallest,
 )
+from femupdate.sparse import CholeskyFactor, cholesky_factorize
 
 from conftest import grid_mesh, random_banded_spd
 
@@ -180,6 +179,20 @@ def test_both_kernels_solve_and_locate_pivots(kind, data, seed):
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_factorize(SparseSymMatrix(a.pattern, data))
     assert err.value.pivot == k
+
+
+def test_superlu_reports_an_exactly_singular_pivot_as_unknown():
+    # SuperLU says only "exactly singular", not which pivot is zero
+    rng = np.random.default_rng(5)
+    n = 300
+    pairs = [(h, j) for h in (0, 1) for j in range(n)] + list(rng.integers(0, n, (n // 4, 2)))
+    a = _random_spd_on(n, pairs, rng)
+    assert _kernel(a.pattern) == "superlu"
+    data = a.data.copy()
+    data[(a.pattern.keys() // n == 5) | (a.pattern.indices == 5)] = 0.0  # row and column 5
+    with pytest.raises(NotPositiveDefiniteError, match="pivot at an unknown index") as err:
+        cholesky_factorize(SparseSymMatrix(a.pattern, data))
+    assert err.value.pivot is None
 
 
 def _ones(pattern):

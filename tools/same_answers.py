@@ -1,6 +1,6 @@
 """Check that a change gives the same answers as another checkout.
 
-    python tools/same_answers.py <other checkout> [--solves 40]
+    python tools/same_answers.py <other checkout> [--solves 40] [--hidden]
 
 Runs the same RM solves (true points from Sobol seed 41) on every gated
 workload, on this checkout and on the other one,
@@ -31,6 +31,22 @@ that and not with the answers. The number of solves per tree that
 reused the start is printed beside them. Exits 1 if the pencil
 digests, any trial or inner-iteration count, a converged flag or a
 raised error differ, else 0.
+
+``--hidden`` then prints a table of rows the gate does not draw: the
+``arch`` r1 and r3 far starts, ``vault`` r1 from the midpoint with 10
+modes relative and with 5 modes uniform, ``vault`` r2 from the
+midpoint, and 32 Sobol truths (seed 41) at spread 0.25 on ``arch`` r1,
+on ``vault`` r1 with 10 modes relative, and on ``vault`` r1 with 5
+modes uniform (rank-deficient: the data cannot pin every parameter).
+Per row and tree it gives the mean factorizations (the start's counted
+once, held or not) and surrogate evaluations (calls of
+``evaluate_reduced_with_gradient`` from the trust region) per solve,
+and the total inner ``maxiter`` stops, failures (not converged, or a
+final frequency error above ``worker.FREQ_TOL``), mode-swap endpoints
+(a final mode whose best MAC partner at the truth is another mode) and
+seconds of solving; then whether every solve's counts and flags are
+equal on both trees. The table is informative: it leaves the exit
+status as it is.
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +67,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 GATED = ("arch-rm", "vault-rm")
 SEED = 41  # Sobol seed of the true points
+# --hidden rows: (structure, refine, modes, weights, start, truths); a start
+# or a truth names a benchmarks constant, None is the box midpoint, and a
+# number of truths means that many Sobol truths at spread 0.25
+HIDDEN = {
+    "arch r1, far start": ("arch", 1, 5, "uniform", "ARCH_FAR_START", "ARCH_TRUE"),
+    "arch r3, far start": ("arch", 3, 5, "uniform", "ARCH_FAR_START", "ARCH_TRUE"),
+    "vault r1, 10 modes relative": ("vault", 1, 10, "relative", None, "VAULT_TRUE"),
+    "vault r1, 5 modes uniform": ("vault", 1, 5, "uniform", None, "VAULT_TRUE"),
+    "vault r2, 10 modes relative": ("vault", 2, 10, "relative", None, "VAULT_TRUE"),
+    "arch r1, 32 truths": ("arch", 1, 5, "uniform", None, 32),
+    "vault r1 (10 rel.), 32 truths": ("vault", 1, 10, "relative", None, 32),
+    "rank-deficient: vault r1 (5 uni.), 32 truths": ("vault", 1, 5, "uniform", None, 32),
+}
 
 
 def pencil_digest(pencil, box, start):
@@ -70,16 +100,23 @@ def pencil_digest(pencil, box, start):
     return digest.hexdigest()
 
 
-def run_tree(workload, solves):
-    """Solve in this process with whatever ``femupdate`` is importable;
-    returns the pencil digest and one record per solve."""
+def tree_package():
+    """The ``femupdate`` on ``PYTHONPATH``, with ``perfbench/`` importable."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import femupdate as fu
-    from worker import WORKLOADS, make_problem, true_points
 
     src = Path(os.environ["PYTHONPATH"]).resolve()
     if not Path(fu.__file__).resolve().is_relative_to(src):
         raise SystemExit("femupdate imported from %s, not from %s" % (fu.__file__, src))
+    return fu
+
+
+def run_tree(workload, solves):
+    """Solve in this process with whatever ``femupdate`` is importable;
+    returns the pencil digest and one record per solve."""
+    fu = tree_package()
+    from worker import WORKLOADS, make_problem, true_points
+
     spec = WORKLOADS[workload]
     mesh, materials = fu.benchmarks.benchmark(spec["structure"], spec["refine"])
     pencil, box, start = fu.assemble_parametric(mesh, materials)
@@ -105,6 +142,75 @@ def run_tree(workload, solves):
         })
     return {"pencil": pencil_digest(pencil, box, start), "kernel": kernel, "solves": records,
             "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def run_hidden():
+    """Solve every --hidden row with whatever ``femupdate`` is importable;
+    returns one record list per row."""
+    fu = tree_package()
+    from worker import FREQ_TOL, true_points
+
+    evaluate, calls = fu.trustregion.evaluate_reduced_with_gradient, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    fu.trustregion.evaluate_reduced_with_gradient = counted
+    rows = {}
+    for label, (structure, refine, modes, weights, start, truths) in HIDDEN.items():
+        pencil, box, _ = fu.assemble_parametric(*fu.benchmarks.benchmark(structure, refine))
+        x0 = None if start is None else np.array(getattr(fu.benchmarks, start))
+        if isinstance(truths, int):
+            truths = true_points(box, 0.25, SEED, int(math.log2(truths)))
+        else:
+            truths = [np.array(getattr(fu.benchmarks, truths))]
+        probe = fu.UpdatingProblem(pencil, box, measured=np.ones(modes), weights=weights)
+        rows[label] = records = []
+        for truth in truths:
+            at_truth = fu.evaluate_full(probe, truth)
+            problem = fu.UpdatingProblem(pencil, box, measured=at_truth.frequencies,
+                                         weights=weights)
+            counter, calls[0], t0 = fu.EvalCounter(), 0, time.perf_counter()
+            try:
+                result = fu.solve(problem, x0=x0, counter=counter)
+            except Exception as exc:  # compared like any other outcome
+                records.append({"error": type(exc).__name__, "seconds": time.perf_counter() - t0})
+                continue
+            seconds = time.perf_counter() - t0
+            error = np.max(np.abs(result.frequencies - problem.measured) / problem.measured)
+            end, true = fu.evaluate_full(probe, result.x).lanczos.vectors, at_truth.lanczos.vectors
+            mac = (end.T @ true) ** 2 / np.outer(np.sum(end**2, 0), np.sum(true**2, 0))
+            records.append({
+                "factorizations": counter.factorizations - result.history[0].factorizations + 1,
+                "evaluations": calls[0],
+                "maxiter": sum(rec.inner_status == "maxiter" for rec in result.history),
+                "failed": bool(not result.converged or not error <= FREQ_TOL),
+                "swapped": bool(np.any(np.argmax(mac, axis=1) != np.arange(modes))),
+                "seconds": seconds,
+            })
+    return rows
+
+
+def hidden_cell(records):
+    """One tree's cell of a --hidden row."""
+    solved = [r for r in records if "error" not in r]
+    per, total = len(solved) or math.nan, lambda key: sum(r[key] for r in solved)
+    return "%.2f / %.1f; %d maxiter, %d failed, %d swapped; %.2f s" % (
+        total("factorizations") / per, total("evaluations") / per, total("maxiter"),
+        len(records) - len(solved) + total("failed"), total("swapped"),
+        sum(r["seconds"] for r in records))
+
+
+def print_hidden(parent, this):
+    print("hidden rows: factorizations / surrogate evaluations per solve; inner maxiter "
+          "stops, failed and mode-swapped solves; seconds (informative)")
+    print("| row | solves | other | this | counts |\n| --- | --- | --- | --- | --- |")
+    counts = lambda side: [{k: v for k, v in r.items() if k != "seconds"} for r in side]
+    for label in HIDDEN:
+        a, b = parent[label], this[label]
+        print("| %s | %d | %s | %s | %s |" % (label, len(b), hidden_cell(a), hidden_cell(b),
+                                             "equal" if counts(a) == counts(b) else "DIFFER"))
 
 
 def solve_in(tree, workload, solves):
@@ -152,10 +258,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", help="the other checkout (e.g. the parent commit)")
     parser.add_argument("--solves", type=int, default=40)
+    parser.add_argument("--hidden", action="store_true",
+                        help="also print the table of rows the gate does not draw")
     parser.add_argument("--run", help=argparse.SUPPRESS)  # internal: one tree, one workload
     args = parser.parse_args(argv)
     if args.run:
-        print(json.dumps(run_tree(args.run, args.solves)))
+        rows = run_hidden() if args.run == "hidden" else run_tree(args.run, args.solves)
+        print(json.dumps(rows))
         return 0
     if args.other is None:
         parser.error("give the other checkout")
@@ -164,6 +273,8 @@ def main(argv=None):
         parent = solve_in(args.other, workload, args.solves)
         this = solve_in(ROOT, workload, args.solves)
         ok &= compare(workload, parent, this)
+    if args.hidden:
+        print_hidden(solve_in(args.other, "hidden", 0), solve_in(ROOT, "hidden", 0))
     return 0 if ok else 1
 
 
