@@ -50,7 +50,7 @@ from .objective import (
 from .pencil import FeasibleBox, ParametricPencil
 from .reduced import build_reduced_model, evaluate_reduced, reduced_gradient
 from .sparse import SparseSymMatrix
-from .trustregion import TrustRegionConfig, solve
+from .trustregion import solve
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "SparseSymMatrix",
     "SubspaceExhaustedError",
     "SurrogateOutOfRangeError",
-    "TrustRegionConfig",
     "UpdatingProblem",
     "assemble_parametric",
     "build_reduced_model",

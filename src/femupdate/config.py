@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from .errors import ConfigError
 from .fem import Material, Mesh, assemble_parametric
 from .objective import UpdatingProblem, evaluate_full
 from .studies import STRATEGIES, perturbed_targets
-from .trustregion import TrustRegionConfig
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # default of a key that must be given
+MAX_TRIALS = 10_000  # 50,000 solves at the five default noise levels, more than any study needs
 
 
 def _floats(text):
@@ -43,16 +43,20 @@ def _free(text):
     return {"free_" + prop: prop in text.split() for prop in ("young", "density")}
 
 
-def _positive(text):
-    if not 0.0 < float(text) < np.inf:  # NaN fails too
-        raise ValueError("must be positive and finite")
-    return float(text)
-
-
-def _int_from(low):
+def _positive(below=np.inf):
+    rule = "must be positive and finite" + ("" if below == np.inf else " and below %g" % below)
     def read(text):
-        if int(text) < low:
-            raise ValueError("must be an integer >= %d" % low)
+        if not 0.0 < float(text) < below:  # NaN fails too
+            raise ValueError(rule)
+        return float(text)
+    return read
+
+
+def _int_from(low, high=np.inf):
+    rule = "must be an integer >= %d" % low + ("" if high == np.inf else " and <= %d" % high)
+    def read(text):
+        if not low <= int(text) <= high:
+            raise ValueError(rule)
         return int(text)
     return read
 
@@ -63,17 +67,17 @@ KEYS = {
     "run": dict(
         schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(_int_from(1), 1),
         modes=(_int_from(1), 5), weight_mode=(str, "uniform"), custom_weights=(_floats, None),
-        lanczos_tol=(_positive, 1e-5), criticality_tol=(_positive, 1e-4), seed=(_int_from(0), 0),
-        strategy=(str, "RM"), start=(_start, "midpoint"), record_wall_time=(bool, False),
-        output_dir=(str, "out"),
+        lanczos_tol=(_positive(1.0), 1e-5), criticality_tol=(_positive(), 1e-4),
+        seed=(_int_from(0), 0), strategy=(str, "RM"), start=(_start, "midpoint"),
+        record_wall_time=(bool, False), output_dir=(str, "out"),
     ),
-    "trust_region": {f.name: (type(f.default), f.default) for f in fields(TrustRegionConfig)},
+    "trust_region": dict(max_outer=(_int_from(0), 100)),
     "targets": dict(
         mode=(str, _REQUIRED), values=(_floats, _REQUIRED), noise=(float, 0.0),
         noise_seed=(_int_from(0), 1),
     ),
     "noise_study": dict(
-        deltas=(_floats, (1e-4, 1e-3, 1e-2, 1e-1, 1.0)), trials=(_int_from(1), 5),
+        deltas=(_floats, (1e-4, 1e-3, 1e-2, 1e-1, 1.0)), trials=(_int_from(1, MAX_TRIALS), 5),
         seed=(_int_from(0), 2024),
     ),
     "material.<name>": dict(
@@ -90,7 +94,7 @@ class RunSetup:
 
     problem: UpdatingProblem
     start: np.ndarray  # physical units
-    tr_config: TrustRegionConfig
+    max_outer: int
     strategy: str
     output_dir: str
     record_wall_time: bool
@@ -164,6 +168,8 @@ def _materials(conf, mesh, materials):
             if getattr(mat, "free_" + prop) and not 0.0 < lower < upper < np.inf:
                 raise ConfigError("a free property needs finite bounds 0 < lower < upper, got "
                                   "%r %r" % (lower, upper), section, prop + "_bounds")
+        if not 0.0 <= mat.poisson < 0.5:  # NaN fails too
+            raise ConfigError("must lie in [0, 0.5), got %r" % mat.poisson, section, "poisson")
     if None in out:
         raise ConfigError("external mesh: no material section declares region %d"
                           % (out.index(None) + 1))
@@ -245,8 +251,8 @@ def load_config(path):
         if not box.contains(true_values):
             raise ConfigError("values lie outside the feasible box", "targets", "values")
         noise = targets["noise"]
-        if not 0.0 <= noise < np.inf:  # NaN fails too
-            raise ConfigError("must be nonnegative and finite, got %r" % noise, "targets", "noise")
+        if not 0.0 <= noise <= 1.0:  # NaN fails too; above 1 a factor 1 + noise * u can be < 0
+            raise ConfigError("must be nonnegative and finite, at most 1, got %r" % noise, "targets", "noise")
         measured = evaluate_full(make_problem(np.arange(1.0, s + 1.0)), true_values).frequencies
         if noise > 0.0:
             rng = np.random.default_rng([targets["noise_seed"], 0])
@@ -260,13 +266,13 @@ def load_config(path):
         raise ConfigError("mode must be 'generate' or 'measured'", "targets", "mode")
 
     deltas = np.array(study["deltas"])
-    if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas > 0.0)):
-        raise ConfigError("needs positive, finite noise levels", "noise_study", "deltas")
+    if deltas.size == 0 or not np.all((deltas > 0.0) & (deltas <= 1.0)):
+        raise ConfigError("needs noise levels in (0, 1]", "noise_study", "deltas")
 
     return RunSetup(
         problem=make_problem(measured, weights),
         start=start,
-        tr_config=TrustRegionConfig(**conf["trust_region"]),
+        max_outer=conf["trust_region"]["max_outer"],
         strategy=strategy,
         output_dir=run["output_dir"],
         record_wall_time=run["record_wall_time"],

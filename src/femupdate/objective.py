@@ -80,8 +80,8 @@ class UpdatingProblem:
 
     Parameters are validated on construction: at least one free
     parameter, finite positive nondecreasing targets, box matching
-    the parameter count, finite positive tolerances. ``weights`` may
-    be a mode name or a vector.
+    the parameter count, finite positive tolerances (``lanczos_tol``
+    below 1). ``weights`` may be a mode name or a vector.
     """
 
     pencil: object
@@ -96,10 +96,11 @@ class UpdatingProblem:
         m = self.measured = np.asarray(self.measured, dtype=np.float64)
         if self.pencil.n_parameters == 0:
             raise ValueError("empty free-parameter set: nothing to update")
-        for key in ("lanczos_tol", "criticality_tol"):
+        # a relative eigenvalue bound of 1 or more certifies nothing
+        for key, below, rule in (("lanczos_tol", 1.0, " and below 1"), ("criticality_tol", np.inf, "")):
             tol = getattr(self, key)
-            if not 0.0 < tol < np.inf:  # NaN fails too
-                raise ValueError("%s must be positive and finite, got %r" % (key, tol))
+            if not 0.0 < tol < below:  # NaN fails too
+                raise ValueError("%s must be positive and finite%s, got %r" % (key, rule, tol))
         if len(self.box) != self.pencil.n_parameters:
             raise DimensionMismatchError(
                 "box has %d bounds for %d parameters"

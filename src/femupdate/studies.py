@@ -52,12 +52,12 @@ def run_strategy(setup, strategy, counter):
     stopping status.
     """
     if strategy == "RM":
-        result = solve(setup.problem, x0=setup.start, config=setup.tr_config,
-                       counter=counter)
+        result = solve(setup.problem, x0=setup.start, counter=counter,
+                       max_outer=setup.max_outer)
         return result, result.n_outer, "converged" if result.converged else "maxiter"
     result = solve_baseline(
         setup.problem, setup.start, strategy, counter=counter,
-        max_iter=setup.tr_config.max_outer * 10,
+        max_iter=setup.max_outer * 10,
     )
     return result, result.iterations, result.status
 
@@ -139,7 +139,7 @@ def run_noise_study(setup):
             rng = np.random.default_rng([setup.noise_seed, a, b])
             noisy = perturbed_targets(clean, float(delta), rng)
             problem = replace(setup.problem, measured=noisy, weights="relative")
-            result = solve(problem, x0=setup.start, config=setup.tr_config)
+            result = solve(problem, x0=setup.start, max_outer=setup.max_outer)
             err = float(
                 np.max(np.abs(result.x - setup.true_values) / np.abs(setup.true_values))
             )

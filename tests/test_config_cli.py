@@ -1,13 +1,16 @@
 """INI configuration loading, study writers, and the command line."""
 
 import configparser
+import contextlib
 import csv
+import io
 import os
 import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from femupdate import ConfigError, NotPositiveDefiniteError, benchmarks, load_config, studies
 from femupdate.cli import main
@@ -88,6 +91,10 @@ def test_material_override_reduces_parameters(tmp_path):
 MEASURED = BASE.replace("mode = generate", "mode = measured").replace(
     "values = 5000 2200 4800", "values = 18 28 49 50 65"
 )
+
+# the trust region's radius policy and inner tolerance, now module constants
+FORMER_TR_KEYS = dict(eta1="0.05", eta2="0.9", gamma2="0.5", growth="2.0", delta0="0.1",
+                      delta_max="1.0", inner_tol="1e-8")
 
 
 def test_config_error_cases(tmp_path):
@@ -180,11 +187,25 @@ def test_config_error_cases(tmp_path):
             r"^\[targets\] noise_seed: ",
         ),
         ("study_seed", BASE + "[noise_study]\nseed = -5\n", r"^\[noise_study\] seed: "),
-        # run tolerances: positive and finite, NaN included
+        # run tolerances: positive and finite, NaN included; lanczos_tol below 1
         *[
             ("%s_%s" % (key, value), BASE.replace("seed = 0", "seed = 0\n%s = %s" % (key, value)),
              r"^\[run\] %s: " % key)
-            for key in ("lanczos_tol", "criticality_tol") for value in ("-1", "nan")
+            for key, values in (("lanczos_tol", ("-1", "nan", "1", "10")),
+                                ("criticality_tol", ("-1", "nan")))
+            for value in values
+        ],
+        # relative noise above 1 can make a target negative
+        *[
+            ("noise_" + value, BASE + "noise = %s\n" % value, r"^\[targets\] noise: ")
+            for value in ("1.5", "2", "inf")
+        ],
+        # Poisson ratio in [0, 0.5), every region
+        *[
+            ("poisson_%s_%s" % (name, value), BASE + "[material.%s]\npoisson = %s\n" % (name, value),
+             r"^\[material\.%s\] poisson: " % name)
+            for name, value in (("arch", "0.5"), ("arch", "-0.1"), ("pier_left", "0.7"),
+                                ("pier_right", "nan"), ("arch", "inf"))
         ],
         # unknown sections and keys
         ("unknown_tr_key", BASE + "[trust_region]\ndelta_0 = 5\n", r"\[trust_region\] delta_0:"),
@@ -200,31 +221,22 @@ def test_config_error_cases(tmp_path):
             BASE + "[material.arch]\nyoungs = 3000\n",
             r"\[material\.arch\] youngs:",
         ),
-        # trust-region values the solver cannot use: 0 < eta1 <= eta2 < 1,
-        # 0 < gamma2 < 1, growth >= 1, 0 < delta0 <= delta_max,
-        # max_outer >= 0, inner_tol > 0; NaN fails every rule
+        # [trust_region] takes only max_outer >= 0: even the former keys'
+        # defaults are unknown keys now
+        ("tr_max_outer", BASE + "[trust_region]\nmax_outer = -1\n", r"^\[trust_region\] max_outer: "),
         *[
             ("tr_" + key, BASE + "[trust_region]\n%s = %s\n" % (key, value),
-             r"\[trust_region\] %s:" % key)
-            for key, value in (
-                ("delta0", "0"), ("delta0", "-0.1"), ("delta0", "2"), ("eta1", "2"),
-                ("eta1", "0"), ("eta2", "1"), ("eta2", "nan"), ("gamma2", "1.5"),
-                ("gamma2", "0"), ("growth", "0.5"), ("delta_max", "0"),
-                ("max_outer", "-1"), ("inner_tol", "-1"), ("inner_tol", "0"),
-            )
+             r"^\[trust_region\] %s: unknown key" % key)
+            for key, value in FORMER_TR_KEYS.items()
         ],
-        (
-            "tr_eta1_above_eta2",
-            BASE + "[trust_region]\neta1 = 0.5\neta2 = 0.4\n",
-            r"\[trust_region\] eta1:",
-        ),
         # noise-study values the study cannot use
         *[
             ("noise_" + key, BASE + "[noise_study]\n%s = %s\n" % (key, value),
              r"\[noise_study\] %s:" % key)
             for key, value in (
                 ("deltas", "0 1e-3"), ("deltas", "-1e-3"), ("deltas", "1e-3 inf"),
-                ("deltas", "nan"), ("deltas", ""), ("trials", "0"), ("trials", "-2"),
+                ("deltas", "nan"), ("deltas", ""), ("deltas", "0.01 2"), ("deltas", "1.0001"),
+                ("trials", "0"), ("trials", "-2"), ("trials", "10001"),
             )
         ],
     ]
@@ -239,7 +251,7 @@ def test_config_error_cases(tmp_path):
     for section, table in KEYS.items()
     for key, (reader, _) in table.items()
     if reader is not str
-])
+] + [("trust_region", key) for key in FORMER_TR_KEYS])  # unknown keys, whatever the value
 def test_config_parse_error_names_the_key(tmp_path, section, key):
     parser = configparser.ConfigParser()
     parser.read_string(BASE.format(out=tmp_path / "out"))
@@ -456,12 +468,57 @@ def test_a_refine_beyond_the_size_limit_exits_2_before_meshing(tmp_path, capsys)
         assert capsys.readouterr().err.startswith("config error: [run] refine: 1000000 gives ")
 
 
+def test_trials_beyond_the_bound_exit_2_before_assembly(tmp_path, capsys):
+    # 10**12 trials at the five default levels died allocating a 36.4 TiB
+    # error table, an uncaught traceback
+    text = BASE.format(out=tmp_path) + "[noise_study]\ntrials = 1000000000000\n"
+    t0 = time.perf_counter()
+    assert main(["noise-study", write(tmp_path, text)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "config error: [noise_study] trials: cannot read '1000000000000': "
+        "must be an integer >= 1 and <= 10000\n")
+
+
 def test_modes_beyond_the_free_dofs_exit_2_after_assembly(tmp_path, capsys):
     # arch r1 has 851 free dofs; 10**6 generated targets would be allocated first
     for modes in (852, 10**6):
         path = write(tmp_path, BASE.format(out=tmp_path).replace("modes = 5", "modes = %d" % modes))
         assert main(["eigs", path]) == 2
         assert capsys.readouterr().err == "config error: [run] modes: exceeds the model's 851 free dofs\n"
+
+
+FUZZ_KEYS = [
+    (name, key)
+    for section, table in KEYS.items()
+    for name in (("material.arch", "material.pier_left") if section == "material.<name>" else (section,))
+    for key in table
+]
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "2", "0.7", "1e300", "1e-300", str(10**12), "text", "")
+
+
+@given(where=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=500)
+def test_any_one_key_set_to_any_value_runs_or_names_a_key(tmp_path_factory, where, value):
+    # eigs on a valid arch r1 config with one key changed: it runs, or it
+    # fails in one line with a documented exit code; a config error names
+    # [section] key, and an exit 2 that does not is the indefinite start
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE.format(out=tmp_path_factory.getbasetemp() / "out"))
+    if not parser.has_section(where[0]):
+        parser.add_section(where[0])
+    parser.set(where[0], where[1], value)
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eigs", str(path)])
+    err = err.getvalue()
+    assert code in (0, 2, 3) and err.count("\n") <= 1, (code, err)
+    if code == 2:
+        assert re.match(r"config error: \[[\w.]+\] \w+: ", err) or (
+            err.startswith("error: ") and "not positive definite" in err), err
 
 
 def test_generated_targets_take_seeded_noise_within_its_band(tmp_path):
@@ -482,9 +539,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["update", bad]) == 2
     assert "not supported" in capsys.readouterr().err
     assert main(["update", str(tmp_path / "missing.ini")]) == 2
-    tr = write(tmp_path, BASE.format(out=tmp_path) + "[trust_region]\ngamma2 = 1.5\n", "tr.ini")
+    tr = write(tmp_path, BASE.format(out=tmp_path) + "[trust_region]\nmax_outer = -1\n", "tr.ini")
     assert main(["update", tr]) == 2
-    assert "[trust_region] gamma2:" in capsys.readouterr().err
+    assert "[trust_region] max_outer:" in capsys.readouterr().err
     # non-finite targets and weights are validation errors, not numerical ones
     generated = "mode = generate\nvalues = 5000 2200 4800"
     for values in ("nan 20 30 40 50", "10 20 30 40 inf"):
@@ -499,12 +556,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     # tolerances and noise must be finite and in range; NaN included
     for line, key in (("criticality_tol = nan", "criticality_tol"),
                       ("criticality_tol = -1", "criticality_tol"),
-                      ("lanczos_tol = nan", "lanczos_tol")):
+                      ("lanczos_tol = nan", "lanczos_tol"), ("lanczos_tol = 10", "lanczos_tol")):
         text = BASE.format(out=tmp_path).replace("strategy = RM", "strategy = RM\n" + line)
         assert main(["update", write(tmp_path, text, "tol.ini")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: [run] %s: " % key) and "must be positive and finite" in err
-    for noise in ("nan", "-0.5"):
+    for noise in ("nan", "-0.5", "1.5"):
         text = BASE.format(out=tmp_path) + "noise = %s\n" % noise
         assert main(["update", write(tmp_path, text, "noise.ini")]) == 2
         assert "[targets] noise: must be nonnegative and finite" in capsys.readouterr().err

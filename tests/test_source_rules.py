@@ -56,7 +56,7 @@ def test_readme_config_schema_matches_accepted_keys():
             if default is not None and default is not _REQUIRED:
                 assert np.array_equal(values[key], default), (section, key, values[key])
                 checked.append(key)
-    assert len(checked) == 24  # [run] 11, [trust_region] 8, [targets] 2, [noise_study] 3
+    assert len(checked) == 17  # [run] 11, [trust_region] 1, [targets] 2, [noise_study] 3
 
 
 def test_package_stays_under_its_line_ceiling():

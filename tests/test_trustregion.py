@@ -15,7 +15,6 @@ from femupdate import (
     EvalCounter,
     FeasibleBox,
     ParametricPencil,
-    TrustRegionConfig,
     UpdatingProblem,
     MaxIterationsError,
     NotPositiveDefiniteError,
@@ -45,9 +44,8 @@ def test_arch_roundtrip_recovers_parameters(arch_problem):
 
 
 def test_history_invariants(arch_problem):
-    config = TrustRegionConfig()
     counter = EvalCounter()
-    result = solve(arch_problem, x0=ARCH_FAR_START, config=config, counter=counter)
+    result = solve(arch_problem, x0=ARCH_FAR_START, counter=counter)
     hist = result.history
     assert hist[0].k == 0 and np.isnan(hist[0].rho)
     assert [r.k for r in hist] == list(range(len(hist)))
@@ -62,10 +60,10 @@ def test_history_invariants(arch_problem):
     # radius update rules
     for prev, rec in zip(hist, hist[1:]):
         if not rec.accepted:
-            assert np.isclose(rec.delta, prev.delta * config.gamma2)
-        elif rec.rho >= config.eta2:
+            assert np.isclose(rec.delta, prev.delta * trustregion.GAMMA2)
+        elif rec.rho >= trustregion.ETA2:
             assert np.isclose(
-                rec.delta, min(config.growth * prev.delta, config.delta_max)
+                rec.delta, min(trustregion.GROWTH * prev.delta, trustregion.DELTA_MAX)
             )
         else:
             assert np.isclose(rec.delta, prev.delta)
@@ -112,10 +110,11 @@ def test_solve_rejects_bad_starts(arch_problem):
 
 
 def test_max_outer_stops_without_convergence(arch_problem):
-    config = TrustRegionConfig(max_outer=2)
-    result = solve(arch_problem, x0=ARCH_FAR_START, config=config)
+    result = solve(arch_problem, x0=ARCH_FAR_START, max_outer=2)
     assert not result.converged
     assert result.n_outer == 2
+    with pytest.raises(ValueError, match="max_outer must be >= 0"):
+        solve(arch_problem, x0=ARCH_FAR_START, max_outer=-1)
 
 
 def test_default_start_is_box_midpoint(arch_problem):
@@ -177,16 +176,15 @@ def test_lanczos_failure_at_trial_point_rejects_the_step(arch_problem, monkeypat
         return exact(problem, x, counter)
 
     monkeypatch.setattr(trustregion, "evaluate_full", first_trial_fails)
-    config = TrustRegionConfig()
     counter = EvalCounter()
-    result = solve(arch_problem, x0=ARCH_FAR_START, config=config, counter=counter)
+    result = solve(arch_problem, x0=ARCH_FAR_START, counter=counter)
     assert result.converged
 
     start, failed = result.history[:2]
     assert not failed.accepted and failed.reason == "MaxIterationsError"
     assert np.isnan(failed.rho) and failed.step_norm > 0.0
     assert failed.value == start.value and np.array_equal(failed.x, start.x)
-    assert np.isclose(failed.delta, start.delta * config.gamma2)
+    assert np.isclose(failed.delta, start.delta * trustregion.GAMMA2)
     assert failed.factorizations == start.factorizations + 1
 
     reasons = {"", "no_decrease", "low_ratio", "MaxIterationsError"}
@@ -210,9 +208,8 @@ def test_clustered_model_at_trial_point_rejects_the_step(arch_problem, monkeypat
         return exact(problem, evaluation)
 
     monkeypatch.setattr(trustregion, "build_reduced_model", first_trial_clustered)
-    config = TrustRegionConfig()
     counter = EvalCounter()
-    result = solve(arch_problem, x0=ARCH_FAR_START, config=config, counter=counter)
+    result = solve(arch_problem, x0=ARCH_FAR_START, counter=counter)
     assert result.converged
 
     hist = result.history
@@ -220,11 +217,11 @@ def test_clustered_model_at_trial_point_rejects_the_step(arch_problem, monkeypat
     assert len(clustered) == 1
     before, failed = hist[clustered[0] - 1], hist[clustered[0]]
     assert not failed.accepted
-    assert failed.rho >= config.eta1 and failed.step_norm > 0.0
+    assert failed.rho >= trustregion.ETA1 and failed.step_norm > 0.0
     # the state is the one before the step: point, value and model
     assert failed.value == before.value and np.array_equal(failed.x, before.x)
     assert np.isnan(failed.model_value_gap) and np.isnan(failed.model_grad_gap)
-    assert np.isclose(failed.delta, before.delta * config.gamma2)
+    assert np.isclose(failed.delta, before.delta * trustregion.GAMMA2)
     trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
     assert counter.factorizations == hist[0].factorizations + trials
 
@@ -250,12 +247,12 @@ def test_records_carry_the_inner_solve(arch_problem, monkeypatch):
     assert all(res.iterations >= 1 for res in inner)
 
 
-def test_indefinite_trial_point_rejects_the_step(arch_soft_pier):
+def test_indefinite_trial_point_rejects_the_step(arch_soft_pier, monkeypatch):
     # from the midpoint a unit radius reaches the pier's zero modulus
     problem, truth = arch_soft_pier
-    config = TrustRegionConfig(delta0=1.0)
+    monkeypatch.setattr(trustregion, "DELTA0", 1.0)
     counter = EvalCounter()
-    result = solve(problem, config=config, counter=counter)
+    result = solve(problem, counter=counter)
     assert result.converged
     assert np.all(np.abs(result.x - truth) / truth <= 1e-4)
 
@@ -266,7 +263,7 @@ def test_indefinite_trial_point_rejects_the_step(arch_soft_pier):
         before = hist[rec.k - 1]
         assert not rec.accepted and np.isnan(rec.rho) and rec.step_norm > 0.0
         assert rec.value == before.value and np.array_equal(rec.x, before.x)
-        assert np.isclose(rec.delta, before.delta * config.gamma2)
+        assert np.isclose(rec.delta, before.delta * trustregion.GAMMA2)
     # the failed factorizations are counted
     trials = sum(1 for rec in hist[1:] if rec.step_norm > 0.0)
     assert counter.factorizations == hist[0].factorizations + trials
@@ -318,11 +315,10 @@ def test_a_second_solve_from_a_start_pays_only_for_its_trials(arch_targets):
 def test_another_start_or_lanczos_setting_pays_for_its_start(arch_targets, change):
     pencil, box = _fresh_arch()
     problem = UpdatingProblem(pencil, box, measured=arch_targets)
-    config = TrustRegionConfig(max_outer=0)  # the start alone
 
     def start_cost(problem, x0=ARCH_FAR_START):
         counter = EvalCounter()
-        solve(problem, x0=x0, config=config, counter=counter)
+        solve(problem, x0=x0, counter=counter, max_outer=0)  # the start alone
         return counter.factorizations, counter.lanczos_runs
 
     other = {
@@ -426,14 +422,12 @@ def test_solves_on_a_shared_pencil_equal_solves_on_a_fresh_one(data, seed):
     starts = [data.draw(points), data.draw(points)]
     runs = data.draw(st.lists(st.tuples(st.sampled_from(starts), points), min_size=2,
                               max_size=5))
-    config = TrustRegionConfig(max_outer=8)
-
     def outcome(pencil, start, truth):
         measured = frequencies_from_eigenvalues(dense_smallest(pencil, truth, s))
         # a tolerance tight enough that most solves take steps
         problem = UpdatingProblem(pencil, box, measured=measured, criticality_tol=1e-9)
         try:
-            return solve(problem, x0=start, config=config)
+            return solve(problem, x0=start, max_outer=8)
         except Exception as exc:  # compared like any other outcome
             return type(exc).__name__
 
