@@ -107,6 +107,9 @@ def main(argv=None):
             return 0 if result.converged else 1
 
         if args.command == "noise-study":
+            if setup.true_values is None:  # the study measures error against them
+                raise ConfigError("noise-study needs mode = generate (known true values)",
+                                  "targets", "mode")
             deltas, medians, slope = run_noise_study(setup)
             print("noise level -> median max relative parameter error")
             for d, m in zip(deltas, medians):

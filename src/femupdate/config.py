@@ -67,7 +67,7 @@ KEYS = {
     "run": dict(
         schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(_int_from(1), 1),
         modes=(_int_from(1), 5), weight_mode=(str, "uniform"), custom_weights=(_floats, None),
-        lanczos_tol=(_positive(1.0), 1e-5), criticality_tol=(_positive(), 1e-4),
+        lanczos_tol=(_positive(1e-2), 1e-5), criticality_tol=(_positive(), 1e-4),
         seed=(_int_from(0), 0), strategy=(str, "RM"), start=(_start, "midpoint"),
         record_wall_time=(bool, False), output_dir=(str, "out"),
     ),
@@ -172,7 +172,7 @@ def _materials(conf, mesh, materials):
             raise ConfigError("must lie in [0, 0.5), got %r" % mat.poisson, section, "poisson")
     if None in out:
         raise ConfigError("external mesh: no material section declares region %d"
-                          % (out.index(None) + 1))
+                          % (out.index(None) + 1), "run", "benchmark")
     return out
 
 
@@ -185,7 +185,7 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
     except configparser.Error as exc:
-        raise ConfigError("malformed config: %s" % exc)
+        raise ConfigError("malformed config: %s" % " ".join(str(exc).split()))
     sections = dict.fromkeys(["run", "targets", "trust_region", "noise_study", *parser.sections()])
     conf = {section: _read(parser, section) for section in sections}
     run, targets, study = conf["run"], conf["targets"], conf["noise_study"]
@@ -212,7 +212,7 @@ def load_config(path):
     try:
         pencil, box, current = assemble_parametric(mesh, materials)
     except ValueError as exc:
-        raise ConfigError("cannot assemble model: %s" % exc)
+        raise ConfigError("cannot assemble model: %s" % exc, "run", "benchmark")
     if run["modes"] > pencil.n:
         raise ConfigError("exceeds the model's %d free dofs" % pencil.n, "run", "modes")
     assembly_seconds = time.perf_counter() - t0

@@ -81,7 +81,7 @@ class UpdatingProblem:
     Parameters are validated on construction: at least one free
     parameter, finite positive nondecreasing targets, box matching
     the parameter count, finite positive tolerances (``lanczos_tol``
-    below 1). ``weights`` may be a mode name or a vector.
+    below 1e-2). ``weights`` may be a mode name or a vector.
     """
 
     pencil: object
@@ -96,8 +96,8 @@ class UpdatingProblem:
         m = self.measured = np.asarray(self.measured, dtype=np.float64)
         if self.pencil.n_parameters == 0:
             raise ValueError("empty free-parameter set: nothing to update")
-        # a relative eigenvalue bound of 1 or more certifies nothing
-        for key, below, rule in (("lanczos_tol", 1.0, " and below 1"), ("criticality_tol", np.inf, "")):
+        # a relative eigenvalue bound of 0.1 already let wrong modes through on vault
+        for key, below, rule in (("lanczos_tol", 1e-2, " and below 1e-2"), ("criticality_tol", np.inf, "")):
             tol = getattr(self, key)
             if not 0.0 < tol < below:  # NaN fails too
                 raise ValueError("%s must be positive and finite%s, got %r" % (key, rule, tol))

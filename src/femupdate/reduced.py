@@ -83,7 +83,6 @@ class ReducedModel:
     weights: np.ndarray
     s: int
     gradient: np.ndarray = None  # full objective gradient at x0
-    value_gap: float = 0.0  # |model - objective| at x0, zero by construction
     grad_gap: float = np.nan  # ||model gradient - full gradient|| at x0
     at_x0: tuple = None  # evaluate_reduced_with_gradient(model, x0), g_corr in
 
@@ -128,11 +127,11 @@ def build_reduced_model(problem, evaluation):
     their own rows; no factorization, no back-substitution (Y = K^{-1} M U
     is the Lanczos run's own solves) and no assembly. The full gradient
     at the point, needed for the correction term, is kept as
-    ``model.gradient``, and the gaps between model and objective there
-    as ``model.value_gap`` (0 by the check below) and ``model.grad_gap``.
-    The surrogate's own value, frequencies, gradient and Hessian at the
-    point are kept as ``model.at_x0``, so an inner solve starting there
-    does not evaluate it again.
+    ``model.gradient``, and the gradient gap there as ``model.grad_gap``
+    (the value gap is zero by the check below). The surrogate's own
+    value, frequencies, gradient and Hessian at the point are kept as
+    ``model.at_x0``, so an inner solve starting there does not evaluate
+    it again.
 
     Raises ModelConsistencyError if the surrogate value or frequencies
     at the point differ from the evaluation's in any bit.
@@ -167,20 +166,35 @@ def build_reduced_model(problem, evaluation):
     return model
 
 
-def _eigensystem(model, x):
-    """(delta, mu, l, v) at x: all eigenvalues mu of (C, Z), descending,
-    the Cholesky factor l of Z and the eigenvectors v of L^{-1} C L^{-T}.
+def evaluate_reduced(model, x):
+    """Surrogate objective value and frequencies at x, the first two of
+    ``evaluate_reduced_with_gradient``; it raises what that raises, so a
+    clustered leading pair raises ClusteredEigenvaluesError here too."""
+    return evaluate_reduced_with_gradient(model, x)[:2]
+
+
+def reduced_gradient(model, x):
+    """Gradient of the surrogate objective at x."""
+    return evaluate_reduced_with_gradient(model, x)[2]
+
+
+def evaluate_reduced_with_gradient(model, x):
+    """Surrogate value, frequencies, gradient and Gauss-Newton p x p
+    Hessian 2 J^T J (see the module docstring) in one pass.
 
     Raises SurrogateOutOfRangeError when x is too far from the expansion
     point for the linearization to make sense: the metric Z has an
     eigenvalue at or below Z_FLOOR, or one of the s leading values, which
     approximate reciprocals of positive pencil eigenvalues, is nonpositive.
+    Raises ClusteredEigenvaluesError when two of the s + 1 leading
+    reduced eigenvalues nearly coincide: the sensitivity formulas need
+    simple eigenvalues.
     """
     x = np.asarray(x, dtype=np.float64)
     delta = x - model.x0
     if delta.shape != (model.n_parameters,):
         raise ValueError("parameter vector has wrong length")
-    p, m = model.n_parameters, model.m
+    s, p, m = model.s, model.n_parameters, model.m
     eye = np.eye(m)
     z = eye + (delta @ model.s_hats.reshape(p, m * m)).reshape(m, m)
     c = model.tridiagonal + (delta @ model.g_hats.reshape(p, m * m)).reshape(m, m)
@@ -194,52 +208,18 @@ def _eigensystem(model, x):
     l, _ = lapack.dpotrf(z, lower=1, clean=0)
     a, _ = lapack.dsygst(c, l, itype=1, lower=1)
     mu, v = descending_eigh(a)
-    if mu[model.s - 1] <= 0.0:
+    if mu[s - 1] <= 0.0:
         raise SurrogateOutOfRangeError(
-            "reduced operator lost positive definiteness (Ritz value %g)"
-            % float(mu[model.s - 1])
+            "reduced operator lost positive definiteness (Ritz value %g)" % float(mu[s - 1])
         )
-    return delta, mu, l, v
-
-
-def _value(model, delta, mu):
-    f_hat = frequencies_from_eigenvalues(1.0 / mu[: model.s])  # ascending lambda
+    require_separated(mu[: s + 1], "leading reduced eigenvalues")
+    lead = mu[:s]
+    f_hat = frequencies_from_eigenvalues(1.0 / lead)  # ascending lambda
     value = weighted_mismatch(f_hat, model.measured, model.weights) + float(
         model.g_corr @ delta
     )
-    return value, f_hat
-
-
-def evaluate_reduced(model, x):
-    """Surrogate objective value and frequencies at x.
-
-    Raises SurrogateOutOfRangeError when x is outside the model's trust
-    neighborhood.
-    """
-    delta, mu, _, _ = _eigensystem(model, x)
-    return _value(model, delta, mu)
-
-
-def reduced_gradient(model, x):
-    """Gradient of the surrogate objective at x."""
-    return evaluate_reduced_with_gradient(model, x)[2]
-
-
-def evaluate_reduced_with_gradient(model, x):
-    """Surrogate value, frequencies, gradient and Gauss-Newton p x p
-    Hessian 2 J^T J (see the module docstring) in one pass.
-
-    Raises ClusteredEigenvaluesError when two of the s + 1 leading
-    reduced eigenvalues nearly coincide: the sensitivity formulas need
-    simple eigenvalues.
-    """
-    delta, mu, l, v = _eigensystem(model, x)
-    s, p, m = model.s, model.n_parameters, model.m
-    require_separated(mu[: s + 1], "leading reduced eigenvalues")
-    value, f_hat = _value(model, delta, mu)
 
     # Z-orthonormal eigenvectors: d mu_i / d delta_j = u_i^T (G_j - mu_i S_j) u_i
-    lead = mu[:s]
     u, _ = lapack.dtrtrs(l, v[:, :s], lower=1, trans=1)
     gu = (model.g_hats.reshape(p * m, m) @ u).reshape(p, m, s)
     su = (model.s_hats.reshape(p * m, m) @ u).reshape(p, m, s)

