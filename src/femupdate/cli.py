@@ -88,7 +88,7 @@ def main(argv=None):
             ev = evaluate_full(setup.problem, setup.start)
             print("frequencies at start point (Hz):")
             for i, (f, lam) in enumerate(zip(ev.frequencies, ev.lanczos.eigenvalues)):
-                print("  f%-2d = %12.6f   (eigenvalue %.6e)" % (i + 1, f, lam))
+                print("  f%-2d = %12.6g   (eigenvalue %.6e)" % (i + 1, f, lam))
             return 0
 
         if args.command == "update":
@@ -100,7 +100,7 @@ def main(argv=None):
             ))
             print("objective %.6e, criticality %.3e" % (result.value, result.chi))
             for name, value in zip(setup.problem.pencil.names, result.x):
-                print("  %-24s %12.4f" % (name, value))
+                print("  %-24s %12.6g" % (name, value))
             print("wrote %s/summary.txt" % out)
             if setup.strategy == "RM":
                 print("wrote %s/convergence.csv" % out)

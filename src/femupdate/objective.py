@@ -8,7 +8,7 @@ The gradient is 2 J^T r, J = d r / d x (s x p, ``residual_jacobian``).
 Solvers start at the all-ones point of a scaled pencil, which holds
 the target-free data there (``_held``): later solves from that start
 pay no factorization. It holds the start's eigenvalues, tridiagonal,
-d lambda and S_j/G_j, not the run's n-row arrays. Value, residuals and
+d lambda and S_j/A_j/B_j, not the run's n-row arrays. Value, residuals and
 gradient are per call.
 """
 
@@ -162,7 +162,7 @@ class FullEvaluation:
 def evaluate_full(problem, x, counter=None):
     """Evaluate phi(x) through a factorization and Lanczos run (see ``_held``).
 
-    At a held start, once its d lambda and S_j, G_j are held too, the
+    At a held start, once its d lambda and S_j, A_j, B_j are held too, the
     run carries only eigenvalues and tridiagonal: its basis, solves and
     vectors are None."""
     x = np.array(x, dtype=np.float64)
@@ -185,7 +185,7 @@ def evaluate_full(problem, x, counter=None):
 
 
 def _held(problem, x, name, compute):
-    """``compute()``: the Lanczos run, d lambda, or S_j and G_j at x. At the
+    """``compute()``: the Lanczos run, d lambda, or S_j, A_j and B_j at x. At the
     all-ones point the pencil holds it, read-only, for one (s, lanczos_tol, seed).
     Once all three are held, the run keeps only its eigenvalues and
     tridiagonal: nothing reads its n-row arrays again."""

@@ -656,6 +656,17 @@ def test_cli_node_in_no_element_exits_2_naming_it(tmp_path, capsys):
     assert "f2" in capsys.readouterr().out
 
 
+def test_cli_eigs_prints_significant_digits_of_tiny_frequencies(tmp_path, capsys):
+    # a modulus of 1e-30 gives frequencies near 1e-15 Hz: a fixed-point
+    # format would print them all as zero
+    text = BASE.format(out=tmp_path / "out") + "\n[material.arch]\nyoung = 1e-30\n"
+    assert main(["eigs", write(tmp_path, text)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  f")]
+    freqs = [float(line.split("=")[1].split()[0]) for line in lines]
+    assert len(freqs) == 5 and all(0.0 < f < 1e-10 for f in freqs)
+    assert freqs == sorted(freqs) and len(set(freqs)) == len(freqs)
+
+
 def test_cli_overflow_exits_3_with_one_line(tmp_path, capsys):
     # a positive, finite, absurd modulus overflows the eigensolver: that is a
     # numerical failure (exit 3) in one line, not a config error, no warning

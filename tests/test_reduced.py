@@ -127,12 +127,12 @@ def test_clustered_leading_values_block_the_gradient():
     # formula is not defined, and the value, evaluated on the same path,
     # raises too
     t = np.diag([2.0, 2.0, 0.5])
-    zero = np.zeros((3, 3))
     model = ReducedModel(
         x0=np.array([1.0]),
         tridiagonal=t,
         s_hats=np.zeros((1, 3, 3)),
-        g_hats=np.array([np.diag([0.1, 0.2, 0.3])]),
+        a_hats=np.array([np.diag([0.1, 0.2, 0.3])]),
+        b_hats=np.zeros((1, 3, 3)),
         g_corr=np.zeros(1),
         measured=np.array([1.0]),
         weights=np.array([1.0]),
@@ -149,15 +149,70 @@ def test_nonpositive_leading_value_is_out_of_range():
         x0=np.array([1.0]),
         tridiagonal=t,
         s_hats=np.zeros((1, 3, 3)),
-        g_hats=np.array([-np.eye(3)]),
+        a_hats=np.array([-0.5 * t]),
+        b_hats=np.zeros((1, 3, 3)),
         g_corr=np.zeros(1),
         measured=np.array([1.0]),
         weights=np.array([1.0]),
         s=1,
     )
-    # at delta = 2 the reduced operator is t - 2 I, entirely negative
-    with pytest.raises(SurrogateOutOfRangeError):
+    # at delta = 2, A = t - t = 0 and the reduced operator A B^-1 A^T vanishes
+    with pytest.raises(SurrogateOutOfRangeError, match="Ritz value"):
         evaluate_reduced(model, np.array([3.0]))
+
+
+def _stiffness_loss_model():
+    """Hand-built surrogate whose B = T (1 - delta) loses definiteness at
+    delta = 1, with A = T and Z = I: mu_i = t_i / (1 - delta)."""
+    t = np.diag([4.0, 2.0, 1.0])
+    return ReducedModel(
+        x0=np.array([1.0]),
+        tridiagonal=t,
+        s_hats=np.zeros((1, 3, 3)),
+        a_hats=np.zeros((1, 3, 3)),
+        b_hats=np.array([-t]),
+        g_corr=np.zeros(1),
+        # the leading frequency at delta = 0.99
+        measured=frequencies_from_eigenvalues(np.array([0.01 / 4.0])),
+        weights=np.array([1.0]),
+        s=1,
+    )
+
+
+def test_indefinite_projected_stiffness_is_out_of_range():
+    model = _stiffness_loss_model()
+    for delta in (1.0, 1.5):
+        with pytest.raises(SurrogateOutOfRangeError, match="projected stiffness"):
+            evaluate_reduced_with_gradient(model, model.x0 + delta)
+    # just inside, the model is the exact A B^-1 A^T = T / (1 - delta)
+    freqs = evaluate_reduced(model, model.x0 + 0.75)[1]
+    assert np.allclose(freqs, frequencies_from_eigenvalues(np.array([0.25 / 4.0])),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_indefinite_projected_stiffness_shortens_the_inner_step():
+    # the Gauss-Newton step from x0 aims at delta = 1.8, where B is
+    # indefinite; the inner solve rejects that point, shortens the step
+    # and still reaches the fit at delta = 0.99
+    from femupdate.boxmin import minimize_box
+
+    model = _stiffness_loss_model()
+    refused = []
+
+    def surrogate(y):
+        try:
+            out = evaluate_reduced_with_gradient(model, y)
+        except SurrogateOutOfRangeError:
+            refused.append(float(y[0] - model.x0[0]))
+            raise
+        return out[0], out
+
+    result = minimize_box(surrogate, lambda out: out[2], model.x0, model.x0, model.x0 + 2.0,
+                          reject=(SurrogateOutOfRangeError, ClusteredEigenvaluesError),
+                          hess=lambda out: out[3])
+    assert refused and all(d >= 1.0 for d in refused)
+    assert result.status == "converged"
+    assert abs(result.x[0] - model.x0[0] - 0.99) <= 1e-6
 
 
 def test_value_mismatch_at_expansion_point_raises(monkeypatch):
@@ -220,10 +275,11 @@ def test_increments_match_a_build_from_fresh_solves():
     for j in range(problem.pencil.n_parameters):
         dk, dm = problem.pencil.derivative(j)
         s_ref = u.T @ dm.matvec(u)
-        b = u.T @ dm.matvec(y)
-        g_ref = b + b.T - y.T @ dk.matvec(y)
+        a_ref = u.T @ dm.matvec(y)
+        b_ref = y.T @ dk.matvec(y)
         assert np.abs(model.s_hats[j] - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
-        assert np.abs(model.g_hats[j] - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+        assert np.abs(model.a_hats[j] - a_ref).max() <= 1e-12 * np.abs(a_ref).max()
+        assert np.abs(model.b_hats[j] - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
 
 
 def _orthogonal(rng, m):
@@ -238,7 +294,8 @@ def _small_symmetric(rng, p, m, scale):
 
 def _random_model(rng, m, s_frac, p):
     """Random small model: T symmetric positive definite with separated
-    eigenvalues; Z = I + small symmetric and C = T + small symmetric."""
+    eigenvalues; Z = I + small symmetric, A = T + small (not symmetric)
+    and B = T + small symmetric."""
     s = 1 + int(s_frac * (m - 2))  # 1 <= s < m
     spectrum = 0.2 + np.cumsum(rng.uniform(0.05, 0.3, m))
     q = _orthogonal(rng, m)
@@ -247,12 +304,24 @@ def _random_model(rng, m, s_frac, p):
         x0=rng.uniform(0.5, 2.0, p),
         tridiagonal=(q * spectrum) @ q.T,
         s_hats=_small_symmetric(rng, p, m, 0.1),
-        g_hats=_small_symmetric(rng, p, m, 0.1),
+        a_hats=0.1 * rng.standard_normal((p, m, m)) / np.sqrt(m),
+        b_hats=_small_symmetric(rng, p, m, 0.1),
         g_corr=rng.standard_normal(p),
         measured=np.sort(rng.uniform(0.05, 0.5, s)),
         weights=weights / np.linalg.norm(weights),
         s=s,
     )
+
+
+def _dense_pencil(model, delta):
+    """(C, Z, A, B) of the model at x0 + delta, formed densely:
+    C = A B^-1 A^T, symmetrized; assumes B positive definite."""
+    z = np.eye(model.m) + np.tensordot(delta, model.s_hats, axes=1)
+    a = model.tridiagonal + np.tensordot(delta, model.a_hats, axes=1)
+    b = model.tridiagonal + np.tensordot(delta, model.b_hats, axes=1)
+    assume(np.linalg.eigvalsh(b).min() > 0.0)
+    c = a @ np.linalg.solve(b, a.T)
+    return (c + c.T) / 2.0, z, a, b
 
 
 @given(
@@ -266,11 +335,11 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
     model = _random_model(rng, m, s_frac, p)
     s = model.s
     delta = rng.uniform(-0.5, 0.5, p)
-    z = np.eye(m) + np.tensordot(delta, model.s_hats, axes=1)
-    c = model.tridiagonal + np.tensordot(delta, model.g_hats, axes=1)
+    c, z, a, b = _dense_pencil(model, delta)
 
-    # dense oracle: generalized eigensolver and the sensitivity formula
-    # dmu_i/ddelta_j = u_i^T (G_j - mu_i S_j) u_i / (u_i^T Z u_i)
+    # dense oracle: generalized eigensolver of eigh(A B^-1 A^T, Z) and the
+    # sensitivity formula dmu_i/ddelta_j = u_i^T (dC_j - mu_i S_j) u_i /
+    # (u_i^T Z u_i), with dC_j = A_j B^-1 A^T + A B^-1 A_j^T - A B^-1 B_j B^-1 A^T
     mu, vec = sla.eigh(c, z)
     check = mu[::-1][: s + 1]
     assume(np.min(-np.diff(check) / check[:-1]) > 1e-3)
@@ -280,9 +349,12 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
     r = model.weights * (f - model.measured)
     value = float(r @ r) + float(model.g_corr @ delta)
     uzu = np.einsum("ai,ai->i", vec, z @ vec)
+    ab = np.linalg.solve(b, a.T).T  # A B^-1
+    dcs = [a_hat @ ab.T + ab @ a_hat.T - ab @ b_hat @ ab.T
+           for a_hat, b_hat in zip(model.a_hats, model.b_hats)]
     dmu = np.array([
-        [vec[:, i] @ (g - mu[i] * s_hat) @ vec[:, i] / uzu[i]
-         for g, s_hat in zip(model.g_hats, model.s_hats)]
+        [vec[:, i] @ (dc - mu[i] * s_hat) @ vec[:, i] / uzu[i]
+         for dc, s_hat in zip(dcs, model.s_hats)]
         for i in range(s)
     ])
     dlam = -dmu / mu[:, None] ** 2
@@ -299,6 +371,44 @@ def test_surrogate_matches_dense_generalized_oracle(m, s_frac, p, seed):
 
 
 @given(
+    n=st.integers(8, 30),
+    s=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    x0=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    x=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+)
+def test_surrogate_is_exact_on_a_pencil_that_scales_k_and_m(n, s, seed, x0, x):
+    # K(x) = x_0 K1 and M(x) = x_1 M1 with a zero base: Z, A and B are
+    # scalar multiples of I, T and T, so A B^-1 A^T carries the exact
+    # eigenvalue scaling x_0 / x_1 anywhere in the box, while its linear
+    # expansion T + sum_j delta_j (A_j + A_j^T - B_j) does not
+    rng = np.random.default_rng(seed)
+    k1, m1 = random_spd_pencil(n, rng)
+    zero = SparseSymMatrix.from_full(np.zeros((n, n)))
+    pencil = ParametricPencil(zero, zero, [k1, zero], [zero, m1])
+    problem = UpdatingProblem(pencil, FeasibleBox(np.full(2, 0.2), np.full(2, 5.0)),
+                              measured=np.ones(s), lanczos_tol=1e-10)
+    x0, x = np.array(x0), np.array(x)
+    ev = evaluate_full(problem, x0)
+    lam = ev.lanczos.eigenvalues
+    assume(np.min(np.diff(lam) / lam[:-1], initial=1.0) > 1e-6)
+    model = build_reduced_model(problem, ev)
+    exact = evaluate_full(problem, x).frequencies
+    freqs = evaluate_reduced(model, x)[1]
+    assert np.abs(freqs / exact - 1.0).max() <= 1e-10
+
+    delta = x - x0
+    g_hats = model.a_hats + model.a_hats.transpose(0, 2, 1) - model.b_hats
+    linear = model.tridiagonal + np.tensordot(delta, g_hats, axes=1)
+    z = np.eye(model.m) + np.tensordot(delta, model.s_hats, axes=1)
+    mu = sla.eigvalsh(linear, z)[::-1][:s]
+    # where the two scalings differ by 10% the expansion misses by far more
+    if abs(x[0] * x0[1] / (x0[0] * x[1]) - 1.0) >= 0.1:
+        assert np.any(mu <= 0.0) or np.abs(
+            frequencies_from_eigenvalues(1.0 / mu) / exact - 1.0).max() > 1e-4
+
+
+@given(
     m=st.integers(3, 12),
     s_frac=st.floats(0.0, 1.0),
     p=st.integers(1, 4),
@@ -308,8 +418,7 @@ def test_hessian_is_gauss_newton_of_central_difference_jacobian(m, s_frac, p, se
     rng = np.random.default_rng(seed)
     model = _random_model(rng, m, s_frac, p)
     delta = rng.uniform(-0.3, 0.3, p)
-    z = np.eye(m) + np.tensordot(delta, model.s_hats, axes=1)
-    c = model.tridiagonal + np.tensordot(delta, model.g_hats, axes=1)
+    c, z, _, _ = _dense_pencil(model, delta)
     check = sla.eigvalsh(c, z)[::-1][: model.s + 1]
     assume(np.min(-np.diff(check) / check[:-1]) > 1e-3)
 
@@ -343,7 +452,8 @@ def test_metric_floor_separates_points_just_inside_and_outside(m, seed, above):
         x0=np.zeros(1),
         tridiagonal=np.diag(rng.uniform(0.5, 2.0, m)),
         s_hats=((q * (d - 1.0)) @ q.T)[None],
-        g_hats=np.zeros((1, m, m)),
+        a_hats=np.zeros((1, m, m)),
+        b_hats=np.zeros((1, m, m)),
         g_corr=np.zeros(1),
         measured=np.array([1.0]),
         weights=np.array([1.0]),
@@ -412,11 +522,10 @@ def test_row_restricted_projections_match_dense_formulas(n, s, extra, seed):
     for j in range(pencil.n_parameters):
         dk, dm = (a.to_dense() for a in pencil.derivative(j))
         s_ref = u.T @ dm @ u
-        b, c = u.T @ dm @ y, y.T @ dk @ y
-        g_ref = b + b.T - c
+        a_ref, b_ref = u.T @ dm @ y, y.T @ dk @ y
         assert np.abs(model.s_hats[j] - s_ref).max() <= 1e-12 * np.abs(s_ref).max()
-        g_scale = max(np.abs(b).max(), np.abs(c).max())
-        assert np.abs(model.g_hats[j] - g_ref).max() <= 1e-12 * g_scale
+        assert np.abs(model.a_hats[j] - a_ref).max() <= 1e-12 * np.abs(a_ref).max()
+        assert np.abs(model.b_hats[j] - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
         vkv = np.einsum("ni,ni->i", v, dk @ v)
         vdv = lam * np.einsum("ni,ni->i", v, dm @ v)
         d_scale = np.max((np.abs(vkv) + np.abs(vdv)) / vmv)

@@ -43,6 +43,16 @@ def test_arch_roundtrip_recovers_parameters(arch_problem):
     assert np.allclose(result.frequencies, arch_problem.measured, rtol=1e-6)
 
 
+def test_arch_far_start_takes_at_most_ten_factorizations(arch_problem):
+    # the exact-in-x surrogate A B^-1 A^T reaches the truth from the far
+    # start in 10 factorizations, its first-order expansion took 14; the
+    # start is counted once, whether the pencil held it or not
+    counter = EvalCounter()
+    result = solve(arch_problem, x0=ARCH_FAR_START, counter=counter)
+    assert result.converged
+    assert counter.factorizations - result.history[0].factorizations + 1 <= 10
+
+
 def test_history_invariants(arch_problem):
     counter = EvalCounter()
     result = solve(arch_problem, x0=ARCH_FAR_START, counter=counter)
@@ -248,9 +258,20 @@ def test_records_carry_the_inner_solve(arch_problem, monkeypatch):
 
 
 def test_indefinite_trial_point_rejects_the_step(arch_soft_pier, monkeypatch):
-    # from the midpoint a unit radius reaches the pier's zero modulus
+    # from the midpoint a unit radius reaches the pier's zero modulus, where
+    # K(x) is singular; the surrogate refuses such points itself (an
+    # indefinite Y^T K Y), so the first inner solve is sent there
     problem, truth = arch_soft_pier
     monkeypatch.setattr(trustregion, "DELTA0", 1.0)
+    exact, inner = trustregion.minimize_box, []
+
+    def first_reaches_zero_modulus(fun, grad, x, lower, upper, **kwargs):
+        inner.append(exact(fun, grad, x, lower, upper, **kwargs))
+        if len(inner) == 1:
+            return replace(inner[0], x=np.where(lower == 0.0, 0.0, inner[0].x))
+        return inner[-1]
+
+    monkeypatch.setattr(trustregion, "minimize_box", first_reaches_zero_modulus)
     counter = EvalCounter()
     result = solve(problem, counter=counter)
     assert result.converged
@@ -342,11 +363,12 @@ def test_held_start_data_is_read_only(arch_targets):
     assert scaled.pencil is pencil.scaled_by(box.midpoint())
     held = scaled.pencil._start
     assert held["key"] == (5, scaled.lanczos_tol, scaled.seed)
-    assert held["hats"][0] is model.s_hats and held["hats"][1] is model.g_hats
+    assert held["hats"][0] is model.s_hats and held["hats"][1] is model.a_hats
+    assert held["hats"][2] is model.b_hats
     # the run keeps what later solves read: eigenvalues and tridiagonal
     assert (held["lanczos"].basis, held["lanczos"].solves, held["lanczos"].vectors) == (None,) * 3
     arrays = _held_arrays(held)
-    assert len(arrays) == 5
+    assert len(arrays) == 6
     for a in arrays:
         assert a.shape[0] != pencil.n
         with pytest.raises(ValueError):
