@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .fem import Material, Mesh
 
 # the most free dofs a built-in benchmark may have: vault at refine 3
@@ -64,8 +63,8 @@ def _refinement(refine, free_dofs):
         raise ValueError("refine must be a positive integer")
     n = free_dofs(r)
     if n > MAX_FREE_DOFS:
-        raise ConfigError("%d gives %d free dofs, above the limit of %d (MAX_FREE_DOFS)"
-                          % (r, n, MAX_FREE_DOFS), "run", "refine")
+        raise ValueError("%d gives %d free dofs, above the limit of %d (MAX_FREE_DOFS)"
+                         % (r, n, MAX_FREE_DOFS))
     return r
 
 

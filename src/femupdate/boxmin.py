@@ -3,16 +3,18 @@
 Minimizes f over a box [lower, upper] starting from a feasible point.
 Components pinned at an active bound (on the bound, with the gradient
 pushing outward) stay fixed; on the free ones the direction is the
-Newton direction when a Hessian is supplied, with the Hessian's
-eigenvalues w replaced by max(|w|, 1e-8 max |w|) so that it always
-descends (Bertsekas, "Projected Newton methods for optimization problems
-with simple constraints", SIAM J. Control Optim. 20, 1982), and
-otherwise a limited-memory BFGS two-loop recursion. Steps follow the
-projected path x(t) = clip(x + t d) with Armijo backtracking from t = 1,
-falling back to the projected steepest-descent direction when the first
-direction fails to produce decrease. The method is monotone: every
-iterate satisfies an Armijo decrease along the projected Newton,
-quasi-Newton or gradient path from the previous one.
+Newton direction when a Hessian is supplied, and otherwise a
+limited-memory BFGS two-loop recursion. The Newton direction is the
+pseudo-inverse step -Σ q qᵀg / |w| over the free block's eigenpairs
+(w, q) with |w| above numpy's rank tolerance w.size · eps · max |w|
+(Bertsekas, SIAM J. Control Optim. 20, 1982; Björck, "Numerical Methods
+for Least Squares Problems", 1996): |w| makes it descend where H is
+indefinite, and it does not move along directions H cannot see. Steps
+follow the projected path x(t) = clip(x + t d) with Armijo backtracking
+from t = 1, falling back to the projected steepest-descent direction
+when the first direction fails to produce decrease. The method is
+monotone: every iterate satisfies an Armijo decrease along the projected
+Newton, quasi-Newton or gradient path from the previous one.
 
 Termination is on the projected-gradient norm ||x - clip(x - g)||, or,
 before any line search, on every direction's first-order gain
@@ -39,7 +41,6 @@ from .lanczos import descending_eigh
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
-_EIG_FLOOR = 1e-8
 _FTOL = 1e-13  # about 450 ulps of max(|f|, 1)
 _MEMORY = 10  # L-BFGS pairs kept
 
@@ -75,16 +76,14 @@ def _two_loop(grad, pairs):
 
 
 def _newton_direction(grad, hess, free):
-    """-H~^{-1} g on the free components, zero on the others, where H~ is
-    the free block of the Hessian with its eigenvalues w replaced by
-    max(|w|, 1e-8 max |w|); None when that block is zero."""
+    """The Newton direction of the module docstring on the free components,
+    zero on the others; all zero when no eigenpair is above the tolerance."""
     w, q = descending_eigh(hess[np.ix_(free, free)])
     w = np.abs(w)
-    top = w.max()
-    if top == 0.0:
-        return None
+    keep = w > w.size * np.finfo(w.dtype).eps * w.max()
+    q = q[:, keep]
     d = np.zeros_like(grad)
-    d[free] = -q @ ((q.T @ grad[free]) / np.maximum(w, _EIG_FLOOR * top))
+    d[free] = -q @ ((q.T @ grad[free]) / w[keep])
     return d
 
 

@@ -65,7 +65,10 @@ def main(argv=None):
 
     try:
         if args.command == "mesh":
-            mesh, materials = benchmarks.benchmark(args.benchmark, args.refine)
+            try:
+                mesh, materials = benchmarks.benchmark(args.benchmark, args.refine)
+            except ValueError as exc:  # the size limit, checked before any mesh array
+                raise ValueError("argument --refine: %s" % exc)
             mesh.save(args.path)
             print(
                 "wrote %s: %d nodes, %d elements, %d regions, %d free dofs"

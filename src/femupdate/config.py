@@ -204,7 +204,10 @@ def load_config(path):
         except (OSError, ValueError) as exc:
             raise ConfigError("cannot load mesh %r: %s" % (mesh_path, exc), "run", "benchmark")
     elif bench in ("arch", "vault"):
-        mesh, materials = benchmarks.benchmark(bench, run["refine"])
+        try:
+            mesh, materials = benchmarks.benchmark(bench, run["refine"])
+        except ValueError as exc:  # the size limit, checked before any mesh array
+            raise ConfigError(str(exc), "run", "refine")
     else:
         raise ConfigError("unknown benchmark %r (arch, vault, or mesh:<path>)" % bench,
                           "run", "benchmark")

@@ -28,8 +28,6 @@ solves from one start share it and its start's data (``objective._held``).
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -208,10 +206,7 @@ class ParametricPencil:
             raise ValueError("scaling reference must be strictly positive")
         if self._scaled is not None and np.array_equal(self._scaled[0], reference):
             return self._scaled[1]
-        out = copy.copy(self)
-        out._k = self._k.scaled_by(reference)
-        out._m = self._m.scaled_by(reference)
-        out.names = list(self.names)
-        out._scaled, out._start = None, {}
+        out = ParametricPencil.__new__(ParametricPencil)
+        out._build([self._k.scaled_by(reference), self._m.scaled_by(reference)], self.names)
         self._scaled = (reference.copy(), out)
         return out

@@ -170,6 +170,46 @@ def test_newton_on_an_indefinite_quadratic_is_monotone_and_ends_at_kkt():
     assert np.allclose(evaluated[1], newton, rtol=1e-12, atol=1e-15)
 
 
+def test_newton_on_a_singular_hessian_takes_the_pseudo_inverse_step():
+    # H = BᵀB has the exact null vector (1, -1, 1) and the gradient has a
+    # component along it: the Newton step leaves that direction alone, where
+    # an eigenvalue floor of 1e-8 max|w| would step ~1e8 times that far
+    b = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    a = b.T @ b
+    c = np.array([0.3, -0.2, 0.5])
+    lower, upper = np.full(3, -2.0), np.full(3, 2.0)
+    x0 = np.array([0.2, 0.1, -0.3])
+    evaluated = []
+
+    def fun(x):
+        evaluated.append(x)
+        return 0.5 * float(x @ a @ x) + float(c @ x), x
+
+    minimize_box(fun, lambda x: a @ x + c, x0, lower, upper, max_iter=1, hess=lambda x: a)
+    g0 = a @ x0 + c
+    assert g0 @ [1.0, -1.0, 1.0] == pytest.approx(1.0)
+    step = x0 - np.linalg.pinv(a, hermitian=True) @ g0
+    assert np.all((lower < step) & (step < upper))
+    assert np.max(np.abs(evaluated[1] - step)) <= 1e-12
+
+
+def test_a_zero_hessian_falls_back_to_the_projected_gradient():
+    # no eigenpair of a zero block is above the rank tolerance, so the
+    # Newton direction is zero and the gradient direction is tried
+    center = np.array([0.3, -0.4])
+    evaluated = []
+
+    def fun(x):
+        evaluated.append(x)
+        return float((x - center) @ (x - center)), x
+
+    res = minimize_box(fun, lambda x: 2.0 * (x - center), np.zeros(2), np.full(2, -1.0),
+                       np.full(2, 1.0), hess=lambda x: np.zeros((2, 2)))
+    assert np.array_equal(evaluated[1], 2.0 * center)  # x0 - g0
+    assert res.status == "converged"
+    assert np.allclose(res.x, center, atol=1e-12)
+
+
 def test_reject_exception_shrinks_the_newton_step():
     center = np.array([0.6, 0.6])
     refused = []

@@ -475,11 +475,15 @@ def test_cli_mesh_export(tmp_path, capsys):
 def test_a_refine_beyond_the_size_limit_exits_2_before_meshing(tmp_path, capsys):
     # refine = 1000000 would ask for ~6e20 free dofs; it fails at once
     huge = write(tmp_path, BASE.format(out=tmp_path).replace("modes = 5", "modes = 5\nrefine = 1000000"))
-    for argv in (["eigs", huge], ["mesh", "vault", str(tmp_path / "v.mesh"), "--refine", "1000000"]):
+    for argv, message in (
+        (["eigs", huge], "config error: [run] refine: "),
+        (["mesh", "vault", str(tmp_path / "v.mesh"), "--refine", "1000000"], "error: argument --refine: "),
+    ):
         t0 = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().err.startswith("config error: [run] refine: 1000000 gives ")
+        err = capsys.readouterr().err
+        assert err.startswith(message + "1000000 gives ") and err.count("\n") == 1
 
 
 def test_trials_beyond_the_bound_exit_2_before_assembly(tmp_path, capsys):

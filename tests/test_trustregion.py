@@ -30,7 +30,7 @@ from femupdate import (
 from femupdate.lanczos import lanczos_smallest
 from femupdate.reduced import evaluate_reduced_with_gradient
 
-from conftest import ARCH_FAR_START, ARCH_TRUE, dense_smallest, random_spd_pencil
+from conftest import ARCH_FAR_START, ARCH_TRUE, VAULT_TRUE, dense_smallest, random_spd_pencil
 
 
 def test_arch_roundtrip_recovers_parameters(arch_problem):
@@ -51,6 +51,19 @@ def test_arch_far_start_takes_at_most_ten_factorizations(arch_problem):
     result = solve(arch_problem, x0=ARCH_FAR_START, counter=counter)
     assert result.converged
     assert counter.factorizations - result.history[0].factorizations + 1 <= 10
+
+
+def test_vault_on_five_uniform_modes_takes_at_most_thirteen_factorizations(vault):
+    # 7 parameters, 5 frequencies: the inner Gauss-Newton Hessian is
+    # singular, and its pseudo-inverse step takes 12 factorizations from the
+    # midpoint where an eigenvalue floor of 1e-8 max|w| took 14; the start
+    # is counted once, whether the pencil held it or not
+    _, _, pencil, box, _ = vault
+    gen = UpdatingProblem(pencil, box, measured=np.ones(5))
+    problem = UpdatingProblem(pencil, box, measured=evaluate_full(gen, VAULT_TRUE).frequencies)
+    counter = EvalCounter()
+    result = solve(problem, counter=counter)
+    assert counter.factorizations - result.history[0].factorizations + 1 <= 13
 
 
 def test_history_invariants(arch_problem):
