@@ -16,7 +16,7 @@ import numpy as np
 from . import benchmarks
 from .errors import ConfigError
 from .fem import Material, Mesh, assemble_parametric
-from .objective import UpdatingProblem, evaluate_full
+from .objective import UpdatingProblem, evaluate_full, make_weights
 from .studies import STRATEGIES, perturbed_targets
 
 SCHEMA_VERSION = 1
@@ -100,6 +100,7 @@ class RunSetup:
     record_wall_time: bool
     benchmark: str
     true_values: np.ndarray  # None when targets are measured
+    target_noise: float  # [targets] noise, already in the generated targets
     noise_deltas: np.ndarray
     noise_trials: int
     noise_seed: int
@@ -203,14 +204,14 @@ def load_config(path):
             mesh, materials = Mesh.load(mesh_path), None
         except (OSError, ValueError) as exc:
             raise ConfigError("cannot load mesh %r: %s" % (mesh_path, exc), "run", "benchmark")
-    elif bench in ("arch", "vault"):
+    elif bench in benchmarks.GENERATORS:
         try:
             mesh, materials = benchmarks.benchmark(bench, run["refine"])
         except ValueError as exc:  # the size limit, checked before any mesh array
             raise ConfigError(str(exc), "run", "refine")
     else:
-        raise ConfigError("unknown benchmark %r (arch, vault, or mesh:<path>)" % bench,
-                          "run", "benchmark")
+        raise ConfigError("unknown benchmark %r (%s, or mesh:<path>)"
+                          % (bench, ", ".join(benchmarks.GENERATORS)), "run", "benchmark")
     materials = _materials(conf, mesh, materials)
     try:
         pencil, box, current = assemble_parametric(mesh, materials)
@@ -231,6 +232,10 @@ def load_config(path):
                           "run", "custom_weights")
     if weights == "custom":
         weights = _count(run["custom_weights"], s, "run", "custom_weights")
+        try:  # the weights' own rule, before any target exists
+            make_weights("custom", np.ones(s), weights)
+        except ValueError as exc:
+            raise ConfigError(str(exc), "run", "custom_weights")
     strategy = run["strategy"]
     if strategy not in STRATEGIES:
         raise ConfigError("strategy %s is not supported by this tool (have: %s)"
@@ -245,8 +250,8 @@ def load_config(path):
             return UpdatingProblem(pencil, box, measured=measured, weights=weights,
                                    lanczos_tol=run["lanczos_tol"],
                                    criticality_tol=run["criticality_tol"], seed=run["seed"])
-        except ValueError as exc:
-            raise ConfigError("invalid problem: %s" % exc)
+        except ValueError as exc:  # the targets' rule: the weights passed theirs
+            raise ConfigError(str(exc), "targets", "values")
 
     true_values = None
     if targets["mode"] == "generate":
@@ -281,6 +286,7 @@ def load_config(path):
         record_wall_time=run["record_wall_time"],
         benchmark=bench,
         true_values=true_values,
+        target_noise=targets["noise"],
         noise_deltas=deltas,
         noise_trials=study["trials"],
         noise_seed=study["seed"],

@@ -159,8 +159,9 @@ class Mesh:
             <node> <x|y|z>           (C lines)
 
         Every line has exactly the fields shown, counts are nonnegative,
-        and nothing follows the constraints. Any error is a ValueError that
-        names the line where there is one.
+        node ids lie in 1..N, region ids are positive (and contiguous from
+        1 over the file), and nothing follows the constraints. Any error is
+        a ValueError that names the line where there is one.
         """
         with open(path) as fh:
             rows = iter([
@@ -198,13 +199,21 @@ class Mesh:
             nn = {"quad4": 4, "hex8": 8}.get(kind)
             if nn != 2**dim:
                 raise ValueError("element kind '%s' invalid for dim %d" % (kind, dim))
-            table = [[int(v) for v in line(nn + 1)] for _ in range(int(n_el))]
+            table = []
+            for _ in range(int(n_el)):
+                table.append([int(v) for v in line(nn + 1)])
+                if not 1 <= min(table[-1][:nn]) <= max(table[-1][:nn]) <= len(coords):
+                    raise ValueError("node ids must lie in 1..%d" % len(coords))
+                if table[-1][nn] < 1:
+                    raise ValueError("region ids must be positive")
             axes = "xyz"[:dim]
             fixed = []
             for _ in range(int(line(1, "constraints")[0])):
                 node, axis = line(2)
                 if axis not in axes:
                     raise ValueError("unknown axis '%s'" % axis)
+                if not 1 <= int(node) <= len(coords):
+                    raise ValueError("node ids must lie in 1..%d" % len(coords))
                 fixed.append((int(node) - 1) * dim + axes.index(axis))
             lineno, extra = next(rows, (lineno, None))
             if extra is not None:

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import solve_baseline
+from .errors import ConfigError
 from .objective import EvalCounter, evaluate_full
 from .reduced import build_reduced_model
 from .trustregion import solve
@@ -42,34 +43,34 @@ def write_summary(path, lines):
             fh.write("%s = %s\n" % (key, value))
 
 
-def run_strategy(setup, strategy, counter):
-    """Solve the configured problem with one strategy.
+def run_strategy(setup, strategy, problem=None):
+    """Solve ``problem`` (the configured one by default) with one strategy
+    from the configured start: the one place where a command solves.
 
-    Returns (result, iterations, status): a SolveResult (RM) or a
-    BaselineResult (A, AD), the outer or solver iterations, and the
-    stopping status.
+    Returns (result, iterations, status, seconds): a SolveResult (RM) or a
+    BaselineResult (A, AD), whose ``counter`` counts this solve alone, the
+    outer or solver iterations, the stopping status and the wall seconds.
     """
+    problem = setup.problem if problem is None else problem
+    counter = EvalCounter()
+    t0 = time.perf_counter()
     if strategy == "RM":
-        result = solve(setup.problem, x0=setup.start, counter=counter,
-                       max_outer=setup.max_outer)
-        return result, result.n_outer, "converged" if result.converged else "maxiter"
-    result = solve_baseline(
-        setup.problem, setup.start, strategy, counter=counter,
-        max_iter=setup.max_outer * 10,
-    )
-    return result, result.iterations, result.status
+        result = solve(problem, x0=setup.start, counter=counter, max_outer=setup.max_outer)
+        iterations, status = result.n_outer, "converged" if result.converged else "maxiter"
+    else:
+        result = solve_baseline(problem, setup.start, strategy, counter=counter,
+                                max_iter=setup.max_outer * 10)
+        iterations, status = result.iterations, result.status
+    return result, iterations, status, time.perf_counter() - t0
 
 
 def run_update(setup):
     """Run one model update and write convergence.csv plus summary.txt.
 
-    Returns ``run_strategy``'s (result, iterations, status).
+    Returns ``run_strategy``'s result, iterations and status.
     """
     os.makedirs(setup.output_dir, exist_ok=True)
-    counter = EvalCounter()
-    t0 = time.perf_counter()
-    result, iterations, status = run_strategy(setup, setup.strategy, counter)
-    wall = time.perf_counter() - t0
+    result, iterations, status, wall = run_strategy(setup, setup.strategy)
     if setup.strategy == "RM":  # one row per outer iteration
         header = ["k", "phi", *("f%d" % (i + 1) for i in range(setup.problem.s)),
                   "chi", "delta", "rho", "accepted", "factorizations", "wall_s"]
@@ -87,7 +88,7 @@ def run_update(setup):
         ("iterations", str(iterations)),
         ("objective", _fmt(result.value)),
         ("criticality", _fmt(result.chi)),
-        ("factorizations", str(counter.factorizations)),
+        ("factorizations", str(result.counter.factorizations)),
         ("wall_s", _fmt(wall) if setup.record_wall_time else _fmt(0.0)),
     ]
     for name, value in zip(setup.problem.pencil.names, result.x):
@@ -116,17 +117,23 @@ def run_noise_study(setup):
     """Parameter error versus target noise level.
 
     For each noise level delta and each trial, the clean targets are
-    perturbed multiplicatively, the model is updated from the
-    configured start with relative weights, whatever ``weight_mode`` the
-    setup holds, and the largest relative parameter error against the
-    known true values is recorded. Writes noise_study.csv (one row
-    per trial) and noise_summary.txt with per-level medians and the
-    log-log slope fitted through them (nan with fewer than two levels).
+    perturbed multiplicatively, the model is updated with ``[run]
+    strategy`` from the configured start with relative weights, whatever
+    ``weight_mode`` the setup holds, and the largest relative parameter
+    error against the known true values is recorded. Writes
+    noise_study.csv (one row per trial) and noise_summary.txt with
+    per-level medians and the log-log slope fitted through them (nan
+    with fewer than two levels). Measured targets, or generated ones with
+    ``[targets] noise``, are a ConfigError raised before any file.
 
     Returns (deltas, medians, slope).
     """
-    if setup.true_values is None:
-        raise ValueError("noise study needs generated targets (known true values)")
+    if setup.true_values is None:  # the study measures error against them
+        raise ConfigError("noise-study needs mode = generate (known true values)",
+                          "targets", "mode")
+    if setup.target_noise > 0.0:  # the study's own noise would stack on it
+        raise ConfigError("noise-study adds its own noise to clean targets, needs 0, got %r"
+                          % setup.target_noise, "targets", "noise")
     os.makedirs(setup.output_dir, exist_ok=True)
 
     clean = setup.problem.measured
@@ -137,13 +144,13 @@ def run_noise_study(setup):
             rng = np.random.default_rng([setup.noise_seed, a, b])
             noisy = perturbed_targets(clean, float(delta), rng)
             problem = replace(setup.problem, measured=noisy, weights="relative")
-            result = solve(problem, x0=setup.start, max_outer=setup.max_outer)
+            result, iterations, _, _ = run_strategy(setup, setup.strategy, problem)
             err = float(
                 np.max(np.abs(result.x - setup.true_values) / np.abs(setup.true_values))
             )
             errors[a, b] = err
             rows.append([_fmt(float(delta)), str(b), _fmt(err), _fmt(result.converged),
-                         str(result.n_outer)])
+                         str(iterations)])
     _write_csv(os.path.join(setup.output_dir, "noise_study.csv"),
                ["delta", "trial", "max_rel_error", "converged", "iterations"], rows)
 
@@ -180,10 +187,7 @@ def run_strategy_comparison(setup):
     results = {}
     rows = []
     for strategy in STRATEGIES:
-        counter = EvalCounter()
-        t0 = time.perf_counter()
-        result, iterations, status = run_strategy(setup, strategy, counter)
-        wall = time.perf_counter() - t0
+        result, iterations, status, wall = run_strategy(setup, strategy)
         results[strategy] = result
         rows.append(
             [
@@ -191,8 +195,8 @@ def run_strategy_comparison(setup):
                 status,
                 _fmt(result.converged),
                 str(iterations),
-                str(counter.factorizations),
-                str(counter.lanczos_runs),
+                str(result.counter.factorizations),
+                str(result.counter.lanczos_runs),
                 _fmt(result.value),
                 _fmt(result.chi),
                 _fmt(wall),

@@ -175,6 +175,18 @@ def test_config_error_cases(tmp_path):
                 ("beyond", "region = 3", "region = 4", "pier_right"),
             )
         ],
+        # rules on the weights and the targets, checked by the problem
+        *[
+            ("weights_" + name,
+             BASE.replace("weight_mode = uniform", "weight_mode = custom\ncustom_weights = " + weights),
+             r"^\[run\] custom_weights: ")
+            for name, weights in (("zero", "0 0 0 0 0"), ("negative", "1 1 -1 1 1"))
+        ],
+        *[
+            ("measured_" + name, MEASURED.replace("modes = 5", "modes = 3").replace(
+                "values = 18 28 49 50 65", "values = " + values), r"^\[targets\] values: ")
+            for name, values in (("descending", "3 2 1"), ("infinite", "1 2 inf"))
+        ],
         # keys the run would not read
         (
             "custom_weights_uniform",
@@ -515,17 +527,17 @@ FUZZ_KEYS = [
 FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "2", "0.7", "1e300", "1e-300", str(10**12), "text", "")
 
 
-@given(where=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
-@settings(max_examples=500)
-def test_any_one_key_set_to_any_value_runs_or_names_a_key(tmp_path_factory, where, value):
-    # eigs on a valid arch r1 config with one key changed: it runs, or it
-    # fails in one line with a documented exit code; a config error names
-    # [section] key, and an exit 2 that does not is the indefinite start
+def eigs_runs_or_names_a_key(tmp_path_factory, changes, text=None):
+    # eigs on a valid config (arch r1 by default) with (section, key, value)
+    # changes: it runs, or it fails in one line with a documented exit code;
+    # a config error names [section] key, and an exit 2 that does not is the
+    # indefinite start. Returns the error line.
     parser = configparser.ConfigParser()
-    parser.read_string(BASE.format(out=tmp_path_factory.getbasetemp() / "out"))
-    if not parser.has_section(where[0]):
-        parser.add_section(where[0])
-    parser.set(where[0], where[1], value)
+    parser.read_string(text or BASE.format(out=tmp_path_factory.getbasetemp() / "out"))
+    for section, key, value in changes:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
     path = tmp_path_factory.getbasetemp() / "fuzz.ini"
     with open(path, "w") as fh:
         parser.write(fh)
@@ -537,6 +549,71 @@ def test_any_one_key_set_to_any_value_runs_or_names_a_key(tmp_path_factory, wher
     if code == 2:
         assert re.match(r"config error: \[[\w.]+\] \w+: ", err) or (
             err.startswith("error: ") and "not positive definite" in err), err
+    return err
+
+
+@given(where=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=500)
+def test_any_one_key_set_to_any_value_runs_or_names_a_key(tmp_path_factory, where, value):
+    eigs_runs_or_names_a_key(tmp_path_factory, [(*where, value)])
+
+
+# values that change what other keys mean, and the vectors those keys then
+# read: custom weights and measured targets, valid or breaking a rule
+PAIRED = [
+    ("run", "weight_mode", "custom"), ("targets", "mode", "measured"),
+    *[(section, key, vector) for section, key in (("run", "custom_weights"), ("targets", "values"))
+      for vector in ("18 28 49 50 65", "0 0 0 0 0", "1 -1 1 1 1", "5 4 3 2 1", "1 2 3 4 inf")],
+]
+
+
+@given(changes=st.lists(
+    st.one_of(st.sampled_from(PAIRED),
+              st.builds(lambda where, value: (*where, value),
+                        st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))),
+    min_size=2, max_size=3, unique_by=lambda change: change[:2]))
+@settings(max_examples=600)
+def test_several_keys_set_at_once_run_or_name_a_key(tmp_path_factory, changes):
+    eigs_runs_or_names_a_key(tmp_path_factory, changes)
+
+
+EXTERNAL = (
+    "[run]\nbenchmark = mesh:{mesh}\nmodes = 5\n\n"
+    "[targets]\nmode = measured\nvalues = 18 28 49 50 65\n\n"
+    "[material.arch]\nregion = 1\nfree = young\nyoung_bounds = 2000 6000\n\n"
+    "[material.pier_left]\nregion = 2\n\n[material.pier_right]\nregion = 3\n"
+)
+
+
+@given(index=st.integers(0, 10**4), how=st.sampled_from(("drop", "duplicate", "garble")),
+       field=st.integers(0, 8),
+       token=st.sampled_from(("abc", "nan", "inf", "-1", "0", "1e300", "99999", "", "1 2")))
+@settings(max_examples=300)
+def test_a_mutated_mesh_file_runs_or_names_its_line(tmp_path_factory, index, how, field, token):
+    # one line of a saved arch r1 mesh dropped, repeated, or with one field
+    # replaced: eigs runs, or fails as above, and a file that does not load
+    # names the line at fault, or the node, the end of the file or the one
+    # rule no single line breaks: region ids contiguous from 1
+    base = tmp_path_factory.getbasetemp()
+    saved = base / "arch.mesh.orig"
+    if not saved.exists():
+        benchmarks.benchmark("arch")[0].save(saved)
+    lines = saved.read_text().splitlines(keepends=True)
+    i = index % len(lines)
+    if how == "drop":
+        lines[i:i + 1] = []
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split()
+        fields[field % len(fields)] = token
+        lines[i] = " ".join(fields) + "\n"
+    mesh = base / "mutated.mesh"
+    mesh.write_text("".join(lines))
+    err = eigs_runs_or_names_a_key(tmp_path_factory, [], EXTERNAL.format(mesh=mesh))
+    if "cannot load mesh" in err:
+        assert re.search(r": (line \d+|node \d+ \(1-based\)|mesh file ended early"
+                         r"|region ids must be contiguous)", err), err
 
 
 def test_generated_targets_take_seeded_noise_within_its_band(tmp_path):
@@ -567,6 +644,39 @@ def test_noise_study_with_measured_targets_exits_2_naming_the_mode(tmp_path, cap
     assert capsys.readouterr().err == (
         "config error: [targets] mode: noise-study needs mode = generate (known true values)\n")
     assert not out.exists()
+
+
+def test_noise_study_with_noisy_targets_exits_2_naming_the_noise(tmp_path, capsys):
+    # the study adds its own noise to the clean targets: [targets] noise
+    # would stack beneath it and set the error floor
+    out = tmp_path / "out"
+    assert main(["noise-study", write(tmp_path, BASE.format(out=out) + "noise = 0.05\n")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [targets] noise: noise-study adds its own noise to clean targets, "
+        "needs 0, got 0.05\n")
+    assert not out.exists()
+
+
+def test_noise_study_solves_with_the_configured_strategy(tmp_path, monkeypatch):
+    text = TWO_PARAM.format(strategy="AD", out=tmp_path / "out")
+    setup = load_config(write(tmp_path, text + "\n[noise_study]\ndeltas = 1e-3 1e-2\ntrials = 2\n"))
+    strategies = []
+
+    def recording(problem, x0, strategy, **kwargs):
+        strategies.append(strategy)
+        return solve_baseline(problem, x0, strategy, **kwargs)
+
+    def failing(*args, **kwargs):
+        raise AssertionError("noise-study with strategy AD ran the trust region")
+
+    solve_baseline = studies.solve_baseline
+    monkeypatch.setattr(studies, "solve_baseline", recording)
+    monkeypatch.setattr(studies, "solve", failing)
+    run_noise_study(setup)
+    assert strategies == ["AD"] * 4  # two levels, two trials
+    with open(tmp_path / "out" / "noise_study.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 4 and all(row[3] == "1" and int(row[4]) > 0 for row in rows)
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

@@ -28,9 +28,16 @@ does. A solve's trial factorizations are all of its factorizations but
 the start's (``history[0].factorizations``): a solve from a start that
 the pencil already holds pays nothing there, so the totals move with
 that and not with the answers. The number of solves per tree that
-reused the start is printed beside them. Exits 1 if the pencil
-digests, any trial or inner-iteration count, a converged flag or a
-raised error differ, else 0.
+reused the start is printed beside them.
+
+Then each tree's ``femupdate`` command runs ``update`` on the config of
+acceptance guarantee 9 (``arch`` r1, RM, start 2000 1100 1100) and a
+one-level, two-trial ``noise-study`` on the same structure, and the
+reproducible files they write (convergence.csv, summary.txt,
+noise_study.csv, noise_summary.txt) are compared byte for byte: it
+prints "outputs identical" or names the files that differ. Exits 1 if
+the pencil digests, any trial or inner-iteration count, a converged
+flag, a raised error or one of those files differ, else 0.
 
 ``--hidden`` then prints a table of rows the gate does not draw: the
 ``arch`` r1 and r3 far starts, ``vault`` r1 from the midpoint with 10
@@ -66,6 +73,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -92,6 +100,24 @@ HIDDEN = {
     "arch r3 targets on r2, far start": ("arch", 2, 5, "uniform", "ARCH_FAR_START", "ARCH_TRUE", 3),
     "vault r2 targets on r1, midpoint": ("vault", 1, 10, "relative", None, "VAULT_TRUE", 2),
 }
+
+# the CLI's reproducible files: acceptance guarantee 9's update, and a
+# noise study on the same structure
+CLI_CONFIG = """[run]
+benchmark = arch
+modes = 5
+strategy = RM
+start = 2000 1100 1100
+
+[targets]
+mode = generate
+values = 5000 2200 4800
+
+[noise_study]
+deltas = 1e-3
+trials = 2
+"""
+CLI_FILES = ("convergence.csv", "summary.txt", "noise_study.csv", "noise_summary.txt")
 
 
 def pencil_digest(pencil, box, start):
@@ -242,14 +268,30 @@ def print_hidden(parent, this):
                                              "equal" if counts(a) == counts(b) else "DIFFER"))
 
 
+def tree_env(tree):
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                PYTHONPATH=str(Path(tree).resolve() / "src"))
+
+
 def solve_in(tree, workload, solves):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=str(Path(tree).resolve() / "src"))
     out = subprocess.run(
         [sys.executable, __file__, "--run", workload, "--solves", str(solves)],
-        env=env, check=True, stdout=subprocess.PIPE, text=True,
+        env=tree_env(tree), check=True, stdout=subprocess.PIPE, text=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def cli_outputs(tree, workdir):
+    """Run the tree's ``update`` and ``noise-study`` on ``CLI_CONFIG`` in
+    ``workdir``; returns {file name: contents} of ``CLI_FILES``."""
+    workdir.mkdir()
+    config, out = workdir / "run.ini", workdir / "out"
+    config.write_text(CLI_CONFIG)
+    for command in ("update", "noise-study"):
+        subprocess.run([sys.executable, "-m", "femupdate.cli", command, str(config),
+                        "--output-dir", str(out)],
+                       env=tree_env(tree), check=True, stdout=subprocess.DEVNULL)
+    return {name: (out / name).read_bytes() for name in CLI_FILES}
 
 
 def rel_change(old, new):
@@ -302,6 +344,13 @@ def main(argv=None):
         parent = solve_in(args.other, workload, args.solves)
         this = solve_in(ROOT, workload, args.solves)
         ok &= compare(workload, parent, this)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, this = (cli_outputs(tree, Path(tmp) / side)
+                        for tree, side in ((args.other, "other"), (ROOT, "this")))
+        differ = [name for name in CLI_FILES if parent[name] != this[name]]
+    print("update and noise-study: " + (
+        "outputs identical" if not differ else "outputs differ: " + ", ".join(differ)))
+    ok &= not differ
     if args.hidden:
         print_hidden(solve_in(args.other, "hidden", 0), solve_in(ROOT, "hidden", 0))
     return 0 if ok else 1
