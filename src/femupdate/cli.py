@@ -12,14 +12,16 @@ Exit codes: 0 on success, 1 when an update fails to converge, 2 on a
 configuration or usage error (unknown keys and invalid or non-finite
 values included) or a start point where K is not positive definite, 3 on
 a numerical failure (clustered eigenvalues, surrogate out of range,
-inconsistent model, Lanczos cap, exhausted subspace or overflow). A
-trial point where K is not positive definite is a rejected step.
+inconsistent model, Lanczos cap, exhausted subspace or overflow), 4 on
+any other exception, whose traceback goes to stderr. A trial point
+where K is not positive definite is a rejected step.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import benchmarks
 from .config import load_config
@@ -49,14 +51,8 @@ def _build_parser():
     p = sub.add_parser("mesh", help="write a built-in benchmark mesh to a text file")
     p.add_argument("benchmark", choices=benchmarks.GENERATORS)
     p.add_argument("path", help="output file")
-    p.add_argument("--refine", type=_positive_int, default=1)
+    p.add_argument("--refine", type=int, default=1)
     return parser
-
-
-def _positive_int(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, got %s" % text)
-    return int(text)
 
 
 def main(argv=None):
@@ -67,7 +63,7 @@ def main(argv=None):
         if args.command == "mesh":
             try:
                 mesh, materials = benchmarks.benchmark(args.benchmark, args.refine)
-            except ValueError as exc:  # the size limit, checked before any mesh array
+            except ValueError as exc:  # the refinement bound, checked before any mesh array
                 raise ValueError("argument --refine: %s" % exc)
             mesh.save(args.path)
             print(
@@ -139,6 +135,9 @@ def main(argv=None):
     except NumericalError as exc:
         print("numerical error: %s" % exc, file=sys.stderr)
         return 3
+    except Exception:  # a fault of the program, not of its input
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def _int_from(low, high=np.inf):
 # None: unless given, the value comes from the benchmark or is not used
 KEYS = {
     "run": dict(
-        schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(_int_from(1), 1),
+        schema_version=(int, SCHEMA_VERSION), benchmark=(str, _REQUIRED), refine=(int, 1),
         modes=(_int_from(1), 5), weight_mode=(str, "uniform"), custom_weights=(_floats, None),
         lanczos_tol=(_positive(1e-2), 1e-5), criticality_tol=(_positive(), 1e-4),
         seed=(_int_from(0), 0), strategy=(str, "RM"), start=(_start, "midpoint"),
@@ -138,37 +138,41 @@ def _count(values, expected, section, key):
 
 
 def _materials(conf, mesh, materials):
-    """The region materials: a benchmark's ``materials`` overridden by
-    section name, or, for an external mesh (None), one declared by each
-    section at the region its ``region`` names, every region exactly once."""
+    """The region materials: each section's keys laid in one step onto its
+    benchmark material, by name, or for an external mesh (``materials``
+    None) onto one with no values yet (NaN) at its ``region``, each region
+    once. A fixed property reads its value, a free one its bounds; the
+    other key, or a value read that nothing gave, is an error."""
     out = [None] * mesh.n_regions if materials is None else list(materials)
-    by_name = {m.name: m for m in materials or ()}
+    rids = {m.name: rid for rid, m in enumerate(materials or (), start=1)}
     for section, values in conf.items():
         if not section.startswith("material."):
             continue
         name, rid = section[len("material.") :], values.pop("region")
-        mat = by_name.get(name)
         if materials is None:  # the section declares its region's material
             if rid is None or not (1 <= rid <= len(out) and out[rid - 1] is None):
                 raise ConfigError("needs an id 1..%d of a region no other section declares, "
                                   "got %r" % (len(out), rid), section, "region")
-            out[rid - 1] = mat = Material(name, young=1.0, density=1.0, poisson=0.0)
         elif rid is not None:
             raise ConfigError("only applies to an external mesh", section, "region")
-        elif mat is None:
+        elif name not in rids:
             raise ConfigError("benchmark has no region named %r (have: %s)"
-                              % (name, ", ".join(sorted(by_name))), section)
-        values.update(values.pop("free") or {})
-        for key, value in values.items():
-            if value is not None:
-                setattr(mat, key, value)
+                              % (name, ", ".join(sorted(rids))), section)
+        rid = rids.get(name, rid)
+        given = {key: value for key, value in values.items() if value is not None}
+        given.update(given.pop("free", {}))
+        base = out[rid - 1] or Material(name, young=np.nan, density=np.nan, poisson=np.nan)
+        out[rid - 1] = mat = replace(base, **given)
         for prop in ("young", "density"):
-            value, (lower, upper) = getattr(mat, prop), getattr(mat, prop + "_bounds")
-            if not 0.0 < value < np.inf:
-                raise ConfigError("must be positive and finite, got %r" % value, section, prop)
-            if getattr(mat, "free_" + prop) and not 0.0 < lower < upper < np.inf:
-                raise ConfigError("a free property needs finite bounds 0 < lower < upper, got "
-                                  "%r %r" % (lower, upper), section, prop + "_bounds")
+            free = getattr(mat, "free_" + prop)
+            read, unread = (prop + "_bounds", prop) if free else (prop, prop + "_bounds")
+            if unread in given:
+                raise ConfigError("not read: %s is %s, the run reads %s"
+                                  % (prop, "free" if free else "fixed", read), section, unread)
+            value = np.atleast_1d(getattr(mat, read))
+            if not np.all(np.less([0.0, *value], [*value, np.inf])):  # NaN (not given) fails too
+                raise ConfigError("needs 0 < %s < inf, got %s" % ("lower < upper" if free else "value",
+                                  " ".join("%g" % v for v in value)), section, read)
         if not 0.0 <= mat.poisson < 0.5:  # NaN fails too
             raise ConfigError("must lie in [0, 0.5), got %r" % mat.poisson, section, "poisson")
     if None in out:
@@ -207,7 +211,7 @@ def load_config(path):
     elif bench in benchmarks.GENERATORS:
         try:
             mesh, materials = benchmarks.benchmark(bench, run["refine"])
-        except ValueError as exc:  # the size limit, checked before any mesh array
+        except ValueError as exc:  # the refinement bound, checked before any mesh array
             raise ConfigError(str(exc), "run", "refine")
     else:
         raise ConfigError("unknown benchmark %r (%s, or mesh:<path>)"
@@ -224,18 +228,15 @@ def load_config(path):
         raise ConfigError("no free parameters: mark some properties free")
 
     s = run["modes"]
-    weights = run["weight_mode"]
-    if weights not in ("uniform", "relative", "custom"):
-        raise ConfigError("unknown weight_mode %r" % weights, "run", "weight_mode")
-    if (weights == "custom") != (run["custom_weights"] is not None):
-        raise ConfigError("needed with weight_mode = custom, and only there",
-                          "run", "custom_weights")
-    if weights == "custom":
-        weights = _count(run["custom_weights"], s, "run", "custom_weights")
-        try:  # the weights' own rule, before any target exists
-            make_weights("custom", np.ones(s), weights)
-        except ValueError as exc:
-            raise ConfigError(str(exc), "run", "custom_weights")
+    custom = run["weight_mode"] == "custom"
+    if custom != (run["custom_weights"] is not None):
+        raise ConfigError("needed with weight_mode = custom, and only there", "run", "custom_weights")
+    key = "custom_weights" if custom else "weight_mode"
+    weights = _count(run[key], s, "run", key) if custom else run[key]
+    try:  # the weights' own rule, before any target exists
+        make_weights(weights, np.ones(s))
+    except ValueError as exc:
+        raise ConfigError(str(exc), "run", key)
     strategy = run["strategy"]
     if strategy not in STRATEGIES:
         raise ConfigError("strategy %s is not supported by this tool (have: %s)"
@@ -253,25 +254,27 @@ def load_config(path):
         except ValueError as exc:  # the targets' rule: the weights passed theirs
             raise ConfigError(str(exc), "targets", "values")
 
+    mode, noise = targets["mode"], targets["noise"]
+    if mode not in ("generate", "measured"):
+        raise ConfigError("mode must be 'generate' or 'measured'", "targets", "mode")
+    # measured values carry their own noise, and noise 0 draws no numbers
+    for key, reads, rule in (("noise", mode == "generate", ""),
+                             ("noise_seed", mode == "generate" and noise != 0.0, " with noise > 0")):
+        if parser.has_option("targets", key) and not reads:
+            raise ConfigError("only applies to mode = generate" + rule, "targets", key)
     true_values = None
-    if targets["mode"] == "generate":
+    if mode == "generate":
         true_values = _count(targets["values"], pencil.n_parameters, "targets", "values")
         if not box.contains(true_values):
             raise ConfigError("values lie outside the feasible box", "targets", "values")
-        noise = targets["noise"]
         if not 0.0 <= noise <= 1.0:  # NaN fails too; above 1 a factor 1 + noise * u can be < 0
             raise ConfigError("must be nonnegative and finite, at most 1, got %r" % noise, "targets", "noise")
         measured = evaluate_full(make_problem(np.arange(1.0, s + 1.0)), true_values).frequencies
         if noise > 0.0:
             rng = np.random.default_rng([targets["noise_seed"], 0])
             measured = perturbed_targets(measured, noise, rng)
-    elif targets["mode"] == "measured":
-        for key in ("noise", "noise_seed"):
-            if parser.has_option("targets", key):  # measured values carry their own noise
-                raise ConfigError("only applies to mode = generate", "targets", key)
-        measured = _count(targets["values"], s, "targets", "values")
     else:
-        raise ConfigError("mode must be 'generate' or 'measured'", "targets", "mode")
+        measured = _count(targets["values"], s, "targets", "values")
 
     deltas = np.array(study["deltas"])
     if deltas.size == 0 or not np.all((deltas > 0.0) & (deltas <= 1.0)):

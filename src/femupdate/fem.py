@@ -160,8 +160,9 @@ class Mesh:
 
         Every line has exactly the fields shown, counts are nonnegative,
         node ids lie in 1..N, region ids are positive (and contiguous from
-        1 over the file), and nothing follows the constraints. Any error is
-        a ValueError that names the line where there is one.
+        1 over the file, else the first id above their count is at fault),
+        and nothing follows the constraints. Any error is a ValueError that
+        names the line where there is one.
         """
         with open(path) as fh:
             rows = iter([
@@ -199,13 +200,19 @@ class Mesh:
             nn = {"quad4": 4, "hex8": 8}.get(kind)
             if nn != 2**dim:
                 raise ValueError("element kind '%s' invalid for dim %d" % (kind, dim))
-            table = []
+            table, at = [], []
             for _ in range(int(n_el)):
                 table.append([int(v) for v in line(nn + 1)])
+                at.append(lineno)
                 if not 1 <= min(table[-1][:nn]) <= max(table[-1][:nn]) <= len(coords):
                     raise ValueError("node ids must lie in 1..%d" % len(coords))
                 if table[-1][nn] < 1:
                     raise ValueError("region ids must be positive")
+            n_ids = len({row[nn] for row in table})  # k positive ids other than 1..k: one is above k
+            for row, lineno in zip(table, at):
+                if row[nn] > n_ids:
+                    raise ValueError("region id %d leaves a gap: the file's %d distinct ids "
+                                     "must be 1..%d" % (row[nn], n_ids, n_ids))
             axes = "xyz"[:dim]
             fixed = []
             for _ in range(int(line(1, "constraints")[0])):

@@ -36,30 +36,29 @@ def frequencies_from_eigenvalues(eigenvalues):
     return np.sqrt(lam) / TWO_PI
 
 
-def make_weights(mode, measured, custom=None):
+def make_weights(weights, measured):
     """Unit-norm weight vector for the frequency mismatch.
 
-    mode 'uniform' weights all modes alike; 'relative' weights each
-    mode by the reciprocal of its measured frequency (so the objective
-    tracks relative errors); 'custom' normalizes the given vector.
+    ``weights`` is a mode or a vector: 'uniform' weights all modes alike;
+    'relative' weights each mode by the reciprocal of its measured
+    frequency (so the objective tracks relative errors); a vector, one
+    finite nonnegative weight per mode and not all zero, is normalized.
     """
     f = np.asarray(measured, dtype=np.float64)
-    if mode == "uniform":
-        w = np.ones_like(f)
-    elif mode == "relative":
-        if np.any(f == 0.0):
-            raise ValueError("relative weights need nonzero measured frequencies")
-        w = 1.0 / f
-    elif mode == "custom":
-        if custom is None:
-            raise ValueError("custom mode requires a weight vector")
-        w = np.asarray(custom, dtype=np.float64)
+    if not isinstance(weights, str):
+        w = np.asarray(weights, dtype=np.float64)
         if w.shape != f.shape:
             raise DimensionMismatchError("custom weights must match target length")
         if not (np.all(np.isfinite(w) & (w >= 0.0)) and np.any(w > 0.0)):
             raise ValueError("custom weights must be finite, nonnegative and not all zero")
+    elif weights == "uniform":
+        w = np.ones_like(f)
+    elif weights == "relative":
+        if np.any(f == 0.0):
+            raise ValueError("relative weights need nonzero measured frequencies")
+        w = 1.0 / f
     else:
-        raise ValueError("unknown weight mode '%s'" % mode)
+        raise ValueError("unknown weight mode '%s'" % weights)
     return w / np.linalg.norm(w)
 
 
@@ -81,7 +80,8 @@ class UpdatingProblem:
     Parameters are validated on construction: at least one free
     parameter, finite positive nondecreasing targets, box matching
     the parameter count, finite positive tolerances (``lanczos_tol``
-    below 1e-2). ``weights`` may be a mode name or a vector.
+    below 1e-2). ``weights`` is a mode or a vector, as ``make_weights``
+    takes it, and holds the unit-norm vector once constructed.
     """
 
     pencil: object
@@ -110,10 +110,7 @@ class UpdatingProblem:
             raise ValueError("measured frequencies must be a nonempty vector")
         if not (np.all(np.isfinite(m) & (m > 0.0)) and np.all(np.diff(m) >= 0.0)):
             raise ValueError("measured frequencies must be finite, positive and nondecreasing")
-        if isinstance(self.weights, str):
-            self.weights = make_weights(self.weights, m)
-        else:
-            self.weights = make_weights("custom", m, self.weights)
+        self.weights = make_weights(self.weights, m)
 
     @property
     def s(self):

@@ -10,9 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from femupdate import ConfigError, NotPositiveDefiniteError, benchmarks, load_config, studies
+from femupdate import (ConfigError, NotPositiveDefiniteError, NumericalError, benchmarks, load_config,
+                       studies)
 from femupdate.cli import main
 from femupdate.config import KEYS
 from femupdate.objective import make_weights
@@ -102,13 +103,17 @@ def test_config_error_cases(tmp_path):
     benchmarks.benchmark("arch")[0].save(mesh_path)
     saved = mesh_path.read_text()
     (tmp_path / "free.mesh").write_text(saved[: saved.index("constraints")] + "constraints 0\n")
+    # an external section gives each value the run reads: a fixed
+    # property's value, a free one's bounds, and the Poisson ratio
     external = (
         "[run]\nbenchmark = mesh:%s\nmodes = 5\n\n"
         "[targets]\nmode = measured\nvalues = 18 28 49 50 65\n\n"
-        "[material.arch]\nregion = 1\nfree = young\n\n"
-        "[material.pier_left]\nregion = 2\n\n[material.pier_right]\nregion = 3\n"
+        "[material.arch]\nregion = 1\nfree = young\ndensity = 1800\npoisson = 0.2\n\n"
+        "[material.pier_left]\nregion = 2\nyoung = 5000\ndensity = 2200\npoisson = 0.2\n\n"
+        "[material.pier_right]\nregion = 3\nyoung = 4800\ndensity = 2100\npoisson = 0.2\n"
         % mesh_path
     )
+    fixed = external.replace("free = young\n", "young = 3250\n")
     cases = [
         ("missing_targets", BASE.replace("[targets]", "[nottargets]"), None),
         ("bad_strategy", BASE.replace("strategy = RM", "strategy = BB"), None),
@@ -131,9 +136,9 @@ def test_config_error_cases(tmp_path):
         ("zero_young", MEASURED + "[material.arch]\nyoung = 0\n", r"\[material\.arch\] young:"),
         ("zero_density", BASE + "[material.arch]\ndensity = 0\n", r"\[material\.arch\] density:"),
         (
-            "free_density_negative",
-            BASE + "[material.pier_left]\ndensity = -1\n",
-            r"\[material\.pier_left\] density:",
+            "fixed_density_negative",
+            BASE + "[material.pier_right]\ndensity = -1\n",
+            r"\[material\.pier_right\] density:",
         ),
         # bounds of a free property: finite, 0 < lower < upper
         ("free_unbounded", BASE + "[material.arch]\nfree = young\n", r"\[material\.arch\] young_bounds:"),
@@ -153,20 +158,34 @@ def test_config_error_cases(tmp_path):
             r"\[material\.pier_right\] young_bounds:",
         ),
         ("external_unbounded", external, r"\[material\.arch\] young_bounds:"),
+        # each property reads the one key its freedom selects: a key it does
+        # not read, or a value it reads that an external section leaves out,
+        # names that key
+        ("free_young_given", BASE + "[material.pier_left]\nyoung = 9000\n",
+         r"^\[material\.pier_left\] young: not read: young is free"),
+        ("fixed_bounds_given", BASE + "[material.arch]\nyoung_bounds = 1000 2000\n",
+         r"^\[material\.arch\] young_bounds: not read: young is fixed"),
+        ("external_free_young_given", external.replace("free = young\n", "free = young\nyoung = 3250\n"),
+         r"^\[material\.arch\] young: not read: "),
+        ("external_no_young", fixed.replace("young = 3250\n", ""), r"^\[material\.arch\] young: "),
+        ("external_no_density", fixed.replace("density = 2200\n", ""),
+         r"^\[material\.pier_left\] density: "),
+        ("external_no_poisson", fixed.replace("density = 2100\npoisson = 0.2\n", "density = 2100\n"),
+         r"^\[material\.pier_right\] poisson: "),
         # an external mesh that cannot make a model names the benchmark key
         (
             "external_undeclared_region",
-            external.replace("free = young\n", "").replace("\n\n[material.pier_right]\nregion = 3", ""),
+            fixed[: fixed.index("[material.pier_right]")],
             r"^\[run\] benchmark: external mesh: no material section declares region 3$",
         ),
         (
             "external_unconstrained",
-            external.replace("free = young\n", "").replace("arch.mesh", "free.mesh"),
+            fixed.replace("arch.mesh", "free.mesh"),
             r"^\[run\] benchmark: cannot assemble model: mesh has no constrained dofs",
         ),
         # an external mesh's region ids: 1..3, each declared once
         *[
-            ("region_" + name, external.replace("free = young\n", "").replace(old, new),
+            ("region_" + name, fixed.replace(old, new),
              r"^\[material\.%s\] region: " % section)
             for name, old, new, section in (
                 ("zero", "region = 1", "region = 0", "arch"),
@@ -211,6 +230,9 @@ def test_config_error_cases(tmp_path):
             BASE + "noise = 0.01\nnoise_seed = -3\n",
             r"^\[targets\] noise_seed: ",
         ),
+        # a seed that draws nothing: noise 0 perturbs no target
+        ("noise_seed_without_noise", BASE + "noise_seed = 7\n",
+         r"^\[targets\] noise_seed: only applies to mode = generate with noise > 0$"),
         ("study_seed", BASE + "[noise_study]\nseed = -5\n", r"^\[noise_study\] seed: "),
         # run tolerances: positive and finite, NaN included; lanczos_tol below
         # 1e-2 (at 0.1 and 0.7 the Ritz values it accepts belong to other modes)
@@ -319,19 +341,13 @@ def test_external_mesh_matches_builtin(tmp_path, arch, arch_targets):
     mesh.save(mesh_path)
     sections = []
     for rid, mat in enumerate(materials, start=1):
-        free = []
-        if mat.free_young:
-            free.append("young")
-        if mat.free_density:
-            free.append("density")
-        sections.append(
-            "[material.%s]\nregion = %d\nyoung = %r\ndensity = %r\npoisson = %r\n"
-            "free = %s\nyoung_bounds = %r %r\ndensity_bounds = %r %r\n"
-            % (
-                mat.name, rid, mat.young, mat.density, mat.poisson, " ".join(free),
-                *mat.young_bounds, *mat.density_bounds,
-            )
-        )
+        # each section gives what its region reads: a free property's
+        # bounds, a fixed one's value
+        free = [prop for prop in ("young", "density") if getattr(mat, "free_" + prop)]
+        reads = "".join("%s_bounds = %r %r\n" % (prop, *getattr(mat, prop + "_bounds")) if prop in free
+                        else "%s = %r\n" % (prop, getattr(mat, prop)) for prop in ("young", "density"))
+        sections.append("[material.%s]\nregion = %d\npoisson = %r\nfree = %s\n%s"
+                        % (mat.name, rid, mat.poisson, " ".join(free), reads))
     text = (
         "[run]\nbenchmark = mesh:%s\nmodes = 5\noutput_dir = %s\n\n"
         "[targets]\nmode = generate\nvalues = 5000 2200 4800\n\n%s"
@@ -479,9 +495,9 @@ def test_cli_mesh_export(tmp_path, capsys):
     assert main(["mesh", "arch", str(target)]) == 0
     assert target.exists()
     assert "440 nodes" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:  # an argparse usage error names the flag
-        main(["mesh", "arch", str(target), "--refine", "0"])
-    assert exc.value.code == 2 and "argument --refine: " in capsys.readouterr().err
+    # benchmarks states the refinement bound; the message names the flag
+    assert main(["mesh", "arch", str(target), "--refine", "0"]) == 2
+    assert capsys.readouterr().err == "error: argument --refine: refine must be a positive integer\n"
 
 
 def test_a_refine_beyond_the_size_limit_exits_2_before_meshing(tmp_path, capsys):
@@ -577,11 +593,97 @@ def test_several_keys_set_at_once_run_or_name_a_key(tmp_path_factory, changes):
     eigs_runs_or_names_a_key(tmp_path_factory, changes)
 
 
+# every key given is read: set to a value other than the one it has, it
+# changes what a command reads, or it is a config error that names it.
+# The base is BASE from the box midpoint, so a changed box or parameter
+# set moves the start with it.
+READ_BASE = BASE.replace("start = 2000 1100 1100\n", "")
+# values the base already has (drawn, they would change nothing)
+SAME = {("run", "seed", "0"), ("run", "record_wall_time", "0"), ("targets", "noise", "0"),
+        ("material.arch", "free", "")}
+# valid values beside the edge values
+OTHER = {
+    ("run", "benchmark"): ("vault",), ("run", "weight_mode"): ("relative", "custom"),
+    ("run", "strategy"): ("AD", "A"), ("run", "start"): ("2000 1100 1100",),
+    ("run", "record_wall_time"): ("yes",), ("targets", "mode"): ("measured",),
+    ("targets", "values"): ("4000 2000 4000",), ("noise_study", "deltas"): ("0.01 0.1",),
+    ("material.arch", "free"): ("young", "density"),
+    ("material.pier_left", "free"): ("young", "density"),
+    ("material.pier_left", "young_bounds"): ("2000 8000",),
+    ("material.pier_left", "density_bounds"): ("1500 2500",),
+}
+# values that make another key required, or change how many values it
+# needs (generated targets: one true value per parameter): the error
+# names that key
+REQUIRES = {
+    ("run", "weight_mode", "custom"): "[run] custom_weights",
+    ("targets", "mode", "measured"): "[targets] values",
+    ("material.arch", "free", "young"): "[material.arch] young_bounds",
+    ("material.arch", "free", "density"): "[material.arch] density_bounds",
+    ("run", "benchmark", "vault"): "[targets] values",
+    **{("material.pier_left", "free", value): "[targets] values"
+       for value in ("", "young", "density")},
+}
+CHANGES = [
+    (*where, value) for where in FUZZ_KEYS for value in FUZZ_VALUES + OTHER.get(where, ())
+    if (*where, value) not in SAME
+]
+
+
+def what_commands_read(setup):
+    """What any command reads of a RunSetup, by name."""
+    problem = setup.problem
+    k, m = problem.pencil.evaluate(setup.start)
+    read = dict(vars(setup), problem=None, assembly_seconds=None, k=k.data, m=m.data,
+                names=problem.pencil.names, lower=problem.box.lower, upper=problem.box.upper)
+    read.update({key: getattr(problem, key) for key in (
+        "measured", "weights", "lanczos_tol", "criticality_tol", "seed")})
+    return read
+
+
+def same_value(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+@given(change=st.sampled_from(CHANGES))
+@settings(max_examples=250)
+@example(change=("material.pier_left", "young", "6000"))  # a free property's value
+@example(change=("material.arch", "young_bounds", "1000 2000"))  # a fixed property's bounds
+@example(change=("targets", "noise_seed", "7"))  # a seed without noise
+def test_every_key_given_is_read(tmp_path_factory, change):
+    section, key, value = change
+    base = tmp_path_factory.getbasetemp()
+    parser = configparser.ConfigParser()
+    parser.read_string(READ_BASE.format(out=base / "out"))
+    path = base / "read.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    before = what_commands_read(load_config(str(path)))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    with open(path, "w") as fh:
+        parser.write(fh)
+    try:
+        after = what_commands_read(load_config(str(path)))
+    except ConfigError as exc:
+        named = REQUIRES.get(change, "[%s] %s" % (section, key))
+        assert str(exc).startswith(named + ": ") and "\n" not in str(exc), (change, str(exc))
+    except NumericalError:  # the generated targets met the changed model: it was read
+        pass
+    else:
+        assert any(not same_value(before[name], after[name]) for name in before), change
+
+
 EXTERNAL = (
     "[run]\nbenchmark = mesh:{mesh}\nmodes = 5\n\n"
     "[targets]\nmode = measured\nvalues = 18 28 49 50 65\n\n"
-    "[material.arch]\nregion = 1\nfree = young\nyoung_bounds = 2000 6000\n\n"
-    "[material.pier_left]\nregion = 2\n\n[material.pier_right]\nregion = 3\n"
+    "[material.arch]\nregion = 1\nfree = young\nyoung_bounds = 2000 6000\n"
+    "density = 1800\npoisson = 0.2\n\n"
+    "[material.pier_left]\nregion = 2\nyoung = 5000\ndensity = 2200\npoisson = 0.2\n\n"
+    "[material.pier_right]\nregion = 3\nyoung = 4800\ndensity = 2100\npoisson = 0.2\n"
 )
 
 
@@ -592,8 +694,7 @@ EXTERNAL = (
 def test_a_mutated_mesh_file_runs_or_names_its_line(tmp_path_factory, index, how, field, token):
     # one line of a saved arch r1 mesh dropped, repeated, or with one field
     # replaced: eigs runs, or fails as above, and a file that does not load
-    # names the line at fault, or the node, the end of the file or the one
-    # rule no single line breaks: region ids contiguous from 1
+    # names the line at fault, the node, or the end of the file
     base = tmp_path_factory.getbasetemp()
     saved = base / "arch.mesh.orig"
     if not saved.exists():
@@ -612,8 +713,7 @@ def test_a_mutated_mesh_file_runs_or_names_its_line(tmp_path_factory, index, how
     mesh.write_text("".join(lines))
     err = eigs_runs_or_names_a_key(tmp_path_factory, [], EXTERNAL.format(mesh=mesh))
     if "cannot load mesh" in err:
-        assert re.search(r": (line \d+|node \d+ \(1-based\)|mesh file ended early"
-                         r"|region ids must be contiguous)", err), err
+        assert re.search(r": (line \d+|node \d+ \(1-based\)|mesh file ended early)", err), err
 
 
 def test_generated_targets_take_seeded_noise_within_its_band(tmp_path):
@@ -756,7 +856,7 @@ def test_cli_node_in_no_element_exits_2_naming_it(tmp_path, capsys):
     # run ended at the first factorization ("nonpositive pivot at index 9")
     mesh_path = tmp_path / "two.mesh"
     config = write(tmp_path, "[run]\nbenchmark = mesh:%s\nmodes = 2\n\n[material.slab]\n"
-                   "region = 1\nyoung = 3000\ndensity = 2000\npoisson = 0.2\nfree = young\n"
+                   "region = 1\ndensity = 2000\npoisson = 0.2\nfree = young\n"
                    "young_bounds = 1000 9000\n\n[targets]\nmode = measured\nvalues = 10 20\n"
                    % mesh_path)
     mesh_path.write_text(TWO_QUADS)
@@ -810,6 +910,21 @@ def test_cli_nonconvergence_exit_1(tmp_path, capsys):
     )
     path = write(tmp_path, text)
     assert main(["update", path]) == 1
+
+
+def test_cli_unexpected_exception_exits_4_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 means "did not converge": a fault of the program has its own code
+    import femupdate.cli as cli
+
+    def failing(setup):
+        raise KeyError("no such column")
+
+    monkeypatch.setattr(cli, "run_update", failing)
+    path = write(tmp_path, TWO_PARAM.format(strategy="RM", out=tmp_path / "out"))
+    assert main(["update", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("KeyError: 'no such column'\n") and "in failing" in err
 
 
 def test_cli_numerical_failure_exit_3(tmp_path, capsys, monkeypatch):

@@ -462,6 +462,7 @@ def test_mesh_load_reads_comments_and_blank_lines(tmp_path):
     ("1 2 3 4 1", "1 2 3 5 1", "line 9: node ids must lie in 1..4"),
     ("1 2 3 4 1", "0 2 3 4 1", "line 9: node ids must lie in 1..4"),
     ("1 2 3 4 1", "1 2 3 4 0", "line 9: region ids must be positive"),
+    ("1 2 3 4 1", "1 2 3 4 2", "line 9: region id 2 leaves a gap: the file's 1 distinct ids"),
     ("1 x", "5 x", "line 11: node ids must lie in 1..4"),
     ("quad4", "hex8", "line 8: element kind 'hex8' invalid for dim 2"),
     ("dim 2", "dim 4", "line 2: dim must be 2 or 3"),

@@ -46,16 +46,18 @@ def test_relative_weights_proportional_to_reciprocal():
 
 
 def test_custom_weights_normalized_and_validated():
+    # weights are a mode or a vector; "custom" is no mode of its own
     f = np.array([1.0, 2.0])
-    w = make_weights("custom", f, custom=[3.0, 4.0])
+    w = make_weights([3.0, 4.0], f)
     assert np.allclose(w, [0.6, 0.8])
     with pytest.raises(DimensionMismatchError):
-        make_weights("custom", f, custom=[1.0])
+        make_weights([1.0], f)
     for bad in ([-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]):
-        with pytest.raises(ValueError):
-            make_weights("custom", f, custom=bad)
-    with pytest.raises(ValueError):
-        make_weights("bogus", f)
+        with pytest.raises(ValueError, match="custom weights must be finite"):
+            make_weights(bad, f)
+    for mode in ("bogus", "custom"):
+        with pytest.raises(ValueError, match="unknown weight mode"):
+            make_weights(mode, f)
 
 
 def test_weighted_mismatch_hand_value():

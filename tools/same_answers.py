@@ -32,10 +32,13 @@ reused the start is printed beside them.
 
 Then each tree's ``femupdate`` command runs ``update`` on the config of
 acceptance guarantee 9 (``arch`` r1, RM, start 2000 1100 1100) and a
-one-level, two-trial ``noise-study`` on the same structure, and the
-reproducible files they write (convergence.csv, summary.txt,
-noise_study.csv, noise_summary.txt) are compared byte for byte: it
-prints "outputs identical" or names the files that differ. Exits 1 if
+one-level, two-trial ``noise-study`` on the same structure, and
+``update`` on the same problem on the ``arch`` r1 mesh that ``femupdate
+mesh`` exports (``benchmark = mesh:``). The reproducible files they
+write (convergence.csv, summary.txt, noise_study.csv,
+noise_summary.txt, and the mesh run's convergence.csv and summary.txt
+under ``mesh/``) are compared byte for byte: it prints "outputs
+identical" or names the files that differ. Exits 1 if
 the pencil digests, any trial or inner-iteration count, a converged
 flag, a raised error or one of those files differ, else 0.
 
@@ -118,6 +121,40 @@ deltas = 1e-3
 trials = 2
 """
 CLI_FILES = ("convergence.csv", "summary.txt", "noise_study.csv", "noise_summary.txt")
+# the same update on the arch r1 mesh that ``femupdate mesh`` exports: each
+# section gives a fixed property's value and a free one's bounds, and the
+# mesh path is relative, so summary.txt reads alike in both trees
+MESH_CONFIG = """[run]
+benchmark = mesh:arch.mesh
+modes = 5
+strategy = RM
+start = 2000 1100 1100
+
+[targets]
+mode = generate
+values = 5000 2200 4800
+
+[material.arch]
+region = 1
+young = 3250
+density = 1800
+poisson = 0.2
+
+[material.pier_left]
+region = 2
+poisson = 0.2
+free = young density
+young_bounds = 1000 9000
+density_bounds = 1000 3000
+
+[material.pier_right]
+region = 3
+density = 2100
+poisson = 0.2
+free = young
+young_bounds = 1000 9000
+"""
+MESH_FILES = ("convergence.csv", "summary.txt")
 
 
 def pencil_digest(pencil, box, start):
@@ -282,16 +319,21 @@ def solve_in(tree, workload, solves):
 
 
 def cli_outputs(tree, workdir):
-    """Run the tree's ``update`` and ``noise-study`` on ``CLI_CONFIG`` in
-    ``workdir``; returns {file name: contents} of ``CLI_FILES``."""
+    """Run the tree's ``update`` and ``noise-study`` on ``CLI_CONFIG``, and
+    ``update`` on ``MESH_CONFIG`` after ``mesh arch``, in ``workdir``;
+    returns {file name: contents} of ``CLI_FILES`` and, under ``mesh/``,
+    of ``MESH_FILES``."""
     workdir.mkdir()
-    config, out = workdir / "run.ini", workdir / "out"
-    config.write_text(CLI_CONFIG)
-    for command in ("update", "noise-study"):
-        subprocess.run([sys.executable, "-m", "femupdate.cli", command, str(config),
-                        "--output-dir", str(out)],
+    (workdir / "run.ini").write_text(CLI_CONFIG)
+    (workdir / "mesh.ini").write_text(MESH_CONFIG)
+    for args in (("update", "run.ini", "--output-dir", "out"),
+                 ("noise-study", "run.ini", "--output-dir", "out"),
+                 ("mesh", "arch", "arch.mesh"),
+                 ("update", "mesh.ini", "--output-dir", "mesh")):
+        subprocess.run([sys.executable, "-m", "femupdate.cli", *args], cwd=workdir,
                        env=tree_env(tree), check=True, stdout=subprocess.DEVNULL)
-    return {name: (out / name).read_bytes() for name in CLI_FILES}
+    return {**{name: (workdir / "out" / name).read_bytes() for name in CLI_FILES},
+            **{"mesh/" + name: (workdir / "mesh" / name).read_bytes() for name in MESH_FILES}}
 
 
 def rel_change(old, new):
@@ -347,8 +389,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         parent, this = (cli_outputs(tree, Path(tmp) / side)
                         for tree, side in ((args.other, "other"), (ROOT, "this")))
-        differ = [name for name in CLI_FILES if parent[name] != this[name]]
-    print("update and noise-study: " + (
+        differ = [name for name in this if parent[name] != this[name]]
+    print("update, noise-study and the external-mesh update: " + (
         "outputs identical" if not differ else "outputs differ: " + ", ".join(differ)))
     ok &= not differ
     if args.hidden:
